@@ -14,11 +14,15 @@ namespace gsj {
 void save_binary(const Dataset& ds, const std::string& path);
 
 /// Loads a dataset written by save_binary. Throws CheckError on a
-/// malformed file.
+/// malformed file, including a header whose point count the file is
+/// too short to hold (checked before anything is allocated).
 [[nodiscard]] Dataset load_binary(const std::string& path);
 
 /// Loads a headerless CSV of `dims` comma-separated coordinates per
-/// line. Blank lines are skipped.
+/// line. Blank lines are skipped. Each cell must be one finite number
+/// (blanks around it allowed); anything else — trailing text, NaN,
+/// infinities, an empty cell — throws CheckError naming the path and
+/// line.
 [[nodiscard]] Dataset load_csv(const std::string& path, int dims);
 
 /// Writes one comma-separated row per point.

@@ -40,6 +40,25 @@
 // bit-identical to the sequential path; kernels lacking the shard API
 // silently keep the sequential path.
 //
+// Fast-forward. A kernel may additionally provide
+//
+//   simt::FastForward K::fast_forward(LaneState* lanes,
+//                                     const std::uint8_t* active,
+//                                     int warp_size);
+//   simt::FastForward K::fast_forward(LaneState*, const std::uint8_t*,
+//                                     int, Shard&);  // parallel path
+//
+// The step loop calls it before every lockstep step. A result with
+// steps > 0 means the kernel advanced the warp by that many steps at
+// once, leaving the lane states and side effects (in order) that
+// `steps` rounds of step() would have left, with no lane retiring on
+// the way: `nactive` lanes were active throughout and `cycles` is the
+// sum over those steps of the max lane cost. The loop charges steps,
+// steps·nactive lane-steps and cycles, then asks again. steps == 0
+// declines, and the loop runs one ordinary step. The hook never
+// changes the active mask. Kernels without it (or, on the parallel
+// path, without its shard overload) compile to the plain lockstep loop.
+//
 // Abortable launch. An optional `should_abort` hook is polled every
 // detail::kWarpBlock warps — at the *same* warp-count boundaries on the
 // sequential and parallel paths (the parallel path's block merges), so
@@ -59,6 +78,7 @@
 #include <functional>
 #include <optional>
 #include <queue>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -112,6 +132,27 @@ concept ParallelHostKernel =
              decltype(std::declval<K&>().make_shard())& shard) {
       { k.step(s, shard) } -> std::same_as<StepResult>;
       k.merge_shard(std::move(shard));
+    };
+
+/// What a kernel's fast_forward hook reports (see header comment):
+/// `steps` lockstep steps taken at once, the sum of their step costs,
+/// and the number of lanes active throughout. steps == 0 declines.
+struct FastForward {
+  std::uint64_t steps = 0;
+  std::uint64_t cycles = 0;
+  std::uint32_t nactive = 0;
+};
+
+/// Kernels that can advance a whole warp several lockstep steps at once.
+/// FastForwardKernel<K, Shard> asks for the parallel path's overload,
+/// which emits into a shard.
+template <typename K, typename... Shard>
+concept FastForwardKernel =
+    requires(K& k, typename K::LaneState* lanes, const std::uint8_t* active,
+             int warp_size, Shard&... shard) {
+      {
+        k.fast_forward(lanes, active, warp_size, shard...)
+      } -> std::same_as<FastForward>;
     };
 
 /// Launch abort hook: polled between warp blocks; returning true stops
@@ -221,14 +262,44 @@ std::uint64_t init_warp(const DeviceConfig& cfg, std::uint64_t num_threads,
   return init_cost;
 }
 
+/// The step loop's fast-forward callable for kernels without the hook:
+/// its presence compiles the check out of the loop.
+struct NoFastForward {};
+
+/// `k`'s fast_forward hook (the overload taking `shard...`, if given)
+/// bound for the step loop, or NoFastForward.
+template <typename K, typename... Shard>
+auto fast_forward_fn(K& k, Shard&... shard) {
+  if constexpr (FastForwardKernel<K, Shard...>) {
+    return [&k, &shard...](typename K::LaneState* lanes,
+                           const std::uint8_t* active, int warp_size) {
+      return k.fast_forward(lanes, active, warp_size, shard...);
+    };
+  } else {
+    return NoFastForward{};
+  }
+}
+
 /// Lockstep step loop of one warp: each step costs the max over its
 /// active lanes; the warp retires when every lane reports inactive.
-template <typename LaneState, typename StepFn>
+/// Before each step the kernel's fast_forward hook, if any, may advance
+/// the warp several steps at once (see header comment).
+template <typename LaneState, typename StepFn, typename FastForwardFn>
 WarpRun warp_step_loop(int warp_size, LaneState* lanes, std::uint8_t* active,
-                       std::uint64_t init_cost, StepFn&& step) {
+                       std::uint64_t init_cost, StepFn&& step,
+                       [[maybe_unused]] FastForwardFn fast_forward) {
   WarpRun run;
   run.cycles = init_cost;
   for (;;) {
+    if constexpr (!std::is_same_v<FastForwardFn, NoFastForward>) {
+      const FastForward ff = fast_forward(lanes, active, warp_size);
+      if (ff.steps > 0) {
+        run.steps += ff.steps;
+        run.active_lane_steps += ff.steps * ff.nactive;
+        run.cycles += ff.cycles;
+        continue;
+      }
+    }
     std::uint32_t step_cost = 0;
     std::uint32_t nactive = 0;
     for (int l = 0; l < warp_size; ++l) {
@@ -338,7 +409,8 @@ KernelStats launch(const DeviceConfig& cfg, std::uint64_t num_threads, K& k,
               init_costs[i],
               [&k, &shard = shards[i]](typename K::LaneState& s) {
                 return k.step(s, shard);
-              });
+              },
+              detail::fast_forward_fn(k, shards[i]));
         });
         // Pass 3 — sequential replay: slot heap, stats, observer and
         // shard merge in dispatch order.
@@ -377,7 +449,8 @@ KernelStats launch(const DeviceConfig& cfg, std::uint64_t num_threads, K& k,
           cfg, num_threads, k, w, lanes.data(), active.data(), scratch);
       const detail::WarpRun run = detail::warp_step_loop(
           cfg.warp_size, lanes.data(), active.data(), init_cost,
-          [&k](typename K::LaneState& s) { return k.step(s); });
+          [&k](typename K::LaneState& s) { return k.step(s); },
+          detail::fast_forward_fn(k));
       retire(w, seq, run);
     }
   }

@@ -1,5 +1,9 @@
 #include "sj/kernels.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <limits>
+
 #include "common/check.hpp"
 
 namespace gsj {
@@ -112,6 +116,78 @@ simt::StepResult SelfJoinKernel::scan(LaneState& s, ResultSet& out,
   s.cand_pos += static_cast<std::uint32_t>(p_.k);
   if (s.cand_pos >= s.cand_end) s.scanning = false;
   return {true, cost};
+}
+
+simt::FastForward SelfJoinKernel::fast_forward_into(
+    LaneState* lanes, const std::uint8_t* active, int warp_size,
+    ResultSet& out, std::uint64_t& emitted) const {
+  // Eligible only when every active lane is mid-scan: the warp can then
+  // run the shortest remaining run with no lane leaving Scan early, so
+  // every one of those steps is a scan step on every active lane. The
+  // first lane that is not scanning, or whose run is shorter than the
+  // threshold, declines at once (this check runs before every step).
+  const auto k = static_cast<std::uint32_t>(p_.k);
+  const std::uint32_t min_cands = (kMinFastForwardSteps - 1) * k + 1;
+  std::array<std::uint8_t, 32> lane_of{};  // active lanes, in lane order
+  std::uint32_t nactive = 0;
+  std::uint32_t min_left = std::numeric_limits<std::uint32_t>::max();
+  for (int l = 0; l < warp_size; ++l) {
+    if (!active[l]) continue;
+    const LaneState& s = lanes[l];
+    if (!s.scanning || s.cand_end - s.cand_pos < min_cands) return {};
+    min_left = std::min(min_left, s.cand_end - s.cand_pos);
+    lane_of[nactive++] = static_cast<std::uint8_t>(l);
+  }
+  if (nactive == 0) return {};
+  const std::uint32_t steps = (min_left - 1) / k + 1;  // ⌈min_left / k⌉
+
+  const std::uint64_t pairs_per_hit = unidirectional_ ? 2 : 1;
+  std::array<std::uint64_t, 32> masks{};
+  std::array<std::uint32_t, 32> first{};  // chunk's first candidate per lane
+  std::uint64_t cycles = 0;
+  for (std::uint32_t done = 0; done < steps;) {
+    const std::uint32_t len = std::min<std::uint32_t>(steps - done, 64);
+    std::uint64_t any = 0;
+    std::uint64_t hits = 0;
+    for (std::uint32_t a = 0; a < nactive; ++a) {
+      LaneState& s = lanes[lane_of[a]];
+      first[a] = s.cand_pos;
+      masks[a] = hit_mask(s.q, s.cand_pos, len);
+      s.cand_pos += len * k;
+      any |= masks[a];
+      hits += static_cast<std::uint64_t>(std::popcount(masks[a]));
+    }
+    // A step costs its slowest lane: cost_dist, plus cost_emit when any
+    // lane hit.
+    cycles += static_cast<std::uint64_t>(len) * cost_dist_ +
+              static_cast<std::uint64_t>(std::popcount(any)) *
+                  p_.device->cost_emit;
+    emitted += hits * pairs_per_hit;
+    if (!out.stores_pairs()) {
+      out.add_count(hits * pairs_per_hit);
+    } else {
+      // (step, lane) order with each mirror right after its primary:
+      // the per-step loop's emission stream, so the batch-capacity
+      // clamp keeps the same pairs.
+      for (std::uint64_t rest = any; rest != 0; rest &= rest - 1) {
+        const int j = std::countr_zero(rest);
+        for (std::uint32_t a = 0; a < nactive; ++a) {
+          if (((masks[a] >> j) & 1) == 0) continue;
+          const PointId q = lanes[lane_of[a]].q;
+          const PointId c =
+              point_ids_[first[a] + static_cast<std::uint32_t>(j) * k];
+          out.emit(q, c);
+          if (unidirectional_) out.emit(c, q);
+        }
+      }
+    }
+    done += len;
+  }
+  for (std::uint32_t a = 0; a < nactive; ++a) {
+    LaneState& s = lanes[lane_of[a]];
+    if (s.cand_pos >= s.cand_end) s.scanning = false;
+  }
+  return {steps, cycles, nactive};
 }
 
 simt::StepResult SelfJoinKernel::next_cell(LaneState& s, ResultSet& out,

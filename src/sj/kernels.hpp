@@ -24,6 +24,9 @@
 //       survives (cost_cell_probe);
 //   Scan step     — one candidate distance calculation (cost_dist) and,
 //       within epsilon, result emission (cost_emit).
+// When every active lane of a warp is scanning, the host replays the
+// whole run of Scan steps at once (fast_forward); the modeled steps,
+// cycles and emissions are exactly the per-step ones.
 //
 // Result-pair semantics match reference.hpp: all ordered pairs with
 // self pairs. FULL evaluates both directions and emits one pair per
@@ -141,6 +144,23 @@ class SelfJoinKernel {
     p_.results->absorb(std::move(shard.results));
   }
 
+  // --- scan fast-forward (simt::FastForwardKernel) ---
+  /// When every active lane is mid-scan with at least
+  /// kMinFastForwardSteps k-strided candidates left, runs the warp's
+  /// next min-remaining scan steps at once: hit bitmasks per lane, the
+  /// per-step max cost, and emissions in (step, lane) order — exactly
+  /// what the per-step loop produces (docs/PERFORMANCE.md, "Scan
+  /// fast-forward"). Declines (steps == 0) otherwise.
+  simt::FastForward fast_forward(LaneState* lanes, const std::uint8_t* active,
+                                 int warp_size) {
+    return fast_forward_into(lanes, active, warp_size, *p_.results, emitted_);
+  }
+  simt::FastForward fast_forward(LaneState* lanes, const std::uint8_t* active,
+                                 int warp_size, Shard& shard) {
+    return fast_forward_into(lanes, active, warp_size, shard.results,
+                             shard.emitted);
+  }
+
   [[nodiscard]] std::uint64_t atomics_executed() const noexcept {
     return atomics_;
   }
@@ -149,12 +169,54 @@ class SelfJoinKernel {
   }
 
  private:
+  /// Shortest remaining scan run the fast path takes: below it the
+  /// eligibility pass and mask setup cost more than they save (with a
+  /// threshold of 2, a prototype slowed sparse 6-D joins by 5–10%).
+  static constexpr std::uint32_t kMinFastForwardSteps = 4;
+
   simt::StepResult step_into(LaneState& s, ResultSet& out,
                              std::uint64_t& emitted) const;
   simt::StepResult next_cell(LaneState& s, ResultSet& out,
                              std::uint64_t& emitted) const;
   simt::StepResult scan(LaneState& s, ResultSet& out,
                         std::uint64_t& emitted) const;
+  simt::FastForward fast_forward_into(LaneState* lanes,
+                                      const std::uint8_t* active,
+                                      int warp_size, ResultSet& out,
+                                      std::uint64_t& emitted) const;
+  /// Bit i set iff candidate point_ids_[pos + i·k] is within ε of `q`,
+  /// for i < len <= 64: scan()'s test over a run of candidates. In 2-D
+  /// the query is loaded once for the run.
+  [[nodiscard]] std::uint64_t hit_mask(PointId q, std::uint32_t pos,
+                                       std::uint32_t len) const noexcept {
+    std::uint64_t mask = 0;
+    const auto k = static_cast<std::uint32_t>(p_.k);
+    if (dims_ == 2) {
+      const double qx = qcoords_[0][q];
+      const double qy = qcoords_[1][q];
+      for (std::uint32_t i = 0; i < len; ++i, pos += k) {
+        mask |= std::uint64_t{dist2_2d(qx, qy, point_ids_[pos]) <= eps2_} << i;
+      }
+      return mask;
+    }
+    for (std::uint32_t i = 0; i < len; ++i, pos += k) {
+      mask |= std::uint64_t{within_eps(q, point_ids_[pos])} << i;
+    }
+    return mask;
+  }
+
+  /// dist2 for dims == 2 with the query's coordinates passed in: the
+  /// same summation order, so scan() (through within_eps) and hit_mask
+  /// share one 2-D distance routine.
+  [[nodiscard]] double dist2_2d(double qx, double qy,
+                                PointId b) const noexcept {
+    double sum = 0.0;
+    const double dx = qx - coords_[0][b];
+    sum += dx * dx;
+    const double dy = qy - coords_[1][b];
+    sum += dy * dy;
+    return sum;
+  }
 
   /// Query `a` (probe dataset in R×S mode, gridded dataset otherwise)
   /// against candidate `b` (always the gridded dataset). qcoords_
@@ -173,8 +235,11 @@ class SelfJoinKernel {
   /// dist(a, b) <= epsilon with per-dimension short-circuit for
   /// dims > 2 (host-side speedup only — the modeled cost_dist is
   /// charged in full either way, like SUPER-EGO's early termination).
+  /// The hit test of scan() and, outside 2-D, of the fast-forward's
+  /// hit_mask, so the two paths cannot disagree on a pair.
   [[nodiscard]] bool within_eps(PointId a, PointId b) const noexcept {
-    if (dims_ <= 2) return dist2(a, b) <= eps2_;
+    if (dims_ == 2) return dist2_2d(qcoords_[0][a], qcoords_[1][a], b) <= eps2_;
+    if (dims_ < 2) return dist2(a, b) <= eps2_;
     double sum = 0.0;
     for (int d = 0; d < dims_; ++d) {
       const double diff = qcoords_[static_cast<std::size_t>(d)][a] -

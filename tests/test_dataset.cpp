@@ -4,8 +4,10 @@
 
 #include <cmath>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
@@ -150,8 +152,30 @@ TEST(Generators, MakeDatasetByName) {
 
 class IoTest : public ::testing::Test {
  protected:
+  /// Per-test file names: ctest runs each test in its own process, in
+  /// parallel, so shared names would race.
   std::string path(const char* name) {
-    return (std::filesystem::temp_directory_path() / name).string();
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    return (std::filesystem::temp_directory_path() / (test + "_" + name))
+        .string();
+  }
+  void write_text(const std::string& p, const char* text) {
+    std::FILE* f = std::fopen(p.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs(text, f);
+    std::fclose(f);
+  }
+  /// Message of the CheckError load_csv throws on `text`, or "".
+  std::string csv_error(const char* text) {
+    const std::string p = path("gsj_io_test.csv");
+    write_text(p, text);
+    try {
+      (void)load_csv(p, 2);
+    } catch (const CheckError& e) {
+      return e.what();
+    }
+    return "";
   }
   void TearDown() override {
     std::filesystem::remove(path("gsj_io_test.bin"));
@@ -188,6 +212,69 @@ TEST_F(IoTest, LoadRejectsGarbage) {
   std::fputs("not a dataset", f);
   std::fclose(f);
   EXPECT_THROW(load_binary(p), CheckError);
+}
+
+TEST_F(IoTest, BinaryHeaderLargerThanFileIsRejectedBeforeAllocating) {
+  // Valid magic/version/dims, n = 2^61 points, then a few body bytes:
+  // sizing a Dataset from that header would ask for 2^65 bytes.
+  const std::string p = path("gsj_io_test.bin");
+  std::FILE* f = std::fopen(p.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const std::uint32_t version = 1, dims = 2;
+  const std::uint64_t n = std::uint64_t{1} << 61;
+  std::fwrite("GSJD", 1, 4, f);
+  std::fwrite(&version, sizeof version, 1, f);
+  std::fwrite(&dims, sizeof dims, 1, f);
+  std::fwrite(&n, sizeof n, 1, f);
+  std::fwrite("12345678abc", 1, 11, f);
+  std::fclose(f);
+  try {
+    (void)load_binary(p);
+    FAIL() << "corrupt header accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("claims"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(IoTest, BinaryTruncatedBodyIsRejected) {
+  const Dataset ds = gen_uniform(100, 3, 22);
+  const std::string p = path("gsj_io_test.bin");
+  save_binary(ds, p);
+  std::filesystem::resize_file(p, std::filesystem::file_size(p) - 8);
+  EXPECT_THROW((void)load_binary(p), CheckError);
+}
+
+TEST_F(IoTest, CsvAcceptsBlanksAroundNumbersAndCrlf) {
+  const std::string p = path("gsj_io_test.csv");
+  write_text(p, "1.5, -2e-3\r\n\n +3 ,4\n");
+  const Dataset ds = load_csv(p, 2);
+  ASSERT_EQ(ds.size(), 2u);
+  EXPECT_EQ(ds.coord(0, 0), 1.5);
+  EXPECT_EQ(ds.coord(0, 1), -2e-3);
+  EXPECT_EQ(ds.coord(1, 0), 3.0);
+  EXPECT_EQ(ds.coord(1, 1), 4.0);
+}
+
+TEST_F(IoTest, CsvRejectsTrailingText) {
+  const std::string msg = csv_error("0,0\n1.5abc,2\n");
+  EXPECT_NE(msg.find("gsj_io_test.csv:2:"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("1.5abc"), std::string::npos) << msg;
+}
+
+TEST_F(IoTest, CsvRejectsNonNumbersWithCheckError) {
+  const std::string msg = csv_error("abc,1\n");
+  EXPECT_NE(msg.find("gsj_io_test.csv:1:"), std::string::npos) << msg;
+  EXPECT_NE(csv_error("1,\n"), "");  // empty cell
+}
+
+TEST_F(IoTest, CsvRejectsNonFiniteValues) {
+  for (const char* text : {"nan,1\n", "1,NaN\n", "inf,1\n", "1,-infinity\n",
+                           "1e999,1\n"}) {
+    const std::string msg = csv_error(text);
+    EXPECT_NE(msg.find("not a finite number"), std::string::npos)
+        << text << " -> " << msg;
+  }
 }
 
 }  // namespace

@@ -1,0 +1,385 @@
+// Equivalence suite for the scan fast-forward (simt::FastForwardKernel):
+// SelfJoinKernel's fast_forward hook must leave every observable of a
+// launch exactly as the per-step lockstep loop leaves it — every
+// KernelStats field, the raw emission stream (order and batch-capacity
+// clamp included), results_emitted and the WarpObserver records — for
+// the six paper variants on self-join 2-D / 6-D and R×S 2-D inputs,
+// with pairs stored or only counted, on the sequential and the parallel
+// host path. A golden test pins the modeled counts and a digest of the
+// emission stream to the values the per-step simulator produced.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <iterator>
+#include <numeric>
+#include <span>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "data/generators.hpp"
+#include "grid/grid_index.hpp"
+#include "grid/workload.hpp"
+#include "simt/counter.hpp"
+#include "simt/launch.hpp"
+#include "sj/kernels.hpp"
+
+namespace gsj {
+namespace {
+
+/// Forwards SelfJoinKernel's lane and shard API. With kFastForward
+/// false it hides the fast_forward hook, so simt::launch runs the plain
+/// per-step loop: the reference. With it true it forwards the hook and
+/// counts the lane-steps the fast path covered (the hook runs on worker
+/// threads on the parallel path, hence the atomic).
+template <bool kFastForward>
+class ForwardingKernel {
+ public:
+  using LaneState = SelfJoinKernel::LaneState;
+  using Shard = SelfJoinKernel::Shard;
+
+  explicit ForwardingKernel(SelfJoinKernel& k) : k_(k) {}
+
+  simt::InitResult init_lane(LaneState& s, const simt::LaneCtx& ctx,
+                             simt::WarpScratch& scratch) {
+    return k_.init_lane(s, ctx, scratch);
+  }
+  simt::StepResult step(LaneState& s) { return k_.step(s); }
+  [[nodiscard]] Shard make_shard() const { return k_.make_shard(); }
+  simt::StepResult step(LaneState& s, Shard& shard) {
+    return k_.step(s, shard);
+  }
+  void merge_shard(Shard&& shard) { k_.merge_shard(std::move(shard)); }
+
+  simt::FastForward fast_forward(LaneState* lanes, const std::uint8_t* active,
+                                 int warp_size)
+    requires kFastForward
+  {
+    return count(k_.fast_forward(lanes, active, warp_size));
+  }
+  simt::FastForward fast_forward(LaneState* lanes, const std::uint8_t* active,
+                                 int warp_size, Shard& shard)
+    requires kFastForward
+  {
+    return count(k_.fast_forward(lanes, active, warp_size, shard));
+  }
+
+  [[nodiscard]] std::uint64_t covered_lane_steps() const {
+    return covered_.load();
+  }
+
+ private:
+  simt::FastForward count(const simt::FastForward& ff) {
+    covered_.fetch_add(ff.steps * ff.nactive, std::memory_order_relaxed);
+    return ff;
+  }
+
+  SelfJoinKernel& k_;
+  std::atomic<std::uint64_t> covered_{0};
+};
+
+using PerStepKernel = ForwardingKernel<false>;
+using FastKernel = ForwardingKernel<true>;
+
+static_assert(simt::FastForwardKernel<SelfJoinKernel>);
+static_assert(
+    simt::FastForwardKernel<SelfJoinKernel, SelfJoinKernel::Shard>);
+static_assert(!simt::FastForwardKernel<PerStepKernel>);
+static_assert(simt::ParallelHostKernel<PerStepKernel>);
+static_assert(simt::FastForwardKernel<FastKernel>);
+
+struct Variant {
+  const char* name;
+  CellPattern pattern;
+  bool sort_by_workload;
+  bool work_queue;
+  int k;
+};
+
+// The six paper variants as SelfJoinConfig's factories configure them.
+constexpr Variant kVariants[] = {
+    {"FULL", CellPattern::Full, false, false, 1},
+    {"UNICOMP", CellPattern::Unicomp, false, false, 1},
+    {"LID_UNICOMP", CellPattern::LidUnicomp, false, false, 1},
+    {"SORTBYWL", CellPattern::Full, true, false, 1},
+    {"WORKQUEUE", CellPattern::Full, false, true, 1},
+    {"COMBINED", CellPattern::LidUnicomp, false, true, 8},
+};
+
+/// A gridded dataset and, for R×S, the probe side (empty: self-join).
+/// Never moved once built: the grid points into `ds`.
+struct Input {
+  Dataset ds;
+  Dataset probe;
+  GridIndex grid;
+
+  Input(Dataset d, double eps, Dataset p = Dataset())
+      : ds(std::move(d)), probe(std::move(p)), grid(ds, eps) {}
+  [[nodiscard]] bool rxs() const { return probe.size() > 0; }
+};
+
+const Input& self_2d() {
+  static const Input in(gen_exponential(3000, 2, 117), 0.04);
+  return in;
+}
+const Input& self_6d() {
+  static const Input in(gen_exponential(1200, 6, 119), 0.8);
+  return in;
+}
+const Input& rxs_2d() {
+  static const Input in(gen_exponential(2500, 2, 121), 0.04,
+                        gen_exponential(1500, 2, 122));
+  return in;
+}
+
+/// Query points in the order a variant consumes them: id order
+/// (static), non-increasing workload (SORTBYWL, and the WORKQUEUE's D′).
+std::vector<PointId> query_order(const Input& in, const Variant& v) {
+  if (!in.rxs() && (v.sort_by_workload || v.work_queue)) {
+    return sort_by_workload(in.grid, v.pattern);
+  }
+  std::vector<PointId> ids(in.rxs() ? in.probe.size() : in.ds.size());
+  std::iota(ids.begin(), ids.end(), PointId{0});
+  if (in.rxs() && (v.sort_by_workload || v.work_queue)) {
+    const std::vector<std::uint64_t> w =
+        probe_point_workloads(in.grid, in.probe);
+    std::stable_sort(ids.begin(), ids.end(),
+                     [&w](PointId a, PointId b) { return w[a] > w[b]; });
+  }
+  return ids;
+}
+
+/// Launches one variant over a chosen kernel wrapper and accumulates
+/// everything a launch makes observable.
+template <typename Wrapper>
+struct Harness {
+  const Input& in;
+  Variant v;
+  simt::DeviceConfig dev;
+  ResultSet results;
+  simt::KernelStats stats;  ///< merged over launches
+  std::uint64_t emitted = 0;
+  std::uint64_t covered = 0;  ///< fast-forwarded lane-steps
+  std::vector<simt::WarpRecord> records;
+
+  Harness(const Input& input, const Variant& variant, bool store_pairs,
+          int host_threads, int warp_size = 32)
+      : in(input), v(variant), results(store_pairs) {
+    dev.num_sms = 2;
+    dev.warp_size = warp_size;
+    dev.host.num_threads = host_threads;
+  }
+
+  /// One launch over `queries` against a `capacity`-pair buffer, with
+  /// the overflow abort hook armed when the capacity is finite.
+  void launch(std::span<const PointId> queries,
+              std::uint64_t capacity = ResultSet::kUnlimited) {
+    simt::DeviceCounter counter;
+    KernelParams p;
+    p.grid = &in.grid;
+    p.pattern = v.pattern;
+    p.probe = in.rxs() ? &in.probe : nullptr;
+    p.assignment = v.work_queue ? Assignment::WorkQueue : Assignment::Static;
+    p.k = v.k;
+    p.points = queries;
+    p.queue = queries;
+    p.counter = &counter;
+    p.device = &dev;
+    p.results = &results;
+    results.begin_batch(capacity);
+    SelfJoinKernel kernel(p);
+    Wrapper wrapped(kernel);
+    const simt::WarpObserver observer = [this](const simt::WarpRecord& r) {
+      records.push_back(r);
+    };
+    simt::LaunchAbort abort_hook;
+    if (capacity != ResultSet::kUnlimited) {
+      abort_hook = [this] { return results.batch_overflowed(); };
+    }
+    simt::KernelStats ks =
+        simt::launch(dev, queries.size() * static_cast<std::uint64_t>(v.k),
+                     wrapped, observer, abort_hook);
+    ks.atomics_executed = kernel.atomics_executed();
+    ks.results_emitted = kernel.results_emitted();
+    stats.merge(ks);
+    emitted += kernel.results_emitted();
+    if constexpr (simt::FastForwardKernel<Wrapper>) {
+      covered += wrapped.covered_lane_steps();
+    }
+  }
+
+  /// Overflow recovery in the shape of sj/execute.cpp's static batches:
+  /// an overflowing launch is rolled back and its halves re-run.
+  void launch_with_recovery(std::vector<PointId> queries,
+                            std::uint64_t capacity) {
+    std::vector<std::vector<PointId>> work;
+    work.push_back(std::move(queries));
+    while (!work.empty()) {
+      std::vector<PointId> batch = std::move(work.back());
+      work.pop_back();
+      launch(batch, capacity);
+      if (!results.batch_overflowed()) continue;
+      results.rollback_batch();
+      const std::size_t mid = batch.size() / 2;
+      work.emplace_back(batch.begin() + static_cast<std::ptrdiff_t>(mid),
+                        batch.end());
+      batch.resize(mid);
+      work.push_back(std::move(batch));
+    }
+  }
+};
+
+template <typename A, typename B>
+void expect_identical(const Harness<A>& ff, const Harness<B>& ref) {
+  const simt::KernelStats& a = ff.stats;
+  const simt::KernelStats& b = ref.stats;
+  EXPECT_EQ(a.launches, b.launches);
+  EXPECT_EQ(a.aborted_launches, b.aborted_launches);
+  EXPECT_EQ(a.warps_launched, b.warps_launched);
+  EXPECT_EQ(a.warp_steps, b.warp_steps);
+  EXPECT_EQ(a.active_lane_steps, b.active_lane_steps);
+  EXPECT_EQ(a.busy_cycles, b.busy_cycles);
+  EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
+  EXPECT_EQ(a.tail_idle_cycles, b.tail_idle_cycles);
+  EXPECT_EQ(a.atomics_executed, b.atomics_executed);
+  EXPECT_EQ(a.results_emitted, b.results_emitted);
+  EXPECT_EQ(ff.emitted, ref.emitted);
+  EXPECT_EQ(ff.results.count(), ref.results.count());
+  EXPECT_TRUE(ff.results.pairs() == ref.results.pairs())
+      << "raw emission streams differ";
+  ASSERT_EQ(ff.records.size(), ref.records.size());
+  for (std::size_t i = 0; i < ff.records.size(); ++i) {
+    const simt::WarpRecord& x = ff.records[i];
+    const simt::WarpRecord& y = ref.records[i];
+    SCOPED_TRACE(i);
+    EXPECT_EQ(x.warp_id, y.warp_id);
+    EXPECT_EQ(x.dispatch_seq, y.dispatch_seq);
+    EXPECT_EQ(x.start_cycle, y.start_cycle);
+    EXPECT_EQ(x.cycles, y.cycles);
+    EXPECT_EQ(x.steps, y.steps);
+    EXPECT_EQ(x.active_lane_steps, y.active_lane_steps);
+    EXPECT_EQ(x.slot, y.slot);
+  }
+}
+
+struct InputCase {
+  const char* name;
+  const Input& (*get)();
+};
+
+constexpr InputCase kInputs[] = {
+    {"Self2D", &self_2d}, {"Self6D", &self_6d}, {"RxS2D", &rxs_2d}};
+
+using Params = std::tuple<int, int, bool, int>;  // input, variant, store, threads
+
+class FastForwardEquivalence : public ::testing::TestWithParam<Params> {};
+
+TEST_P(FastForwardEquivalence, MatchesPerStepLoop) {
+  const auto [input_idx, variant_idx, store, threads] = GetParam();
+  const Input& in = kInputs[static_cast<std::size_t>(input_idx)].get();
+  const Variant& v = kVariants[static_cast<std::size_t>(variant_idx)];
+  const std::vector<PointId> queries = query_order(in, v);
+
+  Harness<FastKernel> ff(in, v, store, threads);
+  Harness<PerStepKernel> ref(in, v, store, threads);
+  ff.launch(queries);
+  ref.launch(queries);
+  expect_identical(ff, ref);
+  // The 2-D inputs are dense enough that the fast path must have run.
+  if (in.ds.dims() == 2) {
+    EXPECT_GT(ff.covered, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllVariants, FastForwardEquivalence,
+    ::testing::Combine(::testing::Range(0, 3), ::testing::Range(0, 6),
+                       ::testing::Bool(), ::testing::Values(0, 4)),
+    [](const ::testing::TestParamInfo<Params>& param) {
+      // std::get, not a structured binding: its commas would split the
+      // macro argument.
+      const Params& p = param.param;
+      return std::string(kInputs[static_cast<std::size_t>(std::get<0>(p))].name) +
+             "_" + kVariants[static_cast<std::size_t>(std::get<1>(p))].name +
+             (std::get<2>(p) ? "_pairs" : "_count") + "_t" +
+             std::to_string(std::get<3>(p));
+    });
+
+TEST(FastForward, SmallBufferOverflowsMidLaunchAndRecoversIdentically) {
+  // 20,000 queries on 4-lane warps give 5,000 warps, so the abort hook
+  // (polled every simt::detail::kWarpBlock warps) stops the first
+  // launch mid-flight once the buffer of half the result overflows;
+  // the halves then re-run. Both paths must abort, clamp, roll back and
+  // recover in lockstep.
+  static const Input in(gen_uniform(20000, 2, 131, 0.0, 2.0), 0.05);
+  for (const std::size_t vi : {std::size_t{0}, std::size_t{4}}) {  // FULL, WQ
+    const Variant& v = kVariants[vi];
+    SCOPED_TRACE(v.name);
+    const std::vector<PointId> queries = query_order(in, v);
+    Harness<PerStepKernel> full(in, v, /*store_pairs=*/false, 0, 4);
+    full.launch(queries);
+    const std::uint64_t capacity = full.results.count() / 2;
+    for (const int threads : {0, 3}) {
+      SCOPED_TRACE(threads);
+      Harness<FastKernel> ff(in, v, true, threads, 4);
+      Harness<PerStepKernel> ref(in, v, true, threads, 4);
+      ff.launch_with_recovery(queries, capacity);
+      ref.launch_with_recovery(queries, capacity);
+      EXPECT_GE(ff.stats.aborted_launches, 1u);
+      EXPECT_GT(ff.covered, 0u);
+      EXPECT_EQ(ff.results.count(), full.results.count());
+      expect_identical(ff, ref);
+    }
+  }
+}
+
+/// FNV-1a over the raw emission stream, each id as 4 little-endian bytes.
+std::uint64_t stream_digest(const std::vector<ResultPair>& pairs) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](PointId id) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (id >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& [a, c] : pairs) {
+    mix(a);
+    mix(c);
+  }
+  return h;
+}
+
+TEST(FastForward, GoldenCountsMatchPerStepSimulator) {
+  // Recorded from the per-step simulator before the fast path existed
+  // (self 2-D input, stored pairs, sequential host path).
+  struct Golden {
+    std::uint64_t makespan_cycles, warp_steps, active_lane_steps,
+        busy_cycles, digest;
+  };
+  constexpr Golden kGolden[] = {
+      {637310, 274638, 7845448, 9902838, 0x40083e3ad62a458dull},  // FULL
+      {613470, 261424, 3936224, 9310690, 0x36caa4b29134f84dull},  // UNICOMP
+      {420731, 169318, 3936224, 6170506, 0xb48a469971d2f345ull},  // LID_UNICOMP
+      {604038, 247311, 7845448, 8857418, 0x9e7cedced65b85ddull},  // SORTBYWL
+      {607062, 247325, 7845448, 8954754, 0x15db9fb8d9af8719ull},  // WORKQUEUE
+      {305639, 130870, 4146224, 4887902, 0xa5212da2b267de05ull},  // COMBINED
+  };
+  static_assert(std::size(kGolden) == std::size(kVariants));
+  for (std::size_t i = 0; i < std::size(kVariants); ++i) {
+    const Variant& v = kVariants[i];
+    SCOPED_TRACE(v.name);
+    Harness<FastKernel> h(self_2d(), v, true, 0);
+    h.launch(query_order(self_2d(), v));
+    EXPECT_EQ(h.stats.makespan_cycles, kGolden[i].makespan_cycles);
+    EXPECT_EQ(h.stats.warp_steps, kGolden[i].warp_steps);
+    EXPECT_EQ(h.stats.active_lane_steps, kGolden[i].active_lane_steps);
+    EXPECT_EQ(h.stats.busy_cycles, kGolden[i].busy_cycles);
+    EXPECT_EQ(stream_digest(h.results.pairs()), kGolden[i].digest);
+  }
+}
+
+}  // namespace
+}  // namespace gsj
