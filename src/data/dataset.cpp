@@ -2,11 +2,26 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <sstream>
 
 #include "common/check.hpp"
 
 namespace gsj {
+
+namespace {
+
+/// Rejects a non-finite coordinate at the mutation boundary: NaN or
+/// ±inf would reach the grid's floor→int cell math.
+void check_finite(std::span<const double> p, const char* op, std::size_t id) {
+  for (std::size_t d = 0; d < p.size(); ++d) {
+    GSJ_CHECK_MSG(std::isfinite(p[d]), op << ": point " << id << " dimension "
+                                          << d << " coordinate " << p[d]
+                                          << " is not a finite number");
+  }
+}
+
+}  // namespace
 
 std::uint64_t Dataset::next_uid() noexcept {
   // Starts at 1 so uid 0 can serve as "no dataset" in key schemes.
@@ -88,7 +103,15 @@ std::optional<std::span<const Mutation>> Dataset::mutations_since(
 }
 
 void Dataset::refresh_bbox() {
-  if (!bbox_valid_) return;
+  if (!bbox_valid_) {
+    if (n_ == 0) return;
+    bbox_min_ = min_corner();
+    bbox_max_ = max_corner();
+    bbox_min_dirty_.assign(static_cast<std::size_t>(dims_), 0);
+    bbox_max_dirty_.assign(static_cast<std::size_t>(dims_), 0);
+    bbox_valid_ = true;
+    return;
+  }
   for (int d = 0; d < dims_; ++d) {
     const auto sd = static_cast<std::size_t>(d);
     const auto& col = coords_[sd];
@@ -132,6 +155,7 @@ void Dataset::bbox_mark_removed(std::span<const double> old) {
 
 PointId Dataset::insert(std::span<const double> p) {
   GSJ_CHECK(static_cast<int>(p.size()) == dims_);
+  check_finite(p, "insert", n_);
   refresh_bbox();
   const PointId id = static_cast<PointId>(n_);
   for (int d = 0; d < dims_; ++d) {
@@ -187,6 +211,7 @@ void Dataset::erase(PointId i) {
 void Dataset::move_point(PointId i, std::span<const double> p) {
   GSJ_CHECK_MSG(i < n_, "move_point(" << i << ") of " << n_ << " points");
   GSJ_CHECK(static_cast<int>(p.size()) == dims_);
+  check_finite(p, "move_point", i);
   refresh_bbox();
   Mutation m;
   m.kind = Mutation::Kind::Move;
@@ -234,32 +259,9 @@ void Dataset::reserve(std::size_t n) {
 std::vector<double> Dataset::min_corner() const {
   GSJ_CHECK(!empty());
   std::vector<double> out(static_cast<std::size_t>(dims_));
-  if (!bbox_valid_) {
-    // First call: full scan. Caching here is a logical-const update;
-    // it is only safe because no mutation can be concurrent with a
-    // const read (the dataset's documented threading contract), and
-    // concurrent const readers race benignly only if we never publish
-    // a half-built cache — so build into locals first.
-    std::vector<double> mn(static_cast<std::size_t>(dims_));
-    std::vector<double> mx(static_cast<std::size_t>(dims_));
-    for (int d = 0; d < dims_; ++d) {
-      const auto sd = static_cast<std::size_t>(d);
-      const auto [lo, hi] =
-          std::minmax_element(coords_[sd].begin(), coords_[sd].end());
-      mn[sd] = *lo;
-      mx[sd] = *hi;
-    }
-    auto* self = const_cast<Dataset*>(this);
-    self->bbox_min_ = std::move(mn);
-    self->bbox_max_ = std::move(mx);
-    self->bbox_min_dirty_.assign(static_cast<std::size_t>(dims_), 0);
-    self->bbox_max_dirty_.assign(static_cast<std::size_t>(dims_), 0);
-    self->bbox_valid_ = true;
-    return bbox_min_;
-  }
   for (int d = 0; d < dims_; ++d) {
     const auto sd = static_cast<std::size_t>(d);
-    out[sd] = bbox_min_dirty_[sd] == 0
+    out[sd] = bbox_valid_ && bbox_min_dirty_[sd] == 0
                   ? bbox_min_[sd]
                   : *std::min_element(coords_[sd].begin(), coords_[sd].end());
   }
@@ -268,14 +270,10 @@ std::vector<double> Dataset::min_corner() const {
 
 std::vector<double> Dataset::max_corner() const {
   GSJ_CHECK(!empty());
-  if (!bbox_valid_) {
-    (void)min_corner();  // builds both sides of the cache
-    return bbox_max_;
-  }
   std::vector<double> out(static_cast<std::size_t>(dims_));
   for (int d = 0; d < dims_; ++d) {
     const auto sd = static_cast<std::size_t>(d);
-    out[sd] = bbox_max_dirty_[sd] == 0
+    out[sd] = bbox_valid_ && bbox_max_dirty_[sd] == 0
                   ? bbox_max_[sd]
                   : *std::max_element(coords_[sd].begin(), coords_[sd].end());
   }

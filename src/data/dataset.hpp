@@ -121,8 +121,10 @@ class Dataset {
     return coords_[static_cast<std::size_t>(d)];
   }
 
-  /// Appends one point; `p.size()` must equal dims(). Returns the new
-  /// point's id (== size() before the call).
+  /// Appends one point; `p.size()` must equal dims() and every
+  /// coordinate must be finite (CheckError naming the point and
+  /// dimension otherwise). Returns the new point's id (== size() before
+  /// the call).
   PointId insert(std::span<const double> p);
 
   /// Appends one point (insert without the returned id — the
@@ -135,7 +137,8 @@ class Dataset {
   /// [0, size()).
   void erase(PointId i);
 
-  /// Re-positions point `i` to `p` (`p.size()` must equal dims()).
+  /// Re-positions point `i` to `p` (`p.size()` must equal dims();
+  /// every coordinate must be finite, as for insert).
   void move_point(PointId i, std::span<const double> p);
 
   /// Sets one coordinate of point `i` — a single-dimension move_point.
@@ -175,7 +178,9 @@ class Dataset {
   /// non-empty. Served from a cache that mutations maintain
   /// incrementally: inserts and inward moves extend/keep it in O(d);
   /// only a mutation that removes a boundary point re-scans (just the
-  /// affected dimensions, on the next call or mutation).
+  /// affected dimensions, on the next call or mutation). Reads never
+  /// write the cache, so concurrent readers are safe; before the first
+  /// mutation (or after a bulk load) each call scans the columns.
   [[nodiscard]] std::vector<double> min_corner() const;
   [[nodiscard]] std::vector<double> max_corner() const;
 
@@ -202,9 +207,10 @@ class Dataset {
   void capture(std::size_t i, std::array<double, Mutation::kCoordCap>& out)
       const noexcept;
 
-  /// Folds outstanding dirty bbox dimensions back into the cache
-  /// (called at the head of every mutation, where exclusive access is
-  /// guaranteed; const readers recompute dirty dims without caching).
+  /// Builds the bbox cache, or folds outstanding dirty dimensions back
+  /// into it (called at the head of every mutation, where exclusive
+  /// access is guaranteed; const readers recompute dirty dims without
+  /// caching).
   void refresh_bbox();
   /// Extends the cached bbox with a point now present in the dataset.
   void bbox_extend(std::span<const double> p);

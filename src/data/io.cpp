@@ -90,6 +90,12 @@ Dataset load_binary(const std::string& path) {
     f.read(reinterpret_cast<char*>(col.data()),
            static_cast<std::streamsize>(col.size() * sizeof(double)));
     GSJ_CHECK_MSG(f.good(), "truncated dataset file " << path);
+    for (std::size_t i = 0; i < col.size(); ++i) {
+      GSJ_CHECK_MSG(std::isfinite(col[i]),
+                    path << ": point " << i << " dimension " << d
+                         << " coordinate " << col[i]
+                         << " is not a finite number");
+    }
   }
   return ds;
 }

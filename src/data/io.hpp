@@ -15,7 +15,8 @@ void save_binary(const Dataset& ds, const std::string& path);
 
 /// Loads a dataset written by save_binary. Throws CheckError on a
 /// malformed file, including a header whose point count the file is
-/// too short to hold (checked before anything is allocated).
+/// too short to hold (checked before anything is allocated) and a
+/// non-finite coordinate in the body (named by point and dimension).
 [[nodiscard]] Dataset load_binary(const std::string& path);
 
 /// Loads a headerless CSV of `dims` comma-separated coordinates per

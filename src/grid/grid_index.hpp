@@ -104,7 +104,7 @@ class GridIndex {
   /// over identical content produce equal keys, so digest equality
   /// between a repaired index and a from-scratch rebuild certifies the
   /// arrays are bit-identical (the churn tests' correctness bar). Used
-  /// by the JoinEngine plan cache (sj/engine.hpp) to validate hits —
+  /// by the artifact cache (sj/service.hpp) to key plan slots —
   /// recomputed at build and after repair, O(1) to read.
   [[nodiscard]] std::uint64_t content_key() const noexcept {
     return content_key_;

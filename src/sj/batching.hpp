@@ -98,9 +98,9 @@ struct BatchPlan {
 
 /// Strided 1% sample extrapolated to the full result size (§II-C2),
 /// with the fault-injection skew applied. Deterministic for a fixed
-/// (grid, sample_fraction, inject_estimator_skew) — the JoinEngine
-/// caches it under exactly that key so re-planning a cached dataset
-/// skips the sampling join.
+/// (grid, sample_fraction, inject_estimator_skew) — the artifact cache
+/// (sj/service.hpp) keeps it under exactly that key so re-planning a
+/// cached dataset skips the sampling join.
 [[nodiscard]] std::uint64_t estimate_strided_total(const GridIndex& grid,
                                                    const BatchingConfig& cfg);
 
@@ -130,7 +130,7 @@ struct BatchPlan {
 /// quantification and the per-batch SORTBYWL sorts (deterministic —
 /// same plan with or without it).
 ///
-/// Cached-artifact fast path (JoinEngine): a non-empty `workloads`
+/// Cached-artifact fast path (sj/pipeline.hpp): a non-empty `workloads`
 /// span (size n, from point_workloads under `pattern`) skips the
 /// quantification, and an engaged `precomputed_estimate` (a prior
 /// estimate_strided_total value) skips the sampling join. The emitted

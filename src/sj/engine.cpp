@@ -1,352 +1,44 @@
 #include "sj/engine.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <numeric>
-#include <optional>
-#include <string>
-
-#include "common/check.hpp"
-#include "common/parallel.hpp"
-#include "common/thread_pool.hpp"
-#include "common/timer.hpp"
-#include "data/churn.hpp"
-#include "grid/workload.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "sj/execute.hpp"
-#include "sj/pipeline.hpp"
-
 namespace gsj {
 
-JoinEngine::JoinEngine(EngineConfig cfg)
-    : cfg_(cfg), scratch_(std::make_unique<detail::ScratchArena>()) {}
+namespace {
 
-JoinEngine::~JoinEngine() = default;
+ServiceConfig service_config(const EngineConfig& cfg) {
+  ServiceConfig s;
+  s.max_cached_grids = cfg.max_cached_grids;
+  s.max_cached_plans = cfg.max_cached_plans;
+  s.obs = cfg.obs;
+  return s;
+}
+
+}  // namespace
+
+JoinEngine::JoinEngine(EngineConfig cfg)
+    : cfg_(cfg), svc_(service_config(cfg)) {}
 
 PreparedDataset JoinEngine::prepare(const Dataset& ds) {
-  // Admission is deliberately lazy — caches fill on first use — so
-  // prepare() performs no validation beyond what run() will do; the
-  // one-shot wrapper must keep the monolith's exact error behaviour.
-  const auto sp = obs::span(cfg_.obs.tracer, "prepare");
-  return PreparedDataset(ds);
+  return PreparedDataset(svc_.attach(ds));
 }
-
-ThreadPool* JoinEngine::pool(int num_threads) {
-  GSJ_CHECK_MSG(num_threads > 0, "pool requires num_threads > 0");
-  auto& slot = pools_[num_threads];
-  if (slot == nullptr) {
-    slot = std::make_unique<ThreadPool>(static_cast<std::size_t>(num_threads));
-  }
-  return slot.get();
-}
-
-void JoinEngine::recycle(SelfJoinOutput&& out) {
-  scratch_->spare_pairs = out.results.take_storage();
-  out.stats.batches.clear();
-  scratch_->spare_batch_stats = std::move(out.stats.batches);
-  out.stats.slots.clear();
-  scratch_->spare_slots = std::move(out.stats.slots);
-}
-
-void JoinEngine::count_cache(const char* artifact, bool hit) {
-  if (cfg_.obs.metrics == nullptr) return;
-  obs::Registry& m = *cfg_.obs.metrics;
-  m.counter(hit ? "sj.cache.hits" : "sj.cache.misses").add(1);
-  m.counter(std::string("sj.cache.") + artifact + (hit ? ".hits" : ".misses"))
-      .add(1);
-}
-
-void JoinEngine::sync_generation(PreparedDataset& prep) {
-  const std::uint64_t g = prep.ds_->generation();
-  if (g == prep.generation_) return;
-  const bool had = !prep.grids_.empty() || !prep.plans_.empty();
-  if (prep.ds_->empty()) {
-    // Nothing to index; next run fails validation anyway.
-    prep.grids_.clear();
-    prep.plans_.clear();
-    if (had && cfg_.obs.metrics != nullptr) {
-      cfg_.obs.metrics->counter("sj.cache.invalidations").add(1);
-    }
-    prep.generation_ = g;
-    return;
-  }
-
-  std::size_t repairs = 0;
-  std::size_t fallbacks = 0;
-  std::size_t plan_patches = 0;
-  std::uint64_t repaired_cells = 0;
-  std::vector<std::uint8_t> plan_alive(prep.plans_.size(), 0);
-  for (auto& ge : prep.grids_) {
-    const std::uint64_t old_key = ge.grid->content_key();
-    const GridRepairOutcome oc = ge.grid->repair();
-    // Estimates are derived from the data, not the grid shape: a cold
-    // run would recompute them, so a warm one must too (bit-identity).
-    ge.strided_estimates.clear();
-    if (!oc.repaired) {
-      // repair() rebuilt from scratch — the grid entry stays valid,
-      // but plans keyed to the old content cannot be patched.
-      ++fallbacks;
-      continue;
-    }
-    ++repairs;
-    repaired_cells += oc.dirty_cell_ids.size();
-    const std::uint64_t new_key = ge.grid->content_key();
-    for (std::size_t i = 0; i < prep.plans_.size(); ++i) {
-      auto& pe = prep.plans_[i];
-      if (pe.grid_key != old_key) continue;
-      // R×S plans depend on *probe* points; the gridded side's churn
-      // changes their candidate counts in ways the cell-granular patch
-      // cannot express from the gridded log. Drop, don't patch. (Probe
-      // churn needs no handling here: it changes probe_signature, so
-      // stale entries become unreachable and age out via LRU.)
-      if (pe.probe_sig != 0) continue;
-      WorkloadPatchResult patch =
-          patch_workloads(*ge.grid, pe.pattern, oc.dirty_cell_ids,
-                          pe.workloads, pe.queue_order);
-      pe.workloads = std::move(patch.point_workloads);
-      pe.queue_order = std::move(patch.order);
-      pe.queue_estimates.clear();
-      pe.grid_key = new_key;
-      plan_alive[i] = 1;
-      ++plan_patches;
-    }
-  }
-  // Plans that didn't follow a repaired grid (their grid was evicted,
-  // or its repair fell back to a rebuild) are unreachable under their
-  // old content key: drop them.
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < prep.plans_.size(); ++i) {
-    if (plan_alive[i] != 0) {
-      if (w != i) prep.plans_[w] = std::move(prep.plans_[i]);
-      ++w;
-    }
-  }
-  const bool dropped_plans = w != prep.plans_.size();
-  prep.plans_.resize(w);
-
-  if (cfg_.obs.metrics != nullptr) {
-    obs::Registry& m = *cfg_.obs.metrics;
-    if (repairs > 0) {
-      m.counter("sj.incr.repairs").add(static_cast<std::uint64_t>(repairs));
-      m.counter("sj.incr.repaired_cells")
-          .add(repaired_cells);
-    }
-    if (plan_patches > 0) {
-      m.counter("sj.incr.plan_patches")
-          .add(static_cast<std::uint64_t>(plan_patches));
-    }
-    if (fallbacks > 0) {
-      m.counter("sj.incr.rebuild_fallbacks")
-          .add(static_cast<std::uint64_t>(fallbacks));
-    }
-    if (had && (fallbacks > 0 || dropped_plans)) {
-      m.counter("sj.cache.invalidations").add(1);
-    }
-  }
-  prep.generation_ = g;
-}
-
-PreparedDataset::GridEntry& JoinEngine::grid_for(PreparedDataset& prep,
-                                                 double epsilon,
-                                                 ThreadPool* pool, bool* hit) {
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(epsilon);
-  for (auto& e : prep.grids_) {
-    if (e.eps_bits == bits) {
-      e.last_used = ++prep.tick_;
-      *hit = true;
-      count_cache("grid", true);
-      return e;
-    }
-  }
-  *hit = false;
-  count_cache("grid", false);
-  PreparedDataset::GridEntry entry;
-  entry.eps_bits = bits;
-  entry.grid = std::make_unique<GridIndex>(*prep.ds_, epsilon, pool);
-  entry.last_used = ++prep.tick_;
-  prep.grids_.push_back(std::move(entry));
-  const std::size_t bound = std::max<std::size_t>(1, cfg_.max_cached_grids);
-  if (prep.grids_.size() > bound) {
-    // The just-inserted entry holds the max tick, so the LRU victim is
-    // never it — grids_.back() stays valid across the erase.
-    const auto victim = std::min_element(
-        prep.grids_.begin(), prep.grids_.end(),
-        [](const auto& a, const auto& b) { return a.last_used < b.last_used; });
-    prep.grids_.erase(victim);
-    if (cfg_.obs.metrics != nullptr) {
-      cfg_.obs.metrics->counter("sj.cache.evictions").add(1);
-    }
-  }
-  return prep.grids_.back();
-}
-
-PreparedDataset::PlanEntry& JoinEngine::plan_entry(PreparedDataset& prep,
-                                                   const GridIndex& grid,
-                                                   CellPattern pattern,
-                                                   std::uint64_t probe_sig) {
-  const std::uint64_t key = grid.content_key();
-  for (auto& e : prep.plans_) {
-    if (e.grid_key == key && e.pattern == pattern &&
-        e.probe_sig == probe_sig) {
-      e.last_used = ++prep.tick_;
-      return e;
-    }
-  }
-  PreparedDataset::PlanEntry entry;
-  entry.grid_key = key;
-  entry.pattern = pattern;
-  entry.probe_sig = probe_sig;
-  entry.last_used = ++prep.tick_;
-  prep.plans_.push_back(std::move(entry));
-  const std::size_t bound = std::max<std::size_t>(1, cfg_.max_cached_plans);
-  if (prep.plans_.size() > bound) {
-    const auto victim = std::min_element(
-        prep.plans_.begin(), prep.plans_.end(),
-        [](const auto& a, const auto& b) { return a.last_used < b.last_used; });
-    prep.plans_.erase(victim);
-    if (cfg_.obs.metrics != nullptr) {
-      cfg_.obs.metrics->counter("sj.cache.evictions").add(1);
-    }
-  }
-  return prep.plans_.back();
-}
-
-namespace detail {
-
-/// PlanSource (sj/pipeline.hpp) over the engine's thread-private LRU
-/// caches: every resolution mutates the PreparedDataset in place, which
-/// is exactly why this backend is single-threaded (the service's
-/// locked backend lives in sj/service.cpp). Constructed per-run from
-/// the request's config so R×S runs resolve *probe* workloads/orders
-/// under probe_signature-keyed plan entries.
-class EnginePlanSource {
- public:
-  EnginePlanSource(JoinEngine& engine, PreparedDataset& prep,
-                   const SelfJoinConfig& cfg)
-      : engine_(engine),
-        prep_(prep),
-        probe_(cfg.mode == JoinMode::RxS ? cfg.probe : nullptr),
-        probe_sig_(probe_signature(cfg)) {}
-
-  void sync() { engine_.sync_generation(prep_); }
-
-  ThreadPool* pool(int n) { return engine_.pool(n); }
-
-  obs::Tracer* channel_tracer() { return engine_.config().obs.tracer; }
-
-  // Engine runs are never requests: no request spans, no breakdown.
-  obs::RequestObs* request_obs() { return nullptr; }
-
-  void resolve_grid(double eps, ThreadPool* p, bool* hit) {
-    ge_ = &engine_.grid_for(prep_, eps, p, hit);
-  }
-
-  [[nodiscard]] const GridIndex& grid() const { return *ge_->grid; }
-
-  std::span<const std::uint64_t> resolve_workloads(CellPattern pattern,
-                                                   ThreadPool* p) {
-    plan_entry(pattern);
-    if (pe_->workloads.empty()) {
-      engine_.count_cache("workload", false);
-      pe_->workloads = probe_ != nullptr
-                           ? probe_point_workloads(*ge_->grid, *probe_, p)
-                           : point_workloads(*ge_->grid, pattern, p);
-    } else {
-      engine_.count_cache("workload", true);
-    }
-    return pe_->workloads;
-  }
-
-  std::span<const PointId> resolve_order(CellPattern pattern, ThreadPool* p) {
-    plan_entry(pattern);
-    if (pe_->queue_order.empty()) {
-      engine_.count_cache("order", false);
-      pe_->queue_order.resize(probe_ != nullptr ? probe_->size()
-                                                : prep_.dataset().size());
-      std::iota(pe_->queue_order.begin(), pe_->queue_order.end(), PointId{0});
-      parallel_stable_sort(
-          pe_->queue_order,
-          [&pw = pe_->workloads](PointId a, PointId b) {
-            return pw[a] > pw[b];
-          },
-          p);
-    } else {
-      engine_.count_cache("order", true);
-    }
-    return pe_->queue_order;
-  }
-
-  std::optional<std::uint64_t> find_estimate(bool queue,
-                                             detail::EstimateKey key) {
-    const auto& map = queue ? pe_->queue_estimates : ge_->strided_estimates;
-    if (const auto it = map.find(key); it != map.end()) {
-      engine_.count_cache("estimate", true);
-      return it->second;
-    }
-    engine_.count_cache("estimate", false);
-    return std::nullopt;
-  }
-
-  void put_estimate(bool queue, detail::EstimateKey key, std::uint64_t value) {
-    (queue ? pe_->queue_estimates : ge_->strided_estimates)
-        .emplace(key, value);
-  }
-
- private:
-  void plan_entry(CellPattern pattern) {
-    if (pe_ == nullptr) {
-      pe_ = &engine_.plan_entry(prep_, *ge_->grid, pattern, probe_sig_);
-    }
-  }
-
-  JoinEngine& engine_;
-  PreparedDataset& prep_;
-  const Dataset* probe_ = nullptr;  ///< R×S only; null for Self/KNN
-  std::uint64_t probe_sig_ = 0;
-  PreparedDataset::GridEntry* ge_ = nullptr;
-  PreparedDataset::PlanEntry* pe_ = nullptr;
-};
-
-}  // namespace detail
 
 SelfJoinOutput JoinEngine::run(PreparedDataset& prep,
                                const SelfJoinConfig& cfg) {
-  detail::EnginePlanSource src(*this, prep, cfg);
-  SelfJoinOutput out;
-  detail::plan_and_execute(cfg, prep.dataset(), src, *scratch_,
-                           /*cancel=*/nullptr, out);
-  return out;
+  return svc_.run(*prep.sd_, cfg);
 }
 
 SelfJoinOutput JoinEngine::self_join(const Dataset& ds,
                                      const SelfJoinConfig& cfg) {
-  PreparedDataset prep = prepare(ds);
-  return run(prep, cfg);
+  return svc_.self_join(ds, cfg);
 }
 
 std::optional<PairDelta> JoinEngine::delta_join(PreparedDataset& prep,
                                                 double epsilon,
                                                 std::uint64_t from_generation) {
-  GSJ_CHECK_MSG(epsilon > 0.0, "delta_join requires epsilon > 0");
-  const Dataset& ds = prep.dataset();
-  if (ds.empty()) return std::nullopt;
-  // Capture the window before sync: sync advances the prepared
-  // generation, but the log itself is only bounded by further
-  // mutations, so the view stays valid across the repair below.
-  const auto window = ds.mutations_since(from_generation);
-  if (!window.has_value()) return std::nullopt;
-  const ChurnSummary churn = summarize_churn(ds, *window);
-  sync_generation(prep);
-  bool hit = false;
-  auto& ge = grid_for(prep, epsilon, /*pool=*/nullptr, &hit);
-  PairDelta delta = compute_pair_delta(*ge.grid, churn, epsilon);
-  if (cfg_.obs.metrics != nullptr) {
-    cfg_.obs.metrics->counter("sj.incr.delta_joins").add(1);
-    cfg_.obs.metrics->counter("sj.incr.delta_candidates")
-        .add(delta.stats.candidates);
-  }
-  return delta;
+  return svc_.delta_join(*prep.sd_, epsilon, from_generation);
+}
+
+void JoinEngine::recycle(SelfJoinOutput&& out) {
+  svc_.recycle(std::move(out));
 }
 
 }  // namespace gsj

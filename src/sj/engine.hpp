@@ -1,89 +1,52 @@
-// JoinEngine: session-scoped execution layer with plan caching and
-// scratch-buffer reuse.
+// JoinEngine: single-owner session facade over the service's artifact
+// cache.
 //
 // The one-shot self_join(ds, cfg) rebuilds every plan artifact — the
 // epsilon grid, per-point workloads, the workload-sorted order D', the
-// result-size estimate — and re-allocates every working buffer on each
-// call. Parameter sweeps (multi-epsilon, multi-variant — the paper's
-// Tables IV–VI and every figure bench) repeat that host-side work N
-// times even though most artifacts only depend on (dataset, epsilon)
-// or (dataset, epsilon, pattern), not on the variant being measured.
+// result-size estimate — on each call. Parameter sweeps (multi-epsilon,
+// multi-variant — the paper's Tables IV–VI and every figure bench)
+// repeat that host-side work N times even though most artifacts only
+// depend on (dataset, epsilon) or (dataset, epsilon, pattern), not on
+// the variant being measured.
 //
-// JoinEngine factors the join into three stages:
+// JoinEngine keeps those artifacts across calls:
 //
 //   prepare(ds)        -> PreparedDataset   dataset admission
-//   [plan]  (internal)                      cache-served artifact resolution
-//   run(prepared, cfg) -> SelfJoinOutput    batched execution (sj/execute.hpp)
+//   run(prepared, cfg) -> SelfJoinOutput    cache-served plan + execute
 //
-// PreparedDataset carries a keyed LRU cache of plan artifacts:
-//
-//   GridIndex            keyed by epsilon (bit pattern)
-//   workloads + D' order keyed by (GridIndex::content_key, pattern)
-//   result-size estimate keyed on top by (sample_fraction, skew) bits
-//
-// When the Dataset's generation counter (data/dataset.hpp) no longer
-// matches the one captured at the last sync, the caches are not
-// dropped wholesale: each cached GridIndex is repaired cell-granularly
-// from the dataset's mutation log (GridIndex::repair) and the
-// dependent workload/D' plans are patched for the affected cells only
-// (grid/workload.hpp patch_workloads) — both bit-identical to a
-// rebuild, which is what keeps warm runs equal to cold runs under
-// churn. Cached result-size estimates are always dropped on churn (a
-// cold run would re-derive them from the changed data). Only when the
-// mutation window is unavailable — too much churn, a bulk load, a
-// grid-shape change — do the caches fall back to the old drop-
-// everything behaviour. Grid and plan caches are bounded
-// (EngineConfig) with least-recently-used eviction.
+// It owns no cache of its own. Each engine owns one JoinService
+// (sj/service.hpp) built from its EngineConfig, and a PreparedDataset
+// is a handle on that service's SharedDataset: the same keyed LRU
+// caches, single-flight builds, churn repair-and-patch (docs/
+// STREAMING.md), sj.cache.* / sj.incr.* accounting and delta join that
+// submitted requests use. The engine never calls submit(), so its
+// service never spawns workers; scratch arenas and host thread pools
+// come from the service's bounded depots.
 //
 // Correctness bar: a cache-served run is bit-identical to a cold run —
 // same result pairs, same SelfJoinStats, and byte-identical logical
 // traces — for every variant, sequentially and at any host thread
 // count. The per-run observability channel (SelfJoinConfig::tracer /
 // ::metrics) sees the exact same span sequence and counters on a hit
-// as on a miss; the *engine's* own channel (EngineConfig::obs) carries
+// as on a miss; the engine's own channel (EngineConfig::obs) carries
 // the cache story: "prepare" / "plan_reuse" spans and the sj.cache.*
 // hit/miss/evict counters.
 //
-// The engine also owns the host ThreadPool(s) — configs that ask for
-// host threads without supplying a pool get a cached, engine-owned one
-// instead of a per-call spawn/join cycle — and a scratch arena whose
-// buffers (result pairs, per-batch stats, slot accounting) persist
-// across run() calls; recycle(std::move(output)) returns a consumed
-// output's allocations to the arena.
-//
-// Thread safety: a JoinEngine and its PreparedDatasets are
-// single-threaded by design — one owner thread at a time. Concurrent
-// callers belong on JoinService (sj/service.hpp), which shares these
-// same caches behind a reader/writer lock with single-flight builds;
-// the free self_join wrapper routes through the process-wide service,
-// so it no longer keeps a thread_local engine per caller thread.
-// Observability sinks remain internally locked as before.
-//
-// See docs/ENGINE.md for the cache-key derivation, the invalidation
-// rules and measured reuse wins, and docs/SERVICE.md for the
-// concurrent layer on top.
+// See docs/ENGINE.md for the facade and measured reuse wins, and
+// docs/SERVICE.md §2 for the cache keys and locking underneath.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <tuple>
 #include <utility>
-#include <vector>
 
 #include "obs/context.hpp"
 #include "sj/delta.hpp"
 #include "sj/selfjoin.hpp"
+#include "sj/service.hpp"
 
 namespace gsj {
-
-class ThreadPool;
-
-namespace detail {
-struct ScratchArena;     // sj/execute.hpp
-class EnginePlanSource;  // sj/engine.cpp (PlanSource over these caches)
-}  // namespace detail
 
 struct EngineConfig {
   /// Bound on cached GridIndex instances per PreparedDataset (one per
@@ -105,11 +68,9 @@ struct EngineConfig {
   obs::ObsContext obs;
 };
 
-class JoinEngine;
-
-/// A dataset admitted to an engine, carrying the plan-artifact caches.
-/// Holds a reference to the Dataset — it must outlive this object.
-/// Move-only; create via JoinEngine::prepare.
+/// A dataset admitted to an engine: a handle on the engine's
+/// SharedDataset, which carries the plan-artifact caches. The Dataset
+/// must outlive this object. Move-only; create via JoinEngine::prepare.
 class PreparedDataset {
  public:
   PreparedDataset(PreparedDataset&&) noexcept = default;
@@ -117,133 +78,66 @@ class PreparedDataset {
   PreparedDataset(const PreparedDataset&) = delete;
   PreparedDataset& operator=(const PreparedDataset&) = delete;
 
-  [[nodiscard]] const Dataset& dataset() const noexcept { return *ds_; }
+  [[nodiscard]] const Dataset& dataset() const noexcept {
+    return sd_->dataset();
+  }
   /// Dataset generation captured at the last cache sync; a mismatch
-  /// with dataset().generation() means the caches are stale and will be
-  /// dropped on the next run.
-  [[nodiscard]] std::uint64_t generation() const noexcept {
-    return generation_;
+  /// with dataset().generation() means the next run repairs the caches.
+  [[nodiscard]] std::uint64_t generation() const { return sd_->generation(); }
+  [[nodiscard]] std::size_t cached_grid_count() const {
+    return sd_->cached_grid_count();
   }
-  [[nodiscard]] std::size_t cached_grid_count() const noexcept {
-    return grids_.size();
-  }
-  [[nodiscard]] std::size_t cached_plan_count() const noexcept {
-    return plans_.size();
+  [[nodiscard]] std::size_t cached_plan_count() const {
+    return sd_->cached_plan_count();
   }
 
  private:
   friend class JoinEngine;
-  friend class detail::EnginePlanSource;
-  explicit PreparedDataset(const Dataset& ds)
-      : ds_(&ds), generation_(ds.generation()) {}
+  explicit PreparedDataset(std::shared_ptr<SharedDataset> sd)
+      : sd_(std::move(sd)) {}
 
-  /// Estimates keyed by (sample_fraction bits, inject_estimator_skew
-  /// bits, probe signature) — detail::EstimateKey (sj/pipeline.hpp).
-  /// Skew is part of the key so fault-injection runs never collide
-  /// with honest ones; the probe signature (0 for Self) keeps R×S
-  /// estimates of different probe datasets/generations apart.
-  using EstimateMap =
-      std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
-               std::uint64_t>;
-
-  struct GridEntry {
-    std::uint64_t eps_bits = 0;
-    std::unique_ptr<GridIndex> grid;
-    /// Strided estimates depend only on the grid (not the pattern), so
-    /// they live here rather than on a PlanEntry.
-    EstimateMap strided_estimates;
-    std::uint64_t last_used = 0;
-  };
-
-  struct PlanEntry {
-    std::uint64_t grid_key = 0;  ///< GridIndex::content_key()
-    CellPattern pattern = CellPattern::Full;
-    /// detail::probe_signature of the request that built this entry:
-    /// 0 for Self plans (workloads index the gridded dataset), a
-    /// probe-identity hash for R×S plans (workloads/D' index the probe
-    /// dataset). Part of the match key so the two never alias.
-    std::uint64_t probe_sig = 0;
-    std::vector<std::uint64_t> workloads;   ///< point_workloads
-    std::vector<PointId> queue_order;       ///< D'; filled on first WQ use
-    EstimateMap queue_estimates;            ///< first-1% (max strided)
-    std::uint64_t last_used = 0;
-  };
-
-  const Dataset* ds_;
-  std::uint64_t generation_;
-  std::uint64_t tick_ = 0;  ///< LRU clock
-  std::vector<GridEntry> grids_;
-  std::vector<PlanEntry> plans_;
+  std::shared_ptr<SharedDataset> sd_;
 };
 
 class JoinEngine {
  public:
   explicit JoinEngine(EngineConfig cfg = {});
-  ~JoinEngine();
   JoinEngine(const JoinEngine&) = delete;
   JoinEngine& operator=(const JoinEngine&) = delete;
 
-  /// Admits a dataset: captures its generation and returns an empty
-  /// cache shell; artifacts are built (and cached) lazily by run().
-  /// The dataset must outlive the returned PreparedDataset.
+  /// Admits a dataset and returns an empty cache handle; artifacts are
+  /// built (and cached) lazily by run(). The dataset must outlive the
+  /// returned PreparedDataset.
   [[nodiscard]] PreparedDataset prepare(const Dataset& ds);
 
-  /// Runs one self-join against the prepared dataset, serving every
-  /// plan artifact from the cache when warm. Identical contract to the
-  /// free self_join (same validation, same OverflowError behaviour) and
+  /// Runs one join against the prepared dataset, serving every plan
+  /// artifact from the cache when warm. Identical contract to the free
+  /// self_join (same validation, same OverflowError behaviour) and
   /// bit-identical output to a cold run.
   [[nodiscard]] SelfJoinOutput run(PreparedDataset& prep,
                                    const SelfJoinConfig& cfg);
 
-  /// One-shot convenience: prepare + run on a fresh PreparedDataset.
-  /// No plan caching across calls, but the engine's pools and scratch
-  /// arena are still reused.
+  /// One-shot convenience (JoinService::self_join): no plan caching
+  /// across calls, but scratch arenas and host pools are still reused.
   [[nodiscard]] SelfJoinOutput self_join(const Dataset& ds,
                                          const SelfJoinConfig& cfg);
 
-  /// Streaming delta join (docs/STREAMING.md): the exact gained/lost
-  /// ordered-pair sets of the `epsilon` self-join across the mutation
-  /// window [from_generation, now], computed by re-joining only the
-  /// churn's ε-neighborhood. Serves the grid from (and repairs) the
-  /// same cache run() uses. Returns nullopt when the window is not
-  /// available — the dataset's bounded log no longer covers
-  /// from_generation, a bulk load intervened, or the dataset is empty
-  /// — in which case the caller must fall back to a full join.
+  /// Streaming delta join (JoinService::delta_join, docs/STREAMING.md):
+  /// the exact gained/lost ordered-pair sets of the `epsilon` self-join
+  /// across the mutation window [from_generation, now], or nullopt when
+  /// the window is unavailable and the caller must re-join in full.
   [[nodiscard]] std::optional<PairDelta> delta_join(
       PreparedDataset& prep, double epsilon, std::uint64_t from_generation);
 
   /// Reclaims a consumed output's allocations (pair buffer, batch
-  /// stats, slot vectors) into the scratch arena for the next run.
+  /// stats, slot vectors) for the next run.
   void recycle(SelfJoinOutput&& out);
-
-  /// The engine-owned host pool with `num_threads` workers, created on
-  /// first use and cached for the engine's lifetime (the fix for
-  /// per-call ThreadPool churn). Requires num_threads > 0.
-  [[nodiscard]] ThreadPool* pool(int num_threads);
 
   [[nodiscard]] const EngineConfig& config() const noexcept { return cfg_; }
 
  private:
-  friend class detail::EnginePlanSource;
-  /// Brings caches up to date when the dataset generation moved:
-  /// repairs grids and patches plans in place, dropping only what
-  /// cannot be repaired (see the invalidation notes above).
-  void sync_generation(PreparedDataset& prep);
-  [[nodiscard]] PreparedDataset::GridEntry& grid_for(PreparedDataset& prep,
-                                                     double epsilon,
-                                                     ThreadPool* pool,
-                                                     bool* hit);
-  [[nodiscard]] PreparedDataset::PlanEntry& plan_entry(PreparedDataset& prep,
-                                                       const GridIndex& grid,
-                                                       CellPattern pattern,
-                                                       std::uint64_t probe_sig);
-  /// Counts one cache event on the aggregate and per-artifact counters
-  /// (no-op without an engine metrics registry).
-  void count_cache(const char* artifact, bool hit);
-
   EngineConfig cfg_;
-  std::map<int, std::unique_ptr<ThreadPool>> pools_;
-  std::unique_ptr<detail::ScratchArena> scratch_;
+  JoinService svc_;
 };
 
 }  // namespace gsj

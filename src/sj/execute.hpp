@@ -1,18 +1,18 @@
 // Execution stage of the self-join pipeline (internal).
 //
-// JoinEngine::run (sj/engine.hpp) splits the former monolithic
-// self_join into three stages: *prepare* (dataset admission), *plan*
-// (grid / workload / batch-plan resolution, cache-served when warm) and
-// *execute* — this file. The execution stage takes a fully resolved
+// The join pipeline (sj/pipeline.hpp) runs in three stages: *prepare*
+// (dataset admission), *plan* (grid / workload / batch-plan resolution,
+// cache-served when warm) and *execute* — this file. The execution stage takes a fully resolved
 // plan and drives the batched kernel launches: per-batch capacity
 // windows, overflow rollback + LIFO split recovery, per-warp
 // observability commits, stats finalization and metrics publication.
 //
-// ScratchArena is the engine's reusable working memory: every vector
-// the execution stage needs per run (per-batch timing, warp-cycle
-// collection, slot accounting, buffered warp records) plus spare
-// storage reclaimed by JoinEngine::recycle (the result-pair buffer,
-// batch-stats and slot vectors of a consumed output). Reusing the
+// ScratchArena is a run's reusable working memory, leased from the
+// JoinService depot: every vector the execution stage needs per run
+// (per-batch timing, warp-cycle collection, slot accounting, buffered
+// warp records) plus spare storage reclaimed by JoinService::recycle
+// (the result-pair buffer, batch-stats and slot vectors of a consumed
+// output). Reusing the
 // arena across queries removes the per-call allocation churn of the
 // one-shot path; it never changes observable behaviour — a fresh arena
 // and a warm one produce bit-identical outputs.
@@ -36,7 +36,7 @@ struct ScratchArena {
   std::vector<std::uint64_t> slot_finish;
   std::vector<simt::WarpRecord> launch_records;
 
-  // --- spare storage donated to the next run (JoinEngine::recycle) ---
+  // --- spare storage donated to the next run (JoinService::recycle) ---
   std::vector<ResultPair> spare_pairs;
   std::vector<BatchStats> spare_batch_stats;
   std::vector<obs::SlotStats> spare_slots;

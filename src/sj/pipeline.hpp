@@ -1,23 +1,23 @@
-// Plan+execute pipeline shared by the two execution frontends
-// (internal).
+// Plan+execute pipeline behind every join entry point (internal).
 //
-// JoinEngine::run (single-threaded sessions, sj/engine.cpp) and
-// JoinService (concurrent serving, sj/service.cpp) run the exact same
-// join pipeline — validation, cache-served plan-artifact resolution
-// with the monolith's span sequence, batch planning, then the batched
-// execution stage — against *different cache backends*: the engine's
-// thread-private LRU caches versus the service's reader/writer-locked,
-// single-flight shared caches. plan_and_execute() is that pipeline,
-// templated over a PlanSource that supplies the artifacts; keeping it
-// in one place is what guarantees the two frontends stay bit-identical
+// JoinService (sj/service.cpp) runs every join — its own run()/
+// submit()/self_join(), the JoinEngine facade's (sj/engine.hpp) and
+// the free self_join's — through plan_and_execute(): validation,
+// cache-served plan-artifact resolution with the monolith's span
+// sequence, batch planning, then the batched execution stage.
+// plan_and_execute() is templated over a PlanSource that supplies the
+// artifacts; its one implementation is detail::ServicePlanSource over
+// the service's reader/writer-locked, single-flight SharedDataset
+// caches. Because a warm run and a cold run take this same code with
+// only the source's hit/miss answers differing, they stay bit-identical
 // (same spans, same stats, same results) for the same request.
 //
 // A PlanSource provides (duck-typed; resolution order is fixed by the
 // pipeline, so sources may carry state between calls):
 //
-//   void sync();                              // generation check/invalidate
-//   ThreadPool* pool(int n);                  // cached host pool
-//   obs::Tracer* channel_tracer();            // engine/service channel
+//   void sync();                              // generation check/repair
+//   ThreadPool* pool(int n);                  // pooled host pool
+//   obs::Tracer* channel_tracer();            // service channel
 //   obs::RequestObs* request_obs();           // request attribution bundle
 //                                             // (nullptr = not a request)
 //   void resolve_grid(double eps, ThreadPool*, bool* hit);
@@ -125,6 +125,41 @@ struct ResultKey {
   return {generation, std::bit_cast<std::uint64_t>(cfg.epsilon), digest};
 }
 
+/// Throws CheckError unless `cfg` is a runnable request against `ds` —
+/// every check a cold run makes before touching a cache, in order. The
+/// service's result gate calls it too, so a cached answer can never
+/// mask a request that a cold run rejects.
+inline void validate_request(const SelfJoinConfig& cfg, const Dataset& ds) {
+  if (cfg.mode == JoinMode::Knn) {
+    GSJ_CHECK_MSG(cfg.probe != nullptr, "knn join requires cfg.probe");
+    GSJ_CHECK_MSG(cfg.knn_k >= 1, "knn_k must be >= 1, got " << cfg.knn_k);
+    GSJ_CHECK_MSG(cfg.knn_growth > 1.0,
+                  "knn_growth must be > 1, got " << cfg.knn_growth);
+    GSJ_CHECK_MSG(cfg.knn_initial_epsilon >= 0.0,
+                  "knn_initial_epsilon must be >= 0");
+    GSJ_CHECK_MSG(!ds.empty(), "empty dataset");
+    GSJ_CHECK_MSG(cfg.probe->dims() == ds.dims(),
+                  "probe dims=" << cfg.probe->dims() << " vs dataset dims="
+                                << ds.dims());
+    return;
+  }
+  GSJ_CHECK_MSG(cfg.epsilon > 0.0, "epsilon must be positive");
+  GSJ_CHECK_MSG(!ds.empty(), "empty dataset");
+  if (cfg.mode == JoinMode::RxS) {
+    GSJ_CHECK_MSG(cfg.probe != nullptr, "rxs join requires cfg.probe");
+    GSJ_CHECK_MSG(cfg.probe->dims() == ds.dims(),
+                  "probe dims=" << cfg.probe->dims() << " vs dataset dims="
+                                << ds.dims());
+  }
+  GSJ_CHECK_MSG(cfg.k >= 1 && cfg.device.warp_size % cfg.k == 0,
+                "k=" << cfg.k << " must divide warp_size="
+                     << cfg.device.warp_size);
+  cfg.batching.validate();
+  // Fleet validation covers the base device config too; num_devices==1
+  // keeps the classic single-device path byte-identical.
+  cfg.fleet.validate(cfg.device);
+}
+
 /// KNN-join by per-query iterative ε-widening (docs/JOINS.md, after the
 /// Hybrid KNN-Join reduction): round r probes the ε_r = ε₀·growth^r
 /// grid — resolved through the SAME PlanSource grid cache the ε-joins
@@ -140,17 +175,8 @@ template <typename Source>
 void knn_execute(const SelfJoinConfig& cfg, const Dataset& ds, Source& src,
                  ScratchArena& arena, const std::atomic<bool>* cancel,
                  SelfJoinOutput& out) {
-  GSJ_CHECK_MSG(cfg.probe != nullptr, "knn join requires cfg.probe");
-  GSJ_CHECK_MSG(cfg.knn_k >= 1, "knn_k must be >= 1, got " << cfg.knn_k);
-  GSJ_CHECK_MSG(cfg.knn_growth > 1.0,
-                "knn_growth must be > 1, got " << cfg.knn_growth);
-  GSJ_CHECK_MSG(cfg.knn_initial_epsilon >= 0.0,
-                "knn_initial_epsilon must be >= 0");
-  GSJ_CHECK_MSG(!ds.empty(), "empty dataset");
+  validate_request(cfg, ds);
   const Dataset& probe = *cfg.probe;
-  GSJ_CHECK_MSG(probe.dims() == ds.dims(),
-                "probe dims=" << probe.dims() << " vs dataset dims="
-                              << ds.dims());
   src.sync();
 
   out.results = ResultSet(cfg.store_pairs);
@@ -337,22 +363,8 @@ void plan_and_execute(const SelfJoinConfig& cfg, const Dataset& ds,
     knn_execute(cfg, ds, src, arena, cancel, out);
     return;
   }
+  validate_request(cfg, ds);
   const bool rxs = cfg.mode == JoinMode::RxS;
-  GSJ_CHECK_MSG(cfg.epsilon > 0.0, "epsilon must be positive");
-  GSJ_CHECK_MSG(!ds.empty(), "empty dataset");
-  if (rxs) {
-    GSJ_CHECK_MSG(cfg.probe != nullptr, "rxs join requires cfg.probe");
-    GSJ_CHECK_MSG(cfg.probe->dims() == ds.dims(),
-                  "probe dims=" << cfg.probe->dims() << " vs dataset dims="
-                                << ds.dims());
-  }
-  GSJ_CHECK_MSG(cfg.k >= 1 && cfg.device.warp_size % cfg.k == 0,
-                "k=" << cfg.k << " must divide warp_size="
-                     << cfg.device.warp_size);
-  cfg.batching.validate();
-  // Fleet validation covers the base device config too; num_devices==1
-  // keeps the classic single-device path below byte-identical.
-  cfg.fleet.validate(cfg.device);
   const bool fleet_active = cfg.fleet.active();
   src.sync();
 

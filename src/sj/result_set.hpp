@@ -144,11 +144,11 @@ class ResultSet {
     store_limit_ = kUnlimited;
   }
 
-  // --- storage recycling (the engine's scratch arena) ---
+  // --- storage recycling (the run's scratch arena) ---
 
   /// Donates an empty-but-capacitated buffer for pair storage: the
   /// vector is cleared and used in place of a fresh allocation, so a
-  /// long-lived JoinEngine can reuse one pair buffer across queries
+  /// long-lived service can reuse one pair buffer across queries
   /// instead of reallocating per call. Content (if any) is discarded;
   /// no observable state changes besides capacity.
   void adopt_storage(std::vector<ResultPair>&& buffer) noexcept {
@@ -158,7 +158,7 @@ class ResultSet {
 
   /// Releases the pair buffer (capacity included) back to the caller
   /// and resets the collector — the inverse of adopt_storage, used by
-  /// JoinEngine::recycle to reclaim a consumed output's allocation.
+  /// JoinService::recycle to reclaim a consumed output's allocation.
   [[nodiscard]] std::vector<ResultPair> take_storage() noexcept {
     std::vector<ResultPair> out = std::move(pairs_);
     clear();

@@ -61,6 +61,15 @@ struct JoinService::QueueItem {
   std::uint64_t request_id = 0;  ///< stable id assigned at submit()
   std::uint64_t submit_ts = 0;   ///< tracer timestamp at submit (0 = none)
   Timer queued;                  ///< measures admission-queue wait
+
+  /// Heap order of the admission queue: `a` dequeues after `b` when it
+  /// has lower priority, or equal priority and a later seq (FIFO).
+  static bool dequeues_after(const QueueItem& a, const QueueItem& b) {
+    if (a.req.priority != b.req.priority) {
+      return a.req.priority < b.req.priority;
+    }
+    return a.seq > b.seq;
+  }
 };
 
 namespace detail {
@@ -93,11 +102,21 @@ struct ResultFlight {
 
 namespace {
 
-/// Ready-now test for a single-flight shared_future (no blocking).
-template <typename Fut>
-bool future_ready(const Fut& f) {
-  return f.valid() &&
-         f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+/// The artifact a single-flight slot holds, or null while it is still
+/// building (no blocking). get() on a ready future can still rethrow a
+/// build failure in the narrow window before the builder rolls its
+/// slot back; such slots read as null too.
+template <typename Ptr>
+Ptr ready_or_null(const std::shared_future<Ptr>& f) {
+  if (!f.valid() ||
+      f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+    return nullptr;
+  }
+  try {
+    return f.get();
+  } catch (...) {
+    return nullptr;
+  }
 }
 
 /// A ready shared_future wrapping an already-built artifact — how
@@ -190,6 +209,11 @@ bool churn_misses_result(const Dataset& ds, const GridIndex& grid,
 
 }  // namespace
 
+std::uint64_t SharedDataset::generation() const {
+  std::shared_lock lk(mu_);
+  return generation_;
+}
+
 std::size_t SharedDataset::cached_grid_count() const {
   std::shared_lock lk(mu_);
   return grids_.size();
@@ -202,39 +226,18 @@ std::size_t SharedDataset::cached_plan_count() const {
 
 std::size_t SharedDataset::cached_artifact_bytes() const {
   std::shared_lock lk(mu_);
-  const auto ready = [](const auto& fut) {
-    return fut.valid() &&
-           fut.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-  };
   std::size_t bytes = 0;
-  // get() on a ready future can still rethrow a build failure in the
-  // narrow window before the builder rolls its slot back; such slots
-  // simply count 0.
   for (const auto& g : grids_) {
-    if (!ready(g->grid)) continue;
-    try {
-      if (const GridPtr& p = g->grid.get(); p != nullptr) {
-        bytes += p->memory_bytes();
-      }
-    } catch (...) {
+    if (const GridPtr p = ready_or_null(g->grid); p != nullptr) {
+      bytes += p->memory_bytes();
     }
   }
   for (const auto& pl : plans_) {
-    if (ready(pl->workloads)) {
-      try {
-        if (const WorkloadsPtr& w = pl->workloads.get(); w != nullptr) {
-          bytes += w->capacity() * sizeof(std::uint64_t);
-        }
-      } catch (...) {
-      }
+    if (const WorkloadsPtr w = ready_or_null(pl->workloads); w != nullptr) {
+      bytes += w->capacity() * sizeof(std::uint64_t);
     }
-    if (ready(pl->order)) {
-      try {
-        if (const OrderPtr& o = pl->order.get(); o != nullptr) {
-          bytes += o->capacity() * sizeof(PointId);
-        }
-      } catch (...) {
-      }
+    if (const OrderPtr o = ready_or_null(pl->order); o != nullptr) {
+      bytes += o->capacity() * sizeof(PointId);
     }
   }
   return bytes;
@@ -246,13 +249,9 @@ std::vector<SharedDataset::GridDigest> SharedDataset::cached_grid_digests()
   std::vector<GridDigest> out;
   out.reserve(grids_.size());
   for (const auto& g : grids_) {
-    if (!future_ready(g->grid)) continue;
-    try {
-      if (const GridPtr& p = g->grid.get(); p != nullptr) {
-        out.push_back({std::bit_cast<double>(g->eps_bits), p->content_key(),
-                       p->generation()});
-      }
-    } catch (...) {
+    if (const GridPtr p = ready_or_null(g->grid); p != nullptr) {
+      out.push_back({std::bit_cast<double>(g->eps_bits), p->content_key(),
+                     p->generation()});
     }
   }
   return out;
@@ -292,7 +291,7 @@ class ServicePlanSource {
  public:
   /// `cfg` makes the source mode-aware: for R×S requests, workloads/D'
   /// resolve against the probe dataset and plan slots are keyed by
-  /// probe_signature. Null `cfg` (delta polls) behaves as Self.
+  /// probe_signature. Null `cfg` (delta_join) behaves as Self.
   ServicePlanSource(JoinService& svc, SharedDataset& sd,
                     const SelfJoinConfig* cfg,
                     obs::RequestObs* robs = nullptr)
@@ -671,16 +670,10 @@ void JoinService::sync_shared(SharedDataset& sd) {
   kept_grids.reserve(sd.grids_.size());
   std::vector<char> plan_alive(sd.plans_.size(), 0);
   for (auto& gs : sd.grids_) {
-    SharedDataset::GridPtr old;
-    if (future_ready(gs->grid)) {
-      try {
-        old = gs->grid.get();
-      } catch (...) {
-      }
-    }
     // Still building or failed: no artifact to repair — drop the slot
     // (defensive; mutations are contracted to happen with no run in
     // flight, so this path is not normally reachable).
+    const SharedDataset::GridPtr old = ready_or_null(gs->grid);
     if (old == nullptr) continue;
 
     // Repair a private copy: in-flight runs pin the old immutable
@@ -715,21 +708,9 @@ void JoinService::sync_shared(SharedDataset& sd) {
       // cannot express. Drop, don't patch (probe churn needs nothing:
       // it rotates probe_signature, so stale slots age out via LRU).
       if (ps->probe_sig != 0) continue;
-      SharedDataset::WorkloadsPtr w;
-      if (future_ready(ps->workloads)) {
-        try {
-          w = ps->workloads.get();
-        } catch (...) {
-        }
-      }
+      const SharedDataset::WorkloadsPtr w = ready_or_null(ps->workloads);
       if (w == nullptr) continue;  // never built: nothing worth keeping
-      SharedDataset::OrderPtr o;
-      if (future_ready(ps->order)) {
-        try {
-          o = ps->order.get();
-        } catch (...) {
-        }
-      }
+      const SharedDataset::OrderPtr o = ready_or_null(ps->order);
       WorkloadPatchResult patch = patch_workloads(
           *fresh, ps->pattern, rep.dirty_cell_ids, *w,
           o != nullptr ? std::span<const PointId>(*o)
@@ -826,13 +807,7 @@ JoinService::Ticket JoinService::submit(std::shared_ptr<SharedDataset> sd,
         item.submit_ts = cfg_.obs.tracer->now_ts();
       }
       queue_.push_back(std::move(item));
-      std::push_heap(queue_.begin(), queue_.end(),
-                     [](const QueueItem& a, const QueueItem& b) {
-                       if (a.req.priority != b.req.priority) {
-                         return a.req.priority < b.req.priority;
-                       }
-                       return a.seq > b.seq;  // FIFO within a priority
-                     });
+      std::push_heap(queue_.begin(), queue_.end(), QueueItem::dequeues_after);
       set_queue_depth_locked(queue_.size());
     }
   }
@@ -860,12 +835,6 @@ void JoinService::spawn_workers_locked() {
 }
 
 void JoinService::worker_loop() {
-  const auto by_priority = [](const QueueItem& a, const QueueItem& b) {
-    if (a.req.priority != b.req.priority) {
-      return a.req.priority < b.req.priority;
-    }
-    return a.seq > b.seq;
-  };
   for (;;) {
     QueueItem item;
     {
@@ -873,7 +842,7 @@ void JoinService::worker_loop() {
       queue_cv_.wait(lk, [&] { return stopping_ || !queue_.empty(); });
       // Shutdown drains: outstanding tickets are still answered.
       if (queue_.empty()) return;
-      std::pop_heap(queue_.begin(), queue_.end(), by_priority);
+      std::pop_heap(queue_.begin(), queue_.end(), QueueItem::dequeues_after);
       item = std::move(queue_.back());
       queue_.pop_back();
       set_queue_depth_locked(queue_.size());
@@ -997,29 +966,11 @@ JoinService::ResultGate JoinService::result_gate(
   SharedDataset& sd = *item.sd;
   const SelfJoinConfig& cfg = item.req.config;
   // A request the pipeline would reject must reach the pipeline so the
-  // cache never masks the canonical validation error (mirror of the
-  // plan_and_execute / knn_execute gates, per mode).
-  if (cfg.mode == JoinMode::Knn) {
-    if (cfg.probe == nullptr || cfg.knn_k < 1 || !(cfg.knn_growth > 1.0) ||
-        !(cfg.knn_initial_epsilon >= 0.0) || sd.dataset().empty() ||
-        cfg.probe->dims() != sd.dataset().dims()) {
-      return ResultGate::Execute;
-    }
-  } else {
-    if (!(cfg.epsilon > 0.0) || sd.dataset().empty() || cfg.k < 1 ||
-        cfg.device.warp_size % cfg.k != 0) {
-      return ResultGate::Execute;
-    }
-    if (cfg.mode == JoinMode::RxS &&
-        (cfg.probe == nullptr ||
-         cfg.probe->dims() != sd.dataset().dims())) {
-      return ResultGate::Execute;
-    }
-    try {
-      cfg.batching.validate();
-    } catch (const std::exception&) {
-      return ResultGate::Execute;
-    }
+  // cache never masks the canonical validation error.
+  try {
+    detail::validate_request(cfg, sd.dataset());
+  } catch (const std::exception&) {
+    return ResultGate::Execute;
   }
 
   const detail::ResultKey key =
@@ -1248,14 +1199,10 @@ void JoinService::repair_result_cache(SharedDataset& sd,
   if (churn.has_value() && churn->pure_moves && !churn->touched.empty()) {
     std::shared_lock lk(sd.mu_);
     for (const auto& gs : sd.grids_) {
-      if (!future_ready(gs->grid)) continue;
-      try {
-        if (SharedDataset::GridPtr p = gs->grid.get();
-            p != nullptr && p->generation() == ds.generation()) {
-          grid = std::move(p);
-          break;
-        }
-      } catch (...) {
+      if (SharedDataset::GridPtr p = ready_or_null(gs->grid);
+          p != nullptr && p->generation() == ds.generation()) {
+        grid = std::move(p);
+        break;
       }
     }
   }
@@ -1429,13 +1376,7 @@ void JoinService::abandon_flight(
     std::lock_guard lk(queue_mu_);
     for (auto& fo : followers) {
       queue_.push_back(std::move(fo.item));
-      std::push_heap(queue_.begin(), queue_.end(),
-                     [](const QueueItem& a, const QueueItem& b) {
-                       if (a.req.priority != b.req.priority) {
-                         return a.req.priority < b.req.priority;
-                       }
-                       return a.seq > b.seq;
-                     });
+      std::push_heap(queue_.begin(), queue_.end(), QueueItem::dequeues_after);
     }
     set_queue_depth_locked(queue_.size());
   }
@@ -1494,7 +1435,8 @@ JoinService::DeltaPoll JoinService::poll(SubscriptionId id) {
   out.generation = ds.generation();
   if (out.generation == sub.generation) return out;  // quiescent: no work
 
-  std::optional<PairDelta> delta = delta_for(sub);
+  std::optional<PairDelta> delta =
+      delta_join(*sub.sd, sub.epsilon, sub.generation);
   if (delta.has_value()) {
     count("svc.stream.deltas");
   } else {
@@ -1527,20 +1469,26 @@ JoinService::DeltaPoll JoinService::poll(SubscriptionId id) {
   return out;
 }
 
-std::optional<PairDelta> JoinService::delta_for(Subscription& sub) {
-  SharedDataset& sd = *sub.sd;
+std::optional<PairDelta> JoinService::delta_join(
+    SharedDataset& sd, double epsilon, std::uint64_t from_generation) {
+  GSJ_CHECK_MSG(epsilon > 0.0, "delta_join requires epsilon > 0");
   const Dataset& ds = sd.dataset();
   if (ds.empty()) return std::nullopt;
-  const auto window = ds.mutations_since(sub.generation);
+  // A view of the dataset's log: the sync below repairs the caches but
+  // never touches the log, so the view stays valid across it.
+  const auto window = ds.mutations_since(from_generation);
   if (!window.has_value()) return std::nullopt;
   const ChurnSummary churn = summarize_churn(ds, *window);
   // Resolve (and repair) the ε grid through the shared artifact cache —
-  // a poll warms the same grid later join requests hit.
-  detail::ServicePlanSource src(*this, sd, /*cfg=*/nullptr, nullptr);
+  // a delta join warms the same grid later joins hit.
+  detail::ServicePlanSource src(*this, sd, /*cfg=*/nullptr);
   src.sync();
   bool hit = false;
-  src.resolve_grid(sub.epsilon, nullptr, &hit);
-  return compute_pair_delta(src.grid(), churn, sub.epsilon);
+  src.resolve_grid(epsilon, /*pool=*/nullptr, &hit);
+  PairDelta delta = compute_pair_delta(src.grid(), churn, epsilon);
+  count("sj.incr.delta_joins");
+  count("sj.incr.delta_candidates", delta.stats.candidates);
+  return delta;
 }
 
 PairDelta JoinService::full_diff(Subscription& sub) {

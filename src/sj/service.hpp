@@ -1,24 +1,25 @@
-// JoinService: concurrent multi-client serving on one shared engine
-// core.
+// JoinService: concurrent multi-client serving over the one plan-
+// artifact cache.
 //
-// PR 4's JoinEngine made plan reuse cheap but pinned each engine to a
-// single thread, so concurrent clients each paid for private caches
-// (the free self_join kept one engine *per thread*). JoinService is
-// the serving layer on top of the same plan+execute pipeline
-// (sj/pipeline.hpp), built for many clients against shared prepared
-// datasets — the paper's scheduling discipline (decouple work items
-// from executors, §III-D) applied one level up:
+// JoinService runs the plan+execute pipeline (sj/pipeline.hpp) for
+// many clients against shared prepared datasets — the paper's
+// scheduling discipline (decouple work items from executors, §III-D)
+// applied one level up. Its SharedDataset is the repo's only artifact
+// cache: JoinEngine (sj/engine.hpp) is a single-owner facade over a
+// private JoinService, and the free self_join routes through
+// JoinService::shared().
 //
-//   attach(ds)  -> shared_ptr<SharedDataset>   shared plan caches
-//   run(sd,cfg) -> SelfJoinOutput              synchronous, on the caller
-//   submit(...) -> Ticket                      queued, on the worker pool
-//   self_join() -> SelfJoinOutput              one-shot (no cross-call cache)
+//   attach(ds)     -> shared_ptr<SharedDataset>  shared plan caches
+//   run(sd,cfg)    -> SelfJoinOutput             synchronous, on the caller
+//   submit(...)    -> Ticket                     queued, on the worker pool
+//   self_join()    -> SelfJoinOutput             one-shot (no cross-call cache)
+//   delta_join(..) -> optional<PairDelta>        churn delta (docs/STREAMING.md)
 //
 // Concurrency design (docs/SERVICE.md):
 //
-//  * SharedDataset carries the same artifact caches as PreparedDataset
-//    (GridIndex by epsilon bits, workloads + D' order by
-//    (grid content_key, pattern), estimates by (sample_fraction, skew))
+//  * SharedDataset carries the artifact caches (GridIndex by epsilon
+//    bits, workloads + D' order by (grid content_key, pattern, probe
+//    signature), estimates by (sample_fraction, skew, probe signature))
 //    behind a reader/writer lock: concurrent cache *hits* take the
 //    shared lock only and never serialize on each other.
 //  * Misses are *single-flight*: the first requester installs a
@@ -29,7 +30,7 @@
 //    a ScratchArena (and, when host threads are requested, a
 //    ThreadPool) out of a bounded depot and returns it afterwards, so
 //    resident state is bounded by the depot caps — not by how many
-//    threads ever joined (the thread_local-engine leak this replaces).
+//    threads ever joined.
 //  * The admission queue is bounded and priority-ordered (higher
 //    priority first, FIFO within a priority), with per-request queue
 //    deadlines and cooperative cancellation routed through the
@@ -47,10 +48,9 @@
 //    are stored in canonical order, the order every cold stored-pairs
 //    run ends in. See docs/SERVICE.md.
 //
-// Correctness bar, same as every prior layer: any interleaving of
-// concurrent clients yields results bit-identical to running those
-// requests serially on a cold engine (tests/test_service.cpp pins this
-// under TSan).
+// Correctness bar: any interleaving of concurrent clients yields
+// results bit-identical to running those requests serially on a cold
+// engine (tests/test_service.cpp pins this under TSan).
 //
 // Observability: the service's own channel (ServiceConfig::obs)
 // carries svc.* instruments — queue depth, wait/service time
@@ -106,7 +106,8 @@ struct ServiceConfig {
   /// Bound on queued (not yet running) requests; submit() beyond it
   /// answers JoinStatus::Rejected immediately.
   std::size_t max_queue_depth = 256;
-  /// Per-SharedDataset cache bounds, as EngineConfig's (LRU beyond).
+  /// Per-SharedDataset cache bounds: grids (one per ε) and plans (one
+  /// per (grid, pattern, probe)); LRU beyond, clamped to >= 1.
   std::size_t max_cached_grids = 4;
   std::size_t max_cached_plans = 8;
   /// Bound on idle pooled scratch arenas / host thread pools kept for
@@ -128,18 +129,18 @@ struct ServiceConfig {
   double subsume_cost_ratio = 8.0;
 
   // --- the service's own observability channel (optional, non-owning).
-  /// obs.tracer receives "prepare" / "plan_reuse" spans (as
-  /// EngineConfig::obs) plus the per-request span tree; obs.metrics
+  /// obs.tracer receives "prepare" (attach) / "plan_reuse" (cache-
+  /// served plan) spans plus the per-request span tree; obs.metrics
   /// receives svc.* instruments (submitted/completed/rejected/expired/
   /// cancelled/failed counters, svc.queue_depth gauge,
   /// svc.queue_wait_seconds and svc.service_seconds time histograms),
-  /// the sj.cache.* family, the sj.incr.* incremental-repair family
-  /// (repairs/repaired_cells/plan_patches/rebuild_fallbacks), the
-  /// svc.result_cache.* family (hits/misses/coalesced/subsumed/
-  /// evictions/invalidations/repair_kept counters plus a bytes gauge)
-  /// and the svc.stream.* subscription family (subscribes/polls/deltas/
-  /// fallbacks/gained_pairs/lost_pairs). obs.recorder, when set,
-  /// replaces the
+  /// the sj.cache.* family, the sj.incr.* incremental family
+  /// (repairs/repaired_cells/plan_patches/rebuild_fallbacks/
+  /// delta_joins/delta_candidates), the svc.result_cache.* family
+  /// (hits/misses/coalesced/subsumed/evictions/invalidations/
+  /// repair_kept counters plus a bytes gauge) and the svc.stream.*
+  /// subscription family (subscribes/polls/deltas/fallbacks/
+  /// gained_pairs/lost_pairs). obs.recorder, when set, replaces the
   /// service-owned flight recorder; leave null for the always-on
   /// default (JoinService::recorder()).
   obs::ObsContext obs;
@@ -242,19 +243,22 @@ struct ServiceSnapshot {
 /// JoinService::attach; the Dataset must outlive every run against it.
 /// Runs may be issued against one SharedDataset from any number of
 /// threads concurrently; mutating the *dataset* is only supported while
-/// no run is in flight. A generation change no longer drops the caches
+/// no run is in flight. A generation change does not drop the caches
 /// as a unit: each cached grid is clone-and-repaired cell-granularly
 /// from the dataset's mutation log (GridIndex::repair) and dependent
-/// workload/D' plans are patched for the affected cells only, exactly
-/// as the single-threaded engine does (docs/STREAMING.md); only an
-/// unrepairable window (bulk load, log overrun, grid-shape change)
-/// falls back to the old drop-everything behaviour.
+/// workload/D' plans are patched for the affected cells only
+/// (docs/STREAMING.md); only an unrepairable window (bulk load, log
+/// overrun, grid-shape change) drops what cannot be repaired.
 class SharedDataset {
  public:
   SharedDataset(const SharedDataset&) = delete;
   SharedDataset& operator=(const SharedDataset&) = delete;
 
   [[nodiscard]] const Dataset& dataset() const noexcept { return *ds_; }
+  /// Dataset generation the artifact caches were last synced to; a
+  /// mismatch with dataset().generation() means the next run repairs
+  /// them first.
+  [[nodiscard]] std::uint64_t generation() const;
   [[nodiscard]] std::size_t cached_grid_count() const;
   [[nodiscard]] std::size_t cached_plan_count() const;
   /// Approximate bytes held by *ready* cached artifacts (built grids,
@@ -447,10 +451,23 @@ class JoinService {
   [[nodiscard]] SelfJoinOutput self_join(const Dataset& ds,
                                          const SelfJoinConfig& cfg);
 
-  /// Reclaims a consumed output's allocations into an idle pooled
-  /// arena (JoinEngine::recycle's analogue). Drops them when no arena
-  /// is idle.
+  /// Reclaims a consumed output's allocations (pair buffer, batch
+  /// stats, slot vectors) into an idle pooled arena for a later run.
+  /// Drops them when no arena is idle.
   void recycle(SelfJoinOutput&& out);
+
+  /// Streaming delta join (docs/STREAMING.md): the exact gained/lost
+  /// ordered-pair sets of the `epsilon` self-join across the mutation
+  /// window [from_generation, now], computed by re-joining only the
+  /// churn's ε-neighborhood against the ε grid, which it resolves (and
+  /// repairs) through the same shared cache run() uses. Returns nullopt
+  /// when the window is not available — the dataset's bounded log no
+  /// longer covers from_generation, a bulk load intervened, or the
+  /// dataset is empty — in which case the caller must fall back to a
+  /// full join. Requires epsilon > 0. Counts sj.incr.delta_joins and
+  /// sj.incr.delta_candidates.
+  [[nodiscard]] std::optional<PairDelta> delta_join(
+      SharedDataset& sd, double epsilon, std::uint64_t from_generation);
 
   // --- streaming delta subscriptions (docs/STREAMING.md) ---
 
@@ -482,8 +499,7 @@ class JoinService {
   /// subscribe) and advances the subscription to the current dataset
   /// generation. Quiescent datasets answer an empty delta without any
   /// join work; churn within the mutation-log window is answered by
-  /// re-joining only the churn's ε-neighborhood (JoinEngine::delta_join
-  /// semantics). Polls are serialized per service; each poll runs on
+  /// delta_join. Polls are serialized per service; each poll runs on
   /// the calling thread.
   [[nodiscard]] DeltaPoll poll(SubscriptionId id);
   /// Closes a subscription; unknown ids are a no-op.
@@ -522,7 +538,8 @@ class JoinService {
 
   /// Core run path shared by run()/submit()/self_join(): leases
   /// working memory, resolves the plan through the shared caches and
-  /// executes. Throws as the engine does, plus CancelledError. `robs`
+  /// executes. Throws as a cold self_join does (CheckError,
+  /// OverflowError), plus CancelledError. `robs`
   /// carries the request attribution bundle for submit()ted requests
   /// (null for run()/self_join(), which are not requests).
   SelfJoinOutput execute(SharedDataset& sd, const SelfJoinConfig& cfg,
@@ -536,7 +553,8 @@ class JoinService {
   /// the slot's future) and patches dependent workload/D' plans for the
   /// affected cells only. Unrepairable grids are rebuilt from scratch
   /// and their plans dropped. No-op when already current. Called by
-  /// ServicePlanSource::sync and the result-cache repair sweep.
+  /// ServicePlanSource::sync (every run and delta_join) and the
+  /// result-cache repair sweep.
   void sync_shared(SharedDataset& sd);
 
   // --- result-serving layer (docs/SERVICE.md) ---
@@ -664,10 +682,8 @@ class JoinService {
     std::uint64_t generation = 0;
     std::vector<ResultPair> retained;
   };
-  /// Incremental path: delta from the mutation log + a shared-cache
-  /// grid. nullopt when the window is unavailable (caller falls back).
-  std::optional<PairDelta> delta_for(Subscription& sub);
-  /// Fallback path: full re-join diffed against the retained set.
+  /// Fallback path when delta_join has no window: full re-join diffed
+  /// against the retained set.
   PairDelta full_diff(Subscription& sub);
   mutable std::mutex sub_mu_;  ///< guards subs_ / next_sub_id_; polls
                                ///< hold it for their full duration

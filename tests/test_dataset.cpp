@@ -1,13 +1,20 @@
-// Unit tests: Dataset container, generators (distribution properties,
-// determinism, Table I registry), binary/CSV IO round-trips.
+// Unit tests: Dataset container (including non-finite coordinate
+// rejection and concurrent corner reads), generators (distribution
+// properties, determinism, Table I registry), binary/CSV IO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
-
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <latch>
+#include <limits>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
@@ -53,6 +60,86 @@ TEST(Dataset, PermutedReordersPoints) {
 TEST(Dataset, DimsValidated) {
   EXPECT_THROW(Dataset(0), CheckError);
   EXPECT_THROW(Dataset(17), CheckError);
+}
+
+/// Message of the CheckError `f` throws, or "" when it throws none.
+template <typename F>
+std::string check_error(F&& f) {
+  try {
+    f();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity(),
+                                 -std::numeric_limits<double>::infinity()};
+
+TEST(Dataset, InsertRejectsNonFiniteCoordinates) {
+  Dataset ds(2);
+  const double ok[] = {1.0, 2.0};
+  ds.push_back(ok);
+  const std::uint64_t gen = ds.generation();
+  for (const double bad : kNonFinite) {
+    const double p[] = {3.0, bad};
+    const std::string msg = check_error([&] { (void)ds.insert(p); });
+    EXPECT_NE(msg.find("point 1 dimension 1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("not a finite number"), std::string::npos) << msg;
+    EXPECT_THROW(ds.push_back(p), CheckError);
+  }
+  // Nothing was appended, counted as a mutation or folded into the bbox.
+  EXPECT_EQ(ds.size(), 1u);
+  EXPECT_EQ(ds.generation(), gen);
+  EXPECT_EQ(ds.max_corner(), (std::vector<double>{1.0, 2.0}));
+}
+
+TEST(Dataset, MoveAndSetCoordRejectNonFiniteCoordinates) {
+  Dataset ds(2);
+  const double a[] = {1.0, 2.0};
+  const double b[] = {3.0, 4.0};
+  ds.push_back(a);
+  ds.push_back(b);
+  const std::uint64_t gen = ds.generation();
+  for (const double bad : kNonFinite) {
+    const double p[] = {bad, 0.0};
+    std::string msg = check_error([&] { ds.move_point(1, p); });
+    EXPECT_NE(msg.find("point 1 dimension 0"), std::string::npos) << msg;
+    msg = check_error([&] { ds.set_coord(0, 1, bad); });
+    EXPECT_NE(msg.find("point 0 dimension 1"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(ds.generation(), gen);
+  EXPECT_EQ(ds.coord(0, 1), 2.0);
+  EXPECT_EQ(ds.coord(1, 0), 3.0);
+}
+
+TEST(Dataset, ConcurrentCornerReadsAgree) {
+  // Concurrent const readers of a never-mutated dataset, as when
+  // service workers build grids for different ε at once: corner reads
+  // must not write a cache another reader is reading.
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    const Dataset ds = gen_uniform(20'000, 3, seed, -1.0, 1.0);
+    std::vector<double> lo(3), hi(3);
+    for (int d = 0; d < 3; ++d) {
+      const auto col = ds.dim(d);
+      lo[static_cast<std::size_t>(d)] = *std::min_element(col.begin(), col.end());
+      hi[static_cast<std::size_t>(d)] = *std::max_element(col.begin(), col.end());
+    }
+    std::atomic<int> wrong{0};
+    std::latch go(4);
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 4; ++t) {
+      readers.emplace_back([&] {
+        go.arrive_and_wait();  // first reads overlap as far as possible
+        for (int i = 0; i < 4; ++i) {
+          if (ds.min_corner() != lo || ds.max_corner() != hi) ++wrong;
+        }
+      });
+    }
+    for (auto& r : readers) r.join();
+    EXPECT_EQ(wrong.load(), 0) << "seed " << seed;
+  }
 }
 
 TEST(Generators, UniformBoundsAndMean) {
@@ -170,12 +257,7 @@ class IoTest : public ::testing::Test {
   std::string csv_error(const char* text) {
     const std::string p = path("gsj_io_test.csv");
     write_text(p, text);
-    try {
-      (void)load_csv(p, 2);
-    } catch (const CheckError& e) {
-      return e.what();
-    }
-    return "";
+    return check_error([&] { (void)load_csv(p, 2); });
   }
   void TearDown() override {
     std::filesystem::remove(path("gsj_io_test.bin"));
@@ -243,6 +325,23 @@ TEST_F(IoTest, BinaryTruncatedBodyIsRejected) {
   save_binary(ds, p);
   std::filesystem::resize_file(p, std::filesystem::file_size(p) - 8);
   EXPECT_THROW((void)load_binary(p), CheckError);
+}
+
+TEST_F(IoTest, BinaryRejectsNonFiniteCoordinates) {
+  const std::string p = path("gsj_io_test.bin");
+  for (const double bad : kNonFinite) {
+    save_binary(gen_uniform(10, 2, 23), p);
+    {
+      // Overwrite point 3 of dimension 1: a 20-byte header, then the
+      // columns one after another.
+      std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(20 + (10 + 3) * static_cast<std::streamoff>(sizeof(double)));
+      f.write(reinterpret_cast<const char*>(&bad), sizeof bad);
+    }
+    const std::string msg = check_error([&] { (void)load_binary(p); });
+    EXPECT_NE(msg.find("point 3 dimension 1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("not a finite number"), std::string::npos) << msg;
+  }
 }
 
 TEST_F(IoTest, CsvAcceptsBlanksAroundNumbersAndCrlf) {

@@ -2,8 +2,8 @@
 // runs — result pairs, every SelfJoinStats field, and byte-identical
 // logical-time traces — for all six paper variants at any host thread
 // count; plus generation-counter invalidation, LRU eviction bounds,
-// scratch-arena reuse (including under overflow recovery), engine-owned
-// pools, and the sj.cache.* accounting.
+// scratch-arena reuse (including under overflow recovery), threaded
+// runs on pooled host threads, and the sj.cache.* accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
 #include "data/generators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -310,17 +309,9 @@ TEST(JoinEngineTest, RecycledScratchKeepsResultsIdentical) {
 
 TEST(JoinEngineTest, EngineOwnsPoolsAcrossRuns) {
   JoinEngine engine;
-  // The engine-owned pool is created once per thread count and cached
-  // for the engine's lifetime — the per-call churn fix.
-  ThreadPool* p2 = engine.pool(2);
-  ASSERT_NE(p2, nullptr);
-  EXPECT_EQ(engine.pool(2), p2);
-  ThreadPool* p3 = engine.pool(3);
-  EXPECT_NE(p3, p2);
-  EXPECT_EQ(engine.pool(3), p3);
-
-  // Threaded runs through the engine (no external pool supplied) match
-  // the sequential answer.
+  // Threaded runs through the engine (no external pool supplied; the
+  // engine's service leases one from its depot) match the sequential
+  // answer.
   const Dataset ds = gen_exponential(2000, 2, 91);
   PreparedDataset prep = engine.prepare(ds);
   SelfJoinConfig cfg = variant_config(kVariants[5], 2);

@@ -10,10 +10,12 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "data/churn.hpp"
 #include "data/dataset.hpp"
@@ -564,6 +566,43 @@ TEST(EngineIncremental, DeltaJoinRefusesLostWindow) {
   auto col = ds.fill_dim(0);  // unrepairable: log window discarded
   for (auto& v : col) v *= 0.5;
   EXPECT_FALSE(engine.delta_join(prep, 0.1, base).has_value());
+}
+
+TEST(EngineIncremental, RejectedNonFiniteMutationsLeaveCachesWarm) {
+  Dataset ds = gen_uniform(800, 2, 45, 0.0, 1.0);
+  obs::Registry metrics;
+  EngineConfig ecfg;
+  ecfg.obs.metrics = &metrics;
+  JoinEngine engine(ecfg);
+  PreparedDataset prep = engine.prepare(ds);
+  SelfJoinConfig cfg = SelfJoinConfig::combined(0.05);
+  cfg.store_pairs = true;
+  const SelfJoinOutput cold = engine.run(prep, cfg);
+  const std::uint64_t base = ds.generation();
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::array<double, 2> bad_move{0.5, nan};
+  const std::array<double, 2> bad_insert{-inf, 0.5};
+  EXPECT_THROW(ds.move_point(7, bad_move), CheckError);
+  EXPECT_THROW(ds.set_coord(7, 0, inf), CheckError);
+  EXPECT_THROW((void)ds.insert(bad_insert), CheckError);
+
+  // The rejected mutations reached neither the data nor the log: the
+  // window is empty, the delta is empty, and the next run is served
+  // from the caches without a repair.
+  EXPECT_EQ(ds.generation(), base);
+  const auto window = ds.mutations_since(base);
+  ASSERT_TRUE(window.has_value());
+  EXPECT_TRUE(window->empty());
+  const std::optional<PairDelta> delta = engine.delta_join(prep, 0.05, base);
+  ASSERT_TRUE(delta.has_value());
+  EXPECT_TRUE(delta->empty());
+  const SelfJoinOutput warm = engine.run(prep, cfg);
+  EXPECT_EQ(warm.results.pairs(), cold.results.pairs());
+  EXPECT_EQ(metrics.counter("sj.cache.grid.misses").value(), 1u);
+  EXPECT_EQ(metrics.counter("sj.incr.repairs").value(), 0u);
+  EXPECT_EQ(metrics.counter("sj.cache.invalidations").value(), 0u);
 }
 
 // ---------------------------------------------------------------------------

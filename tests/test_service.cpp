@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/check.hpp"
 #include "data/generators.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
@@ -96,6 +97,28 @@ std::vector<SelfJoinConfig> client_mix() {
   return cfgs;
 }
 
+/// A "blocker": a request that, left alone, runs for seconds (about
+/// 3 s in a Release build on a 4-vCPU x86-64 host) across ~3,400
+/// batches of about a millisecond each, so a cancel lands at the next
+/// batch boundary. Its 6-d uniform points make every ε = 0.5 scan walk
+/// the 729-cell adjacency window slot by slot, a path the scan
+/// fast-forward does not cover. Every test that submits one cancels it.
+JoinService::Ticket submit_blocker(JoinService& svc) {
+  static const Dataset ds = gen_uniform(12'000, 6, 5, 0.0, 1.0);
+  JoinRequest r;
+  r.config = SelfJoinConfig::combined(0.5);
+  r.config.store_pairs = false;
+  r.config.batching.buffer_pairs = 50'000;
+  return svc.submit(svc.attach(ds), r);
+}
+
+/// Submits a blocker and waits until a worker is executing it.
+JoinService::Ticket start_blocker(JoinService& svc) {
+  JoinService::Ticket t = submit_blocker(svc);
+  while (!t.started()) std::this_thread::yield();
+  return t;
+}
+
 // ---------------------------------------------------------------------------
 // The acceptance-bar stress: 4 client threads with mixed variants and
 // epsilons against one service, plus a mid-flight cancellation riding
@@ -113,10 +136,7 @@ TEST(Service, ConcurrentClientsBitIdenticalToSerialColdReplay) {
 
   // One queued request cancelled genuinely mid-flight while the client
   // threads hammer the shared caches.
-  JoinRequest victim;
-  victim.config = SelfJoinConfig::combined(0.3);
-  victim.config.store_pairs = false;
-  JoinService::Ticket victim_ticket = svc.submit(sd, victim);
+  JoinService::Ticket victim_ticket = submit_blocker(svc);
 
   std::vector<std::thread> clients;
   clients.reserve(kClients);
@@ -212,9 +232,7 @@ TEST(Service, PriorityOrdersQueuedRequests) {
 
   // Occupy the only worker, then queue low/mid/high priority requests
   // in worst-case submission order.
-  JoinService::Ticket blocker =
-      svc.submit(sd, make_request(ds, /*eps=*/0.4, /*priority=*/0));
-  while (!blocker.started()) std::this_thread::yield();
+  JoinService::Ticket blocker = start_blocker(svc);
   JoinService::Ticket low = svc.submit(sd, make_request(ds, 0.02, 0));
   JoinService::Ticket mid = svc.submit(sd, make_request(ds, 0.02, 5));
   JoinService::Ticket high = svc.submit(sd, make_request(ds, 0.02, 10));
@@ -243,8 +261,7 @@ TEST(Service, DeadlineExpiresInQueue) {
   JoinService svc(scfg);
   const auto sd = svc.attach(ds);
 
-  JoinService::Ticket blocker = svc.submit(sd, make_request(ds, 0.4, 0));
-  while (!blocker.started()) std::this_thread::yield();
+  JoinService::Ticket blocker = start_blocker(svc);
   JoinRequest doomed = make_request(ds, 0.02, 0);
   doomed.deadline_seconds = 0.0;  // any queue wait at all exceeds this
   JoinService::Ticket t = svc.submit(sd, doomed);
@@ -263,8 +280,7 @@ TEST(Service, CancelledWhileQueuedNeverRuns) {
   JoinService svc(scfg);
   const auto sd = svc.attach(ds);
 
-  JoinService::Ticket blocker = svc.submit(sd, make_request(ds, 0.4, 0));
-  while (!blocker.started()) std::this_thread::yield();
+  JoinService::Ticket blocker = start_blocker(svc);
   JoinService::Ticket t = svc.submit(sd, make_request(ds, 0.02, 0));
   t.cancel();  // still queued: the worker is pinned by the blocker
   blocker.cancel();
@@ -276,15 +292,12 @@ TEST(Service, CancelledWhileQueuedNeverRuns) {
 }
 
 TEST(Service, MidFlightCancellationAbortsTheRun) {
-  const Dataset ds = gen_uniform(2000, 2, 14, 0.0, 1.0);
   JoinService svc;
-  const auto sd = svc.attach(ds);
 
-  // Large radius -> a run long enough that the cancel lands while the
+  // The blocker runs long enough that the cancel lands while the
   // launch loop is executing (the token is polled at every warp-block
   // and batch boundary).
-  JoinService::Ticket t = svc.submit(sd, make_request(ds, 0.5, 0));
-  while (!t.started()) std::this_thread::yield();
+  JoinService::Ticket t = start_blocker(svc);
   t.cancel();
   const JoinResponse r = t.get();
   EXPECT_EQ(r.status, JoinStatus::Cancelled);
@@ -299,8 +312,7 @@ TEST(Service, FullQueueRejectsImmediately) {
   JoinService svc(scfg);
   const auto sd = svc.attach(ds);
 
-  JoinService::Ticket blocker = svc.submit(sd, make_request(ds, 0.4, 0));
-  while (!blocker.started()) std::this_thread::yield();
+  JoinService::Ticket blocker = start_blocker(svc);
   JoinService::Ticket queued = svc.submit(sd, make_request(ds, 0.02, 0));
   JoinService::Ticket overflow = svc.submit(sd, make_request(ds, 0.02, 0));
   const JoinResponse r = overflow.get();  // ready immediately
@@ -680,6 +692,38 @@ TEST(Service, ResultCacheServesExactRepeatVariantAgnostic) {
   EXPECT_EQ(snap.result_entries, 1u);
   EXPECT_EQ(snap.result_bytes, sd->result_cache_bytes());
   EXPECT_EQ(snap.result_budget_bytes, svc.config().max_result_cache_bytes);
+}
+
+TEST(Service, ResultGateNeverServesARequestAColdRunRejects) {
+  const Dataset ds = gen_uniform(600, 2, 36, 0.0, 1.0);
+  std::ostringstream dumps;  // Failed responses dump breadcrumbs here
+  ServiceConfig scfg;
+  scfg.recorder_dump = &dumps;
+  JoinService svc(scfg);
+  const auto sd = svc.attach(ds);
+
+  const JoinRequest good = make_request(ds, 0.05, 0);
+  ASSERT_EQ(svc.submit(sd, good).get().status, JoinStatus::Ok);
+  ASSERT_EQ(sd->result_cache_entries(), 1u);  // ε = 0.05 is now cached
+
+  // Device and fleet configs that run() rejects, at the cached ε: the
+  // gate must send each to the pipeline, not answer it from the cache.
+  std::vector<JoinRequest> bad(3, good);
+  bad[0].config.device.num_sms = 0;
+  bad[1].config.fleet.num_devices = 0;
+  bad[2].config.device.clock_ghz = -1.0;
+  for (const JoinRequest& req : bad) {
+    std::string want;
+    try {
+      (void)svc.run(*sd, req.config);
+    } catch (const CheckError& e) {
+      want = e.what();
+    }
+    ASSERT_FALSE(want.empty()) << "run() accepted the config";
+    const JoinResponse r = svc.submit(sd, req).get();
+    EXPECT_EQ(r.status, JoinStatus::Failed) << want;
+    EXPECT_EQ(r.error, want);
+  }
 }
 
 TEST(Service, ResultCacheEvictionUnderLoadStaysCorrect) {
