@@ -8,6 +8,24 @@
 
 namespace gsj {
 
+std::int64_t parse_int(const std::string& text, const std::string& what) {
+  char* end = nullptr;
+  errno = 0;
+  const std::int64_t parsed = std::strtoll(text.c_str(), &end, 10);
+  GSJ_CHECK_MSG(end != text.c_str() && *end == '\0' && errno != ERANGE,
+                what << ": expected an integer, got '" << text << "'");
+  return parsed;
+}
+
+double parse_double(const std::string& text, const std::string& what) {
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(text.c_str(), &end);
+  GSJ_CHECK_MSG(end != text.c_str() && *end == '\0' && errno != ERANGE,
+                what << ": expected a number, got '" << text << "'");
+  return parsed;
+}
+
 Cli::Cli(int argc, const char* const* argv) {
   prog_ = argc > 0 ? argv[0] : "prog";
   for (int i = 1; i < argc; ++i) {
@@ -49,26 +67,14 @@ std::string Cli::get(const std::string& name, const std::string& def,
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t def,
                           const std::string& help) {
-  const std::string v = get(name, std::to_string(def), help);
-  char* end = nullptr;
-  errno = 0;
-  const std::int64_t parsed = std::strtoll(v.c_str(), &end, 10);
-  GSJ_CHECK_MSG(end != v.c_str() && *end == '\0' && errno != ERANGE,
-                "--" << name << ": expected an integer, got '" << v << "'");
-  return parsed;
+  return parse_int(get(name, std::to_string(def), help), "--" + name);
 }
 
 double Cli::get_double(const std::string& name, double def,
                        const std::string& help) {
   std::ostringstream d;
   d << def;
-  const std::string v = get(name, d.str(), help);
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(v.c_str(), &end);
-  GSJ_CHECK_MSG(end != v.c_str() && *end == '\0' && errno != ERANGE,
-                "--" << name << ": expected a number, got '" << v << "'");
-  return parsed;
+  return parse_double(get(name, d.str(), help), "--" + name);
 }
 
 bool Cli::get_bool(const std::string& name, bool def, const std::string& help) {

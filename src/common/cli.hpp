@@ -10,6 +10,17 @@
 
 namespace gsj {
 
+/// Strict numeric parses behind Cli's getters, shared with the tools'
+/// own token parsers (CSV flag values, request-file keys): all of
+/// `text` must be one base-10 integer / one number. Trailing garbage,
+/// an empty string or an out-of-range magnitude throws CheckError
+/// "<what>: expected an integer, got '<text>'" (or "a number"), so
+/// `what` names the flag or key the text came from.
+[[nodiscard]] std::int64_t parse_int(const std::string& text,
+                                     const std::string& what);
+[[nodiscard]] double parse_double(const std::string& text,
+                                  const std::string& what);
+
 class Cli {
  public:
   /// Parses argv. Unknown flags are collected and reported by `unknown()`;

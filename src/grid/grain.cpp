@@ -21,6 +21,58 @@ std::vector<std::uint64_t> grain_cell_weights(
   return weights;
 }
 
+namespace {
+
+/// The greedy prefix cut behind both partitioners: items [0, n) of
+/// weight `weight(i)` accumulate into the current grain until it
+/// reaches its ideal cumulative share, then a new grain starts. Returns
+/// grains whose [cell_begin, cell_end) is the item range and whose
+/// workload is its summed weight; the callers map item ranges to cells
+/// or probe ids.
+template <typename Weight>
+std::vector<WorkGrain> prefix_cut(std::size_t n, std::size_t max_grains,
+                                  Weight weight) {
+  std::vector<WorkGrain> grains;
+  if (n == 0) return grains;
+  const std::size_t ngrains = std::min(max_grains, n);
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) total += weight(i);
+
+  grains.reserve(ngrains);
+  std::uint64_t consumed = 0;
+  std::size_t i = 0;
+  for (std::size_t g = 0; g < ngrains && i < n; ++g) {
+    WorkGrain grain;
+    grain.cell_begin = i;
+    // Ideal cumulative share after this grain; the remaining-weight /
+    // remaining-grains form keeps late grains from starving when early
+    // items are heavy (a huge first cell eats most of the total).
+    const std::size_t grains_left = ngrains - g;
+    const std::uint64_t target =
+        consumed + (total - consumed + grains_left - 1) / grains_left;
+    // Every grain takes at least one item; later grains must still get
+    // one item each, so this grain may extend at most to
+    // n - (grains_left - 1).
+    const std::size_t hard_end = n - (grains_left - 1);
+    do {
+      consumed += weight(i);
+      ++i;
+    } while (i < hard_end && consumed < target);
+    grain.cell_end = i;
+    for (std::size_t j = grain.cell_begin; j < grain.cell_end; ++j) {
+      grain.workload += weight(j);
+    }
+    grains.push_back(grain);
+  }
+  // Tail items left by the hard_end clamp fold into the last grain.
+  WorkGrain& last = grains.back();
+  for (; i < n; ++i) last.workload += weight(i);
+  last.cell_end = n;
+  return grains;
+}
+
+}  // namespace
+
 std::vector<WorkGrain> partition_grains(
     const GridIndex& grid, std::span<const std::uint64_t> cell_weights,
     std::size_t max_grains) {
@@ -29,56 +81,15 @@ std::vector<WorkGrain> partition_grains(
   GSJ_CHECK_MSG(cell_weights.empty() || cell_weights.size() == cells.size(),
                 "cell_weights size " << cell_weights.size()
                                      << " != cell count " << cells.size());
-  std::vector<WorkGrain> grains;
-  if (cells.empty()) return grains;
-
-  const std::size_t ngrains = std::min(max_grains, cells.size());
-  const auto weight = [&](std::size_t c) -> std::uint64_t {
-    return cell_weights.empty()
-               ? static_cast<std::uint64_t>(cells[c].size())
-               : cell_weights[c];
-  };
-  std::uint64_t total = 0;
-  for (std::size_t c = 0; c < cells.size(); ++c) total += weight(c);
-
-  grains.reserve(ngrains);
-  std::uint64_t consumed = 0;
-  std::size_t c = 0;
-  for (std::size_t g = 0; g < ngrains && c < cells.size(); ++g) {
-    WorkGrain grain;
-    grain.cell_begin = c;
-    grain.point_begin = cells[c].begin;
-    // Ideal cumulative share after this grain; the remaining-weight /
-    // remaining-grains form keeps late grains from starving when early
-    // cells are heavy (a huge first cell eats most of the total).
-    const std::size_t grains_left = ngrains - g;
-    const std::uint64_t target =
-        consumed + (total - consumed + grains_left - 1) / grains_left;
-    // Every grain takes at least one cell; later grains must still get
-    // one cell each, so this grain may extend at most to
-    // cells.size() - (grains_left - 1).
-    const std::size_t hard_end = cells.size() - (grains_left - 1);
-    do {
-      consumed += weight(c);
-      ++c;
-    } while (c < hard_end && consumed < target);
-    grain.cell_end = c;
-    grain.point_end = cells[c - 1].end;
-    grain.workload = 0;
-    for (std::size_t i = grain.cell_begin; i < grain.cell_end; ++i) {
-      grain.workload += weight(i);
-    }
-    grains.push_back(grain);
-  }
-  // Tail cells left by the hard_end clamp fold into the last grain.
-  if (c < cells.size()) {
-    WorkGrain& last = grains.back();
-    while (c < cells.size()) {
-      last.workload += weight(c);
-      ++c;
-    }
-    last.cell_end = cells.size();
-    last.point_end = cells.back().end;
+  std::vector<WorkGrain> grains =
+      prefix_cut(cells.size(), max_grains, [&](std::size_t c) {
+        return cell_weights.empty()
+                   ? static_cast<std::uint64_t>(cells[c].size())
+                   : cell_weights[c];
+      });
+  for (WorkGrain& g : grains) {
+    g.point_begin = cells[g.cell_begin].begin;
+    g.point_end = cells[g.cell_end - 1].end;
   }
   return grains;
 }
@@ -90,46 +101,15 @@ std::vector<WorkGrain> partition_probe_grains(
   GSJ_CHECK_MSG(point_workloads.empty() || point_workloads.size() == n_probe,
                 "point_workloads size " << point_workloads.size()
                                         << " != probe size " << n_probe);
-  std::vector<WorkGrain> grains;
-  if (n_probe == 0) return grains;
-
-  const std::size_t ngrains = std::min(max_grains, n_probe);
-  const auto weight = [&](std::size_t p) -> std::uint64_t {
-    return point_workloads.empty() ? 1 : point_workloads[p] + 1;
-  };
-  std::uint64_t total = 0;
-  for (std::size_t p = 0; p < n_probe; ++p) total += weight(p);
-
-  grains.reserve(ngrains);
-  std::uint64_t consumed = 0;
-  std::size_t p = 0;
-  for (std::size_t g = 0; g < ngrains && p < n_probe; ++g) {
-    WorkGrain grain;
-    grain.point_begin = static_cast<std::uint32_t>(p);
-    // Same remaining-weight / remaining-grains target as the cell
-    // partitioner, points playing the role of cells.
-    const std::size_t grains_left = ngrains - g;
-    const std::uint64_t target =
-        consumed + (total - consumed + grains_left - 1) / grains_left;
-    const std::size_t hard_end = n_probe - (grains_left - 1);
-    do {
-      consumed += weight(p);
-      ++p;
-    } while (p < hard_end && consumed < target);
-    grain.point_end = static_cast<std::uint32_t>(p);
-    grain.workload = 0;
-    for (std::uint32_t i = grain.point_begin; i < grain.point_end; ++i) {
-      grain.workload += weight(i);
-    }
-    grains.push_back(grain);
-  }
-  if (p < n_probe) {
-    WorkGrain& last = grains.back();
-    while (p < n_probe) {
-      last.workload += weight(p);
-      ++p;
-    }
-    last.point_end = static_cast<std::uint32_t>(n_probe);
+  // Points play the role of cells; the grains carry probe-id bounds.
+  std::vector<WorkGrain> grains =
+      prefix_cut(n_probe, max_grains, [&](std::size_t p) -> std::uint64_t {
+        return point_workloads.empty() ? 1 : point_workloads[p] + 1;
+      });
+  for (WorkGrain& g : grains) {
+    g.point_begin = static_cast<std::uint32_t>(g.cell_begin);
+    g.point_end = static_cast<std::uint32_t>(g.cell_end);
+    g.cell_begin = g.cell_end = 0;
   }
   return grains;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
@@ -45,11 +46,22 @@ std::size_t batch_count(std::uint64_t estimated, const BatchingConfig& cfg,
   return std::min(wanted, n);
 }
 
+/// Exact ε-neighborhood sizes of the sampled query ids: self-join
+/// points, or probe points against the gridded dataset.
+std::vector<std::uint64_t> sample_counts(const GridIndex& grid,
+                                         const Dataset* probe,
+                                         std::span<const PointId> sample) {
+  return probe != nullptr ? probe_neighbor_counts(grid, *probe, sample)
+                          : neighbor_counts(grid, sample);
+}
+
 }  // namespace
 
 std::uint64_t estimate_strided_total(const GridIndex& grid,
-                                     const BatchingConfig& cfg) {
-  const std::size_t n = grid.dataset().size();
+                                     const BatchingConfig& cfg,
+                                     const Dataset* probe) {
+  const std::size_t n =
+      probe != nullptr ? probe->size() : grid.dataset().size();
   const auto stride = static_cast<std::size_t>(
       std::max(1.0, std::floor(1.0 / cfg.sample_fraction)));
   std::vector<PointId> sample;
@@ -57,7 +69,7 @@ std::uint64_t estimate_strided_total(const GridIndex& grid,
   for (std::size_t i = 0; i < n; i += stride) {
     sample.push_back(static_cast<PointId>(i));
   }
-  const auto counts = neighbor_counts(grid, sample);
+  const auto counts = sample_counts(grid, probe, sample);
   std::uint64_t sample_sum = 0;
   for (auto c : counts) sample_sum += c;
   return skewed(static_cast<std::uint64_t>(static_cast<double>(sample_sum) *
@@ -68,8 +80,10 @@ std::uint64_t estimate_strided_total(const GridIndex& grid,
 
 std::uint64_t estimate_queue_total(const GridIndex& grid,
                                    const BatchingConfig& cfg,
-                                   std::span<const PointId> queue_order) {
-  const std::size_t n = grid.dataset().size();
+                                   std::span<const PointId> queue_order,
+                                   const Dataset* probe) {
+  const std::size_t n =
+      probe != nullptr ? probe->size() : grid.dataset().size();
   GSJ_CHECK(queue_order.size() == n);
   // First 1% of D' — the heaviest-workload points — extrapolated to the
   // whole dataset; the paper's deliberate over-estimate (§III-D).
@@ -83,50 +97,8 @@ std::uint64_t estimate_queue_total(const GridIndex& grid,
   // behaviour while staying safe (see DESIGN.md §2).
   const auto sample_n = static_cast<std::size_t>(
       std::max(1.0, std::floor(static_cast<double>(n) * cfg.sample_fraction)));
-  const auto counts = neighbor_counts(grid, queue_order.subspan(0, sample_n));
-  std::uint64_t sample_sum = 0;
-  for (auto c : counts) sample_sum += c;
-  const auto first_pct_estimate =
-      skewed(static_cast<std::uint64_t>(static_cast<double>(sample_sum) /
-                                        static_cast<double>(sample_n) *
-                                        static_cast<double>(n)),
-             cfg);
-  return std::max(first_pct_estimate, estimate_strided_total(grid, cfg));
-}
-
-std::uint64_t estimate_rxs_strided_total(const GridIndex& grid,
-                                         const Dataset& probe,
-                                         const BatchingConfig& cfg) {
-  const std::size_t n = probe.size();
-  const auto stride = static_cast<std::size_t>(
-      std::max(1.0, std::floor(1.0 / cfg.sample_fraction)));
-  std::vector<PointId> sample;
-  sample.reserve(n / stride + 1);
-  for (std::size_t i = 0; i < n; i += stride) {
-    sample.push_back(static_cast<PointId>(i));
-  }
-  const auto counts = probe_neighbor_counts(grid, probe, sample);
-  std::uint64_t sample_sum = 0;
-  for (auto c : counts) sample_sum += c;
-  return skewed(static_cast<std::uint64_t>(static_cast<double>(sample_sum) *
-                                           static_cast<double>(n) /
-                                           static_cast<double>(sample.size())),
-                cfg);
-}
-
-std::uint64_t estimate_rxs_queue_total(const GridIndex& grid,
-                                       const Dataset& probe,
-                                       const BatchingConfig& cfg,
-                                       std::span<const PointId> queue_order) {
-  const std::size_t n = probe.size();
-  GSJ_CHECK(queue_order.size() == n);
-  // Same first-1%-of-D' over-estimate as the self-join queue estimator,
-  // maxed with the strided one (same undershoot caveat — see
-  // estimate_queue_total).
-  const auto sample_n = static_cast<std::size_t>(
-      std::max(1.0, std::floor(static_cast<double>(n) * cfg.sample_fraction)));
   const auto counts =
-      probe_neighbor_counts(grid, probe, queue_order.subspan(0, sample_n));
+      sample_counts(grid, probe, queue_order.subspan(0, sample_n));
   std::uint64_t sample_sum = 0;
   for (auto c : counts) sample_sum += c;
   const auto first_pct_estimate =
@@ -135,7 +107,60 @@ std::uint64_t estimate_rxs_queue_total(const GridIndex& grid,
                                         static_cast<double>(n)),
              cfg);
   return std::max(first_pct_estimate,
-                  estimate_rxs_strided_total(grid, probe, cfg));
+                  estimate_strided_total(grid, cfg, probe));
+}
+
+std::vector<std::vector<PointId>> stride_batches(
+    std::span<const PointId> points, std::size_t num_batches,
+    std::span<const std::uint64_t> sort_workloads, ThreadPool* pool) {
+  std::vector<std::vector<PointId>> batches(num_batches);
+  for (auto& b : batches) b.reserve(points.size() / num_batches + 1);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    batches[i % num_batches].push_back(points[i]);
+  }
+  if (sort_workloads.empty()) return batches;
+  const auto sort_batch = [&](std::size_t bi) {
+    std::stable_sort(batches[bi].begin(), batches[bi].end(),
+                     [sort_workloads](PointId a, PointId c) {
+                       return sort_workloads[a] > sort_workloads[c];
+                     });
+  };
+  // Batches are disjoint vectors and each gets a plain stable sort,
+  // so running them on pool workers changes nothing but wall time.
+  if (pool != nullptr && pool->size() > 1 && num_batches > 1) {
+    pool->parallel_for(num_batches, sort_batch);
+  } else {
+    for (std::size_t bi = 0; bi < num_batches; ++bi) sort_batch(bi);
+  }
+  return batches;
+}
+
+std::vector<std::pair<std::uint64_t, std::uint64_t>> cut_queue_chunks(
+    std::span<const PointId> queue, std::span<const std::uint64_t> workloads,
+    double est_per_point, const BatchingConfig& cfg) {
+  const std::size_t n = queue.size();
+  if (!cfg.enabled) return {{0, n}};
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> chunks;
+  const auto budget = static_cast<double>(cfg.buffer_pairs);
+  std::size_t begin = 0;
+  while (begin < n) {
+    std::uint64_t bound_sum = 0;
+    double est_sum = 0.0;
+    std::size_t end = begin;
+    while (end < n) {
+      const std::uint64_t b = 2 * workloads[queue[end]] + 1;
+      if (end > begin && (static_cast<double>(bound_sum + b) > budget ||
+                          est_sum + est_per_point > budget)) {
+        break;
+      }
+      bound_sum += b;
+      est_sum += est_per_point;
+      ++end;
+    }
+    chunks.emplace_back(begin, end);
+    begin = end;
+  }
+  return chunks;
 }
 
 BatchPlan plan_strided(const GridIndex& grid, const BatchingConfig& cfg,
@@ -154,45 +179,30 @@ BatchPlan plan_strided(const GridIndex& grid, const BatchingConfig& cfg,
     // fetched from the engine cache.
     const auto sp = obs::span(tracer, "estimation_sample");
     plan.estimated_total_pairs =
-        precomputed_estimate.has_value() ? *precomputed_estimate
-        : probe != nullptr ? estimate_rxs_strided_total(grid, *probe, cfg)
-                           : estimate_strided_total(grid, cfg);
+        precomputed_estimate.has_value()
+            ? *precomputed_estimate
+            : estimate_strided_total(grid, cfg, probe);
   }
   plan.num_batches = batch_count(plan.estimated_total_pairs, cfg, n);
-  plan.batches.resize(plan.num_batches);
-  for (auto& b : plan.batches) b.reserve(n / plan.num_batches + 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    plan.batches[i % plan.num_batches].push_back(static_cast<PointId>(i));
-  }
+  std::vector<PointId> ids(n);
+  std::iota(ids.begin(), ids.end(), PointId{0});
 
+  std::vector<std::uint64_t> pw_storage;
+  std::span<const std::uint64_t> pw;
   if (sort_batches_by_workload) {
-    std::vector<std::uint64_t> pw_storage;
-    std::span<const std::uint64_t> pw = workloads;
-    {
-      const auto sp = obs::span(tracer, "workload_quantify");
-      if (pw.empty()) {
-        pw_storage = probe != nullptr
-                         ? probe_point_workloads(grid, *probe, pool)
-                         : point_workloads(grid, pattern, pool);
-        pw = pw_storage;
-      }
-      GSJ_CHECK(pw.size() == n);
+    const auto sp = obs::span(tracer, "workload_quantify");
+    pw = workloads;
+    if (pw.empty()) {
+      pw_storage = probe != nullptr ? probe_point_workloads(grid, *probe, pool)
+                                    : point_workloads(grid, pattern, pool);
+      pw = pw_storage;
     }
-    const auto sp = obs::span(tracer, "sortbywl_sort");
-    const auto sort_batch = [&](std::size_t bi) {
-      auto& b = plan.batches[bi];
-      std::stable_sort(b.begin(), b.end(), [&pw](PointId a, PointId c) {
-        return pw[a] > pw[c];
-      });
-    };
-    // Batches are disjoint vectors and each gets a plain stable sort,
-    // so running them on pool workers changes nothing but wall time.
-    if (pool != nullptr && pool->size() > 1 && plan.num_batches > 1) {
-      pool->parallel_for(plan.num_batches, sort_batch);
-    } else {
-      for (std::size_t bi = 0; bi < plan.num_batches; ++bi) sort_batch(bi);
-    }
+    GSJ_CHECK(pw.size() == n);
   }
+  // Striding builds the lists SORTBYWL sorts, so it shares their span.
+  const auto sp =
+      obs::span(sort_batches_by_workload ? tracer : nullptr, "sortbywl_sort");
+  plan.batches = stride_batches(ids, plan.num_batches, pw, pool);
   return plan;
 }
 
@@ -211,48 +221,15 @@ BatchPlan plan_queue(const GridIndex& grid, const BatchingConfig& cfg,
     // Opens even when the estimate is precomputed — see plan_strided.
     const auto sp = obs::span(tracer, "estimation_sample");
     plan.estimated_total_pairs =
-        precomputed_estimate.has_value() ? *precomputed_estimate
-        : probe != nullptr
-            ? estimate_rxs_queue_total(grid, *probe, cfg, queue_order)
-            : estimate_queue_total(grid, cfg, queue_order);
+        precomputed_estimate.has_value()
+            ? *precomputed_estimate
+            : estimate_queue_total(grid, cfg, queue_order, probe);
   }
-
-  if (!cfg.enabled) {
-    plan.queue_ranges.emplace_back(0, n);
-    plan.num_batches = 1;
-    return plan;
-  }
-
-  // Greedy chunking. Two cut conditions:
-  //  * hard bound — one point contributes at most 2*workload + 1 pairs
-  //    (every candidate evaluation emits at most two ordered pairs,
-  //    plus the self pair), so keeping the summed bound within the
-  //    buffer can never overflow;
-  //  * estimate — mean pairs/point from the sample, scaled by the
-  //    safety factor, keeps chunk sizes close to the paper's
-  //    equal-share scheme when the bound is loose.
   const double est_per_point =
       static_cast<double>(plan.estimated_total_pairs) /
       static_cast<double>(n) * cfg.safety;
-  const auto budget = static_cast<double>(cfg.buffer_pairs);
-  std::size_t begin = 0;
-  while (begin < n) {
-    std::uint64_t bound_sum = 0;
-    double est_sum = 0.0;
-    std::size_t end = begin;
-    while (end < n) {
-      const std::uint64_t b = 2 * workloads[queue_order[end]] + 1;
-      if (end > begin && (static_cast<double>(bound_sum + b) > budget ||
-                          est_sum + est_per_point > budget)) {
-        break;
-      }
-      bound_sum += b;
-      est_sum += est_per_point;
-      ++end;
-    }
-    plan.queue_ranges.emplace_back(begin, end);
-    begin = end;
-  }
+  plan.queue_ranges =
+      cut_queue_chunks(queue_order, workloads, est_per_point, cfg);
   plan.num_batches = plan.queue_ranges.size();
   return plan;
 }

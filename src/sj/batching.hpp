@@ -100,27 +100,53 @@ struct BatchPlan {
 /// with the fault-injection skew applied. Deterministic for a fixed
 /// (grid, sample_fraction, inject_estimator_skew) — the artifact cache
 /// (sj/service.hpp) keeps it under exactly that key so re-planning a
-/// cached dataset skips the sampling join.
-[[nodiscard]] std::uint64_t estimate_strided_total(const GridIndex& grid,
-                                                   const BatchingConfig& cfg);
+/// cached dataset skips the sampling join. A non-null `probe` estimates
+/// an R×S join (JoinMode::RxS) instead: the sample is drawn from probe
+/// point ids, counted against the gridded dataset
+/// (probe_neighbor_counts) and extrapolated to |probe|; the cache then
+/// also keys on the probe's identity.
+[[nodiscard]] std::uint64_t estimate_strided_total(
+    const GridIndex& grid, const BatchingConfig& cfg,
+    const Dataset* probe = nullptr);
 
 /// The WORKQUEUE estimate: the first `sample_fraction` of D' (the
 /// heaviest points) extrapolated to the whole dataset, combined with
 /// the strided estimate by max (see plan_queue's deviation note).
-/// Skew applied; deterministic and cacheable like the strided one.
+/// Skew applied; deterministic and cacheable like the strided one. A
+/// non-null `probe` makes it the R×S estimate, `queue_order` then
+/// ordering probe points.
 [[nodiscard]] std::uint64_t estimate_queue_total(
     const GridIndex& grid, const BatchingConfig& cfg,
-    std::span<const PointId> queue_order);
+    std::span<const PointId> queue_order, const Dataset* probe = nullptr);
 
-/// R×S analogues (JoinMode::RxS): the sample is drawn from *probe*
-/// point ids and counted against the gridded dataset
-/// (probe_neighbor_counts), extrapolated to |probe|. Deterministic and
-/// cacheable per (grid, probe identity, knobs) like the self-join ones.
-[[nodiscard]] std::uint64_t estimate_rxs_strided_total(
-    const GridIndex& grid, const Dataset& probe, const BatchingConfig& cfg);
-[[nodiscard]] std::uint64_t estimate_rxs_queue_total(
-    const GridIndex& grid, const Dataset& probe, const BatchingConfig& cfg,
-    std::span<const PointId> queue_order);
+/// The strided split shared by plan_strided and the fleet's per-grain
+/// batches: element i of `points` goes to batch i mod `num_batches`
+/// (striding makes per-batch result sizes nearly equal). A non-empty
+/// `sort_workloads` (indexed by point id) then orders each batch by
+/// non-increasing workload (SORTBYWL, stable); a non-null `pool` sorts
+/// batches in parallel with the same outcome.
+[[nodiscard]] std::vector<std::vector<PointId>> stride_batches(
+    std::span<const PointId> points, std::size_t num_batches,
+    std::span<const std::uint64_t> sort_workloads = {},
+    ThreadPool* pool = nullptr);
+
+/// The greedy chunk cutter shared by plan_queue and the fleet's
+/// per-grain work queues: contiguous [begin, end) chunks over `queue`
+/// (D' or a slice of it). A chunk ends before the point that would
+/// push either budget past cfg.buffer_pairs:
+///  * hard bound — one point contributes at most 2*workload + 1 pairs
+///    (every candidate evaluation emits at most two ordered pairs, plus
+///    the self pair), so keeping the summed bound within the buffer can
+///    never overflow;
+///  * estimate — `est_per_point` (the caller's safety-scaled mean pairs
+///    per point) keeps chunk sizes close to the paper's equal-share
+///    scheme when the bound is loose.
+/// Every chunk takes at least one point. Disabled batching returns the
+/// whole queue as one chunk.
+[[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
+cut_queue_chunks(std::span<const PointId> queue,
+                 std::span<const std::uint64_t> workloads,
+                 double est_per_point, const BatchingConfig& cfg);
 
 /// Plans strided batches over natural point order. When
 /// `sort_batches_by_workload`, each batch list is ordered by
@@ -139,7 +165,7 @@ struct BatchPlan {
 /// A non-null `probe` plans an R×S join instead: batches cover *probe*
 /// point ids (|probe| query points), `workloads` / the quantification
 /// fallback are per-probe-point (probe_point_workloads), and the
-/// estimate is the R×S strided one. Everything else — striding,
+/// estimate is the R×S one. Everything else — striding,
 /// SORTBYWL ordering, caching contract — is unchanged.
 [[nodiscard]] BatchPlan plan_strided(
     const GridIndex& grid, const BatchingConfig& cfg,

@@ -13,156 +13,262 @@
 #include "simt/fleet.hpp"
 
 namespace gsj::detail {
+namespace {
 
-void execute_self_join(const SelfJoinConfig& cfg, ExecutionInputs& in,
-                       ScratchArena& arena, SelfJoinOutput& out) {
-  const GridIndex& grid = *in.grid;
-  BatchPlan& plan = *in.plan;
-  const simt::DeviceConfig& device = in.device;
-  obs::Tracer* tracer = cfg.tracer;
-
-  out.stats.num_batches = plan.num_batches;
-  out.stats.warp_size = device.warp_size;
-  // Pre-size pair storage from the batch estimator so stored-pair joins
-  // don't pay realloc churn while the kernel emits. The estimate is
-  // untrusted — clamped to one buffer's capacity so a wildly high value
-  // cannot bad_alloc before the join starts; growth past it is
-  // amortized by the vector.
-  if (cfg.store_pairs) {
-    out.results.reserve(
-        std::min(plan.estimated_total_pairs, cfg.batching.buffer_pairs));
-  }
-
-  // Per-batch result capacity: the fixed pinned buffer of a real GPU
-  // join. Overflow detection (and its fault-injection override) only
-  // applies while batching is on; a disabled batcher runs one unbounded
-  // batch unless a capacity is injected for testing.
-  const std::uint64_t capacity =
-      cfg.batching.enabled ? cfg.batching.effective_capacity()
-      : cfg.batching.inject_capacity != 0 ? cfg.batching.inject_capacity
-                                          : ResultSet::kUnlimited;
-
-  simt::DeviceCounter counter;
-  auto& kernel_secs = arena.kernel_secs;
-  auto& xfer_secs = arena.xfer_secs;
-  kernel_secs.clear();
-  xfer_secs.clear();
-  kernel_secs.reserve(plan.num_batches);
-  xfer_secs.reserve(plan.num_batches);
-  out.stats.batches = std::move(arena.spare_batch_stats);
-  arena.spare_batch_stats = {};
-  out.stats.batches.clear();
-
-  // --- per-warp collection (diagnostics, tracing, metrics) ---
-  const bool collect = cfg.collect_diagnostics || tracer != nullptr ||
-                       cfg.metrics != nullptr;
-  auto& all_warp_cycles = arena.all_warp_cycles;  // across all batches
-  all_warp_cycles.clear();
-  std::vector<obs::SlotStats> slots = std::move(arena.spare_slots);
-  arena.spare_slots = {};
-  slots.assign(collect ? static_cast<std::size_t>(device.total_slots()) : 0,
-               obs::SlotStats{});
-  auto& slot_finish = arena.slot_finish;  // per launch
-  slot_finish.assign(slots.size(), 0);
-  obs::CycleHistogram* warp_cycle_hist =
-      cfg.metrics != nullptr
-          ? &cfg.metrics->cycle_histogram("sj.warp_cycles")
-          : nullptr;
-  std::uint64_t cycle_offset = 0;  // batches execute back-to-back
-  std::uint32_t batch_index = 0;
-  std::size_t batch_first_warp = 0;  // index into all_warp_cycles
-
-  // Warp records are buffered per launch and committed to the obs
-  // sinks only once the launch is known not to have overflowed — a
-  // rolled-back launch must leave no trace in diagnostics, metrics or
-  // the exported timeline (its cost is accounted in stats.wasted).
-  auto& launch_records = arena.launch_records;
-  launch_records.clear();
-  simt::WarpObserver observer;
-  if (collect) {
-    observer = [&launch_records](const simt::WarpRecord& r) {
-      launch_records.push_back(r);
-    };
-  }
-  auto commit_record = [&](const simt::WarpRecord& r) {
-    all_warp_cycles.push_back(r.cycles);
-    auto& s = slots[static_cast<std::size_t>(r.slot)];
-    ++s.warps;
-    s.busy_cycles += r.cycles;
-    auto& fin = slot_finish[static_cast<std::size_t>(r.slot)];
-    fin = std::max(fin, r.start_cycle + r.cycles);
-    if (tracer != nullptr) tracer->record_warp(r, cycle_offset, batch_index);
-    if (warp_cycle_hist != nullptr) warp_cycle_hist->record(r.cycles);
+/// The one batch driver behind both execution paths. run() executes one
+/// BatchPlan on one device against the fixed-capacity result buffer:
+/// one kernel launch per batch, overflow rollback with wasted-work
+/// accounting, LIFO halve-and-retry recovery, cooperative cancellation
+/// and committed BatchStats. execute_self_join calls run() once;
+/// execute_fleet calls it once per grain. State that spans the whole
+/// join (result buffer, batch list, warp-cycle collection, retry
+/// budget) lives here, so recovery and numbering continue across grains.
+///
+/// A single-device driver additionally keeps per-slot stats, tracer
+/// warp/batch events and the cycle offset of back-to-back batches; on a
+/// fleet, device-level accounting supersedes them.
+class BatchDriver {
+ public:
+  /// Modeled device time and committed stats of one run() call.
+  struct Totals {
+    double seconds = 0.0;      ///< every launch, rolled-back ones included
+    simt::KernelStats kernel;  ///< committed launches only
   };
 
-  // Request-scoped channel: spans for every launch land on the service
-  // tracer parented under the request's execute span, and breadcrumbs
-  // on the flight recorder. request_id == 0 (engine/direct runs)
-  // suppresses the spans; the recorder accepts id 0 (run()-path
-  // breadcrumbs are still useful in a failure dump).
-  obs::Tracer* req_tracer =
-      in.channel_ctx.request_id != 0 ? in.channel_tracer : nullptr;
-  const std::uint64_t req_id = in.channel_ctx.request_id;
-  obs::FlightRecorder* recorder = in.recorder;
+  BatchDriver(const SelfJoinConfig& cfg, const ExecutionInputs& in,
+              ScratchArena& arena, SelfJoinOutput& out, bool single_device)
+      : cfg_(cfg),
+        in_(in),
+        arena_(arena),
+        out_(out),
+        tracer_(single_device ? cfg.tracer : nullptr),
+        // Request-scoped channel: spans for every launch land on the
+        // service tracer parented under the request's execute span.
+        // request_id == 0 (engine/direct runs) suppresses the spans;
+        // the recorder accepts id 0 (run()-path breadcrumbs are still
+        // useful in a failure dump).
+        req_tracer_(in.channel_ctx.request_id != 0 ? in.channel_tracer
+                                                   : nullptr),
+        // Per-batch result capacity: the fixed pinned buffer of a real
+        // GPU join. Overflow detection (and its fault-injection
+        // override) only applies while batching is on; a disabled
+        // batcher runs one unbounded batch unless a capacity is
+        // injected for testing.
+        capacity_(cfg.batching.enabled ? cfg.batching.effective_capacity()
+                  : cfg.batching.inject_capacity != 0
+                      ? cfg.batching.inject_capacity
+                      : ResultSet::kUnlimited),
+        collect_(cfg.collect_diagnostics || tracer_ != nullptr ||
+                 cfg.metrics != nullptr),
+        warp_cycle_hist_(cfg.metrics != nullptr
+                             ? &cfg.metrics->cycle_histogram("sj.warp_cycles")
+                             : nullptr) {
+    out.stats.warp_size = in.device.warp_size;
+    // Pre-size pair storage from the batch estimator so stored-pair
+    // joins don't pay realloc churn while the kernel emits. The
+    // estimate is untrusted — clamped to one buffer's capacity so a
+    // wildly high value cannot bad_alloc before the join starts;
+    // growth past it is amortized by the vector.
+    if (cfg.store_pairs) {
+      out.results.reserve(std::min(in.plan->estimated_total_pairs,
+                                   cfg.batching.buffer_pairs));
+    }
+    out.stats.batches = std::move(arena.spare_batch_stats);
+    arena.spare_batch_stats = {};
+    out.stats.batches.clear();
+    arena.all_warp_cycles.clear();
+    slots_ = std::move(arena.spare_slots);
+    arena.spare_slots = {};
+    slots_.assign(single_device && collect_
+                      ? static_cast<std::size_t>(in.device.total_slots())
+                      : 0,
+                  obs::SlotStats{});
+    arena.slot_finish.assign(slots_.size(), 0);
+    // Warp records are buffered per launch and committed to the obs
+    // sinks only once the launch is known not to have overflowed — a
+    // rolled-back launch must leave no trace in diagnostics, metrics or
+    // the exported timeline (its cost is accounted in stats.wasted).
+    arena.launch_records.clear();
+    if (collect_) {
+      observer_ = [&records = arena.launch_records](const simt::WarpRecord& r) {
+        records.push_back(r);
+      };
+    }
+  }
 
+  /// Executes `plan` on `device` (fleet index `device_id`), consuming
+  /// its batch lists; `queue` is the D' slice its queue ranges index.
+  /// Appends every launch's modeled kernel/transfer seconds to the
+  /// device's timeline.
+  Totals run(BatchPlan& plan, const simt::DeviceConfig& device, int device_id,
+             std::span<const PointId> queue, std::vector<double>& kernel_secs,
+             std::vector<double>& xfer_secs) {
+    device_ = &device;
+    device_id_ = device_id;
+    queue_ = queue;
+    kernel_secs_ = &kernel_secs;
+    xfer_secs_ = &xfer_secs;
+    totals_ = Totals{};
+    if (cfg_.work_queue) {
+      // LIFO stack of [begin, end) chunks over D'; a failed chunk is
+      // halved and both halves re-executed (first half next, preserving
+      // the workload-sorted consumption order).
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> work(
+          plan.queue_ranges.rbegin(), plan.queue_ranges.rend());
+      while (!work.empty()) {
+        throw_if_cancelled();
+        const auto [begin, end] = work.back();
+        work.pop_back();
+        if (begin == end) continue;
+        counter_.reset(begin);
+        if (attempt({}, end - begin)) continue;
+        const auto sp = obs::span(tracer_, "overflow_retry");
+        const auto rsp =
+            obs::span(req_tracer_, "overflow_retry", in_.channel_ctx);
+        check_recoverable(end - begin);
+        const std::uint64_t mid = begin + (end - begin) / 2;
+        work.emplace_back(mid, end);
+        work.emplace_back(begin, mid);
+      }
+    } else {
+      // LIFO stack over the planned batch lists; a failed batch is split
+      // in half (halves keep their SORTBYWL order — a contiguous slice
+      // of a sorted list stays sorted). The plan's lists are moved, not
+      // copied — the plan is consumed.
+      std::vector<std::vector<PointId>> work(
+          std::make_move_iterator(plan.batches.rbegin()),
+          std::make_move_iterator(plan.batches.rend()));
+      while (!work.empty()) {
+        throw_if_cancelled();
+        std::vector<PointId> batch = std::move(work.back());
+        work.pop_back();
+        if (batch.empty()) continue;
+        if (attempt(batch, 0)) continue;
+        const auto sp = obs::span(tracer_, "overflow_retry");
+        const auto rsp =
+            obs::span(req_tracer_, "overflow_retry", in_.channel_ctx);
+        check_recoverable(batch.size());
+        const std::size_t mid = batch.size() / 2;
+        work.emplace_back(batch.begin() + static_cast<std::ptrdiff_t>(mid),
+                          batch.end());
+        batch.resize(mid);
+        work.push_back(std::move(batch));
+      }
+    }
+    return totals_;
+  }
+
+  /// Closes the join once the caller has set stats.kernel,
+  /// kernel_seconds and total_seconds: batch count, unclamped result
+  /// window, dispersion and slot stats, the sj.* metric block and the
+  /// canonical pair order.
+  void finish() {
+    SelfJoinStats& st = out_.stats;
+    // Recovery may have executed more (smaller) batches than planned.
+    st.num_batches = st.batches.size();
+    // Close the batch window so the returned ResultSet is unclamped.
+    out_.results.begin_batch(ResultSet::kUnlimited);
+    st.result_pairs = out_.results.count();
+    if (collect_) {
+      st.warp_imbalance = obs::analyze_warp_cycles(arena_.all_warp_cycles);
+      st.slots = std::move(slots_);
+    }
+    if (cfg_.metrics != nullptr) {
+      obs::Registry& m = *cfg_.metrics;
+      m.counter("sj.batches").add(st.num_batches);
+      m.counter("sj.result_pairs").add(st.result_pairs);
+      m.counter("sj.warps_launched").add(st.kernel.warps_launched);
+      m.counter("sj.warp_steps").add(st.kernel.warp_steps);
+      m.counter("sj.active_lane_steps").add(st.kernel.active_lane_steps);
+      m.counter("sj.atomics").add(st.kernel.atomics_executed);
+      m.counter("sj.overflow_retries").add(st.overflow_retries);
+      m.counter("sj.aborted_launches").add(st.wasted.aborted_launches);
+      m.counter("sj.wasted_pairs").add(st.wasted.results_emitted);
+      m.counter("sj.wasted_cycles").add(st.wasted.busy_cycles);
+      m.gauge("sj.wee_percent").set(st.wee_percent());
+      m.gauge("sj.warp_cycle_cov").set(st.warp_cycle_cov());
+      m.gauge("sj.warp_cycle_gini").set(st.warp_cycle_gini());
+      m.gauge("sj.estimated_total_pairs")
+          .set(static_cast<double>(st.estimated_total_pairs));
+      m.gauge("sj.kernel_seconds").set(st.kernel_seconds);
+      m.gauge("sj.total_seconds").set(st.total_seconds);
+      m.gauge("sj.host_prep_seconds").set(st.host_prep_seconds);
+    }
+    if (cfg_.store_pairs) out_.results.canonicalize();
+  }
+
+ private:
   // Cooperative cancellation (JoinService): polled at batch boundaries
   // and folded into the launch abort hook. A cancelled run throws
   // CancelledError; the caller discards the partial output, so nothing
   // here needs to roll back beyond what overflow recovery already does.
-  const std::atomic<bool>* cancel = in.cancel;
-  auto cancelled = [cancel] {
-    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
-  };
-  auto throw_if_cancelled = [&] {
-    if (cancelled()) {
-      if (recorder != nullptr) {
-        recorder->record("cancelled", req_id, out.stats.batches.size());
-      }
-      throw CancelledError(out.stats.batches.size());
+  void throw_if_cancelled() {
+    if (in_.cancel != nullptr &&
+        in_.cancel->load(std::memory_order_relaxed)) {
+      record("cancelled", out_.stats.batches.size());
+      throw CancelledError(out_.stats.batches.size());
     }
-  };
+  }
+
+  // A failed batch is recoverable while it is still divisible and the
+  // retry budget holds; otherwise the join surfaces the structured,
+  // caller-actionable error.
+  void check_recoverable(std::uint64_t batch_points) {
+    const std::uint64_t retries = out_.stats.overflow_retries;
+    if (batch_points <= 1 || retries > cfg_.batching.max_overflow_retries) {
+      record("overflow_exhausted", retries);
+      throw OverflowError(capacity_, overflow_pairs_, batch_points, retries);
+    }
+  }
+
+  void record(const char* event, std::uint64_t value) {
+    if (in_.recorder != nullptr) {
+      in_.recorder->record(event, in_.channel_ctx.request_id, value);
+    }
+  }
 
   // Executes one batch against the fixed-capacity buffer. On overflow
   // the launch is aborted (block granularity), every side effect rolled
   // back, and the wasted device time accounted; returns false so the
-  // caller can split and re-plan. `overflow_pairs` reports the count at
+  // caller can split and re-plan. `overflow_pairs_` keeps the count at
   // detection (a lower bound when the launch aborted early).
-  std::uint64_t overflow_pairs = 0;
-  auto attempt_batch = [&](std::span<const PointId> points,
-                           std::uint64_t queue_len) -> bool {
+  bool attempt(std::span<const PointId> points, std::uint64_t queue_len) {
+    SelfJoinStats& st = out_.stats;
+    const auto index = static_cast<std::uint32_t>(st.batches.size());
     auto batch_span = obs::span(
-        req_tracer,
-        req_tracer != nullptr ? "batch " + std::to_string(batch_index)
-                              : std::string(),
-        in.channel_ctx);
+        req_tracer_,
+        req_tracer_ != nullptr ? "batch " + std::to_string(index)
+                               : std::string(),
+        in_.channel_ctx);
+    const simt::DeviceConfig& device = *device_;
     KernelParams params;
-    params.grid = &grid;
-    params.pattern = cfg.pattern;
-    params.probe = in.probe;
+    params.grid = in_.grid;
+    params.pattern = cfg_.pattern;
+    params.probe = in_.probe;
     params.assignment =
-        cfg.work_queue ? Assignment::WorkQueue : Assignment::Static;
-    params.k = cfg.k;
+        cfg_.work_queue ? Assignment::WorkQueue : Assignment::Static;
+    params.k = cfg_.k;
     params.points = points;
-    params.queue = in.queue_order;
-    params.counter = &counter;
+    params.queue = queue_;
+    params.counter = &counter_;
     params.device = &device;
-    params.results = &out.results;
+    params.results = &out_.results;
 
-    const std::uint64_t groups =
-        cfg.work_queue ? queue_len : points.size();
-    const std::uint64_t nthreads = groups * static_cast<std::uint64_t>(cfg.k);
+    const std::uint64_t groups = cfg_.work_queue ? queue_len : points.size();
+    const std::uint64_t nthreads = groups * static_cast<std::uint64_t>(cfg_.k);
 
-    out.results.begin_batch(capacity);
+    out_.results.begin_batch(capacity_);
     SelfJoinKernel kernel(params);
-    launch_records.clear();
+    arena_.launch_records.clear();
+    const std::atomic<bool>* cancel = in_.cancel;
     simt::LaunchAbort abort_hook;
-    if (capacity != ResultSet::kUnlimited && cancel != nullptr) {
-      abort_hook = [&results = out.results, cancel] {
+    if (capacity_ != ResultSet::kUnlimited && cancel != nullptr) {
+      abort_hook = [&results = out_.results, cancel] {
         return results.batch_overflowed() ||
                cancel->load(std::memory_order_relaxed);
       };
-    } else if (capacity != ResultSet::kUnlimited) {
-      abort_hook = [&results = out.results] {
+    } else if (capacity_ != ResultSet::kUnlimited) {
+      abort_hook = [&results = out_.results] {
         return results.batch_overflowed();
       };
     } else if (cancel != nullptr) {
@@ -171,7 +277,7 @@ void execute_self_join(const SelfJoinConfig& cfg, ExecutionInputs& in,
       };
     }
     simt::KernelStats ks =
-        simt::launch(device, nthreads, kernel, observer, abort_hook);
+        simt::launch(device, nthreads, kernel, observer_, abort_hook);
     ks.atomics_executed = kernel.atomics_executed();
     ks.results_emitted = kernel.results_emitted();
 
@@ -180,171 +286,124 @@ void execute_self_join(const SelfJoinConfig& cfg, ExecutionInputs& in,
     // cancellation before the overflow/commit bookkeeping.
     throw_if_cancelled();
 
-    if (out.results.batch_overflowed()) {
+    const double secs = ks.seconds(device);
+    totals_.seconds += secs;
+    kernel_secs_->push_back(secs);
+    if (out_.results.batch_overflowed()) {
       // The device time is spent either way; the overflowed buffer is
       // never transferred. Partial results are discarded bit-exactly.
-      overflow_pairs = out.results.batch_count();
-      out.results.rollback_batch();
-      out.stats.buffer_overflowed = true;
-      ++out.stats.overflow_retries;
-      out.stats.wasted.merge(ks);
-      kernel_secs.push_back(ks.seconds(device));
-      xfer_secs.push_back(0.0);
-      cycle_offset += ks.makespan_cycles;
-      if (recorder != nullptr) {
-        recorder->record("batch_overflow", req_id, overflow_pairs);
-      }
+      overflow_pairs_ = out_.results.batch_count();
+      out_.results.rollback_batch();
+      st.buffer_overflowed = true;
+      ++st.overflow_retries;
+      st.wasted.merge(ks);
+      xfer_secs_->push_back(0.0);
+      cycle_offset_ += ks.makespan_cycles;
+      record("batch_overflow", overflow_pairs_);
       return false;
     }
 
-    out.stats.kernel.merge(ks);
-    const std::uint64_t batch_pairs = out.results.batch_count();
-    out.stats.max_batch_pairs =
-        std::max(out.stats.max_batch_pairs, batch_pairs);
-    kernel_secs.push_back(ks.seconds(device));
-    xfer_secs.push_back(transfer_seconds(batch_pairs, cfg.batching));
+    totals_.kernel.merge(ks);
+    const std::uint64_t batch_pairs = out_.results.batch_count();
+    st.max_batch_pairs = std::max(st.max_batch_pairs, batch_pairs);
+    xfer_secs_->push_back(transfer_seconds(batch_pairs, cfg_.batching));
 
     BatchStats bs;
+    bs.device = device_id_;
     bs.query_points = groups;
     bs.result_pairs = batch_pairs;
     bs.warps = ks.warps_launched;
     bs.makespan_cycles = ks.makespan_cycles;
-    bs.kernel_seconds = kernel_secs.back();
-    bs.transfer_seconds = xfer_secs.back();
+    bs.kernel_seconds = secs;
+    bs.transfer_seconds = xfer_secs_->back();
     bs.wee_percent = ks.warp_execution_efficiency(device.warp_size) * 100.0;
-
-    if (collect) {
-      // Commit the buffered records, then close out this launch:
-      // per-slot tail idle against the launch's makespan (slots that
-      // never ran a warp idled for the whole launch — the same
-      // accounting simt::launch uses internally).
-      std::fill(slot_finish.begin(), slot_finish.end(), 0);
-      for (const auto& r : launch_records) commit_record(r);
-      for (std::size_t s = 0; s < slots.size(); ++s) {
-        slots[s].tail_idle_cycles += ks.makespan_cycles - slot_finish[s];
-      }
-      const std::span<const std::uint64_t> batch_cycles{
-          all_warp_cycles.data() + batch_first_warp,
-          all_warp_cycles.size() - batch_first_warp};
-      bs.warp_cycle_cov = obs::analyze_warp_cycles(batch_cycles).cov;
-      batch_first_warp = all_warp_cycles.size();
-    }
-    if (tracer != nullptr) {
+    if (collect_) bs.warp_cycle_cov = commit_records(ks.makespan_cycles, index);
+    if (tracer_ != nullptr) {
       obs::BatchEvent ev;
-      ev.index = batch_index;
-      ev.start_cycle = cycle_offset;
+      ev.index = index;
+      ev.start_cycle = cycle_offset_;
       ev.makespan_cycles = ks.makespan_cycles;
       ev.warps = ks.warps_launched;
       ev.result_pairs = batch_pairs;
       ev.wee_percent = bs.wee_percent;
-      tracer->record_batch(ev);
+      tracer_->record_batch(ev);
     }
-    cycle_offset += ks.makespan_cycles;
-    ++batch_index;
-    out.stats.batches.push_back(bs);
-    if (recorder != nullptr) {
-      recorder->record("batch_commit", req_id, batch_pairs);
-    }
+    cycle_offset_ += ks.makespan_cycles;
+    st.batches.push_back(bs);
+    record("batch_commit", batch_pairs);
     return true;
-  };
+  }
 
-  // Gate shared by both drivers: a failed batch is recoverable while it
-  // is still divisible and the retry budget holds; otherwise the join
-  // surfaces the structured, caller-actionable error.
-  auto check_recoverable = [&](std::uint64_t batch_points) {
-    if (batch_points <= 1 ||
-        out.stats.overflow_retries > cfg.batching.max_overflow_retries) {
-      if (recorder != nullptr) {
-        recorder->record("overflow_exhausted", req_id,
-                         out.stats.overflow_retries);
+  // Commits the launch's buffered warp records to the obs sinks, closes
+  // out per-slot tail idle against the launch's makespan (slots that
+  // never ran a warp idled for the whole launch — the same accounting
+  // simt::launch uses internally) and returns the batch's warp-cycle
+  // CoV.
+  double commit_records(std::uint64_t makespan, std::uint32_t index) {
+    std::vector<std::uint64_t>& cycles = arena_.all_warp_cycles;
+    std::vector<std::uint64_t>& slot_finish = arena_.slot_finish;
+    const std::size_t first = cycles.size();
+    std::fill(slot_finish.begin(), slot_finish.end(), 0);
+    for (const simt::WarpRecord& r : arena_.launch_records) {
+      cycles.push_back(r.cycles);
+      if (!slots_.empty()) {
+        const auto slot = static_cast<std::size_t>(r.slot);
+        ++slots_[slot].warps;
+        slots_[slot].busy_cycles += r.cycles;
+        slot_finish[slot] =
+            std::max(slot_finish[slot], r.start_cycle + r.cycles);
       }
-      throw OverflowError(capacity, overflow_pairs, batch_points,
-                          out.stats.overflow_retries);
+      if (tracer_ != nullptr) tracer_->record_warp(r, cycle_offset_, index);
+      if (warp_cycle_hist_ != nullptr) warp_cycle_hist_->record(r.cycles);
     }
-  };
-
-  if (cfg.work_queue) {
-    // LIFO stack of [begin, end) chunks over D'; a failed chunk is
-    // halved and both halves re-executed (first half next, preserving
-    // the workload-sorted consumption order).
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> work(
-        plan.queue_ranges.rbegin(), plan.queue_ranges.rend());
-    while (!work.empty()) {
-      throw_if_cancelled();
-      const auto [begin, end] = work.back();
-      work.pop_back();
-      if (begin == end) continue;
-      counter.reset(begin);
-      if (attempt_batch({}, end - begin)) continue;
-      const auto sp = obs::span(tracer, "overflow_retry");
-      const auto rsp = obs::span(req_tracer, "overflow_retry", in.channel_ctx);
-      check_recoverable(end - begin);
-      const std::uint64_t mid = begin + (end - begin) / 2;
-      work.emplace_back(mid, end);
-      work.emplace_back(begin, mid);
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+      slots_[s].tail_idle_cycles += makespan - slot_finish[s];
     }
-  } else {
-    // LIFO stack over the planned batch lists; a failed batch is split
-    // in half (halves keep their SORTBYWL order — a contiguous slice of
-    // a sorted list stays sorted). The plan's lists are moved, not
-    // copied — the plan is consumed.
-    std::vector<std::vector<PointId>> work(
-        std::make_move_iterator(plan.batches.rbegin()),
-        std::make_move_iterator(plan.batches.rend()));
-    while (!work.empty()) {
-      throw_if_cancelled();
-      std::vector<PointId> batch = std::move(work.back());
-      work.pop_back();
-      if (batch.empty()) continue;
-      if (attempt_batch(batch, 0)) continue;
-      const auto sp = obs::span(tracer, "overflow_retry");
-      const auto rsp = obs::span(req_tracer, "overflow_retry", in.channel_ctx);
-      check_recoverable(batch.size());
-      const std::size_t mid = batch.size() / 2;
-      work.emplace_back(batch.begin() + static_cast<std::ptrdiff_t>(mid),
-                        batch.end());
-      batch.resize(mid);
-      work.push_back(std::move(batch));
-    }
-  }
-  // Recovery may have executed more (smaller) batches than planned.
-  out.stats.num_batches = out.stats.batches.size();
-  // Close the batch window so the returned ResultSet is unclamped.
-  out.results.begin_batch(ResultSet::kUnlimited);
-
-  out.stats.result_pairs = out.results.count();
-  out.stats.kernel_seconds = 0.0;
-  for (double s : kernel_secs) out.stats.kernel_seconds += s;
-  out.stats.total_seconds =
-      pipeline_seconds(kernel_secs, xfer_secs, cfg.batching.nstreams);
-
-  if (collect) {
-    out.stats.warp_imbalance = obs::analyze_warp_cycles(all_warp_cycles);
-    out.stats.slots = std::move(slots);
-  }
-  if (cfg.metrics != nullptr) {
-    obs::Registry& m = *cfg.metrics;
-    m.counter("sj.batches").add(out.stats.num_batches);
-    m.counter("sj.result_pairs").add(out.stats.result_pairs);
-    m.counter("sj.warps_launched").add(out.stats.kernel.warps_launched);
-    m.counter("sj.warp_steps").add(out.stats.kernel.warp_steps);
-    m.counter("sj.active_lane_steps").add(out.stats.kernel.active_lane_steps);
-    m.counter("sj.atomics").add(out.stats.kernel.atomics_executed);
-    m.counter("sj.overflow_retries").add(out.stats.overflow_retries);
-    m.counter("sj.aborted_launches").add(out.stats.wasted.aborted_launches);
-    m.counter("sj.wasted_pairs").add(out.stats.wasted.results_emitted);
-    m.counter("sj.wasted_cycles").add(out.stats.wasted.busy_cycles);
-    m.gauge("sj.wee_percent").set(out.stats.wee_percent());
-    m.gauge("sj.warp_cycle_cov").set(out.stats.warp_cycle_cov());
-    m.gauge("sj.warp_cycle_gini").set(out.stats.warp_cycle_gini());
-    m.gauge("sj.estimated_total_pairs")
-        .set(static_cast<double>(out.stats.estimated_total_pairs));
-    m.gauge("sj.kernel_seconds").set(out.stats.kernel_seconds);
-    m.gauge("sj.total_seconds").set(out.stats.total_seconds);
-    m.gauge("sj.host_prep_seconds").set(out.stats.host_prep_seconds);
+    return obs::analyze_warp_cycles(
+               std::span<const std::uint64_t>(cycles).subspan(first))
+        .cov;
   }
 
-  if (cfg.store_pairs) out.results.canonicalize();
+  const SelfJoinConfig& cfg_;
+  const ExecutionInputs& in_;
+  ScratchArena& arena_;
+  SelfJoinOutput& out_;
+  obs::Tracer* const tracer_;      ///< single-device run tracer, else null
+  obs::Tracer* const req_tracer_;  ///< request channel, null off-request
+  const std::uint64_t capacity_;
+  const bool collect_;
+  obs::CycleHistogram* const warp_cycle_hist_;
+  simt::WarpObserver observer_;
+  simt::DeviceCounter counter_;
+  std::vector<obs::SlotStats> slots_;  ///< single-device + collect only
+  std::uint64_t cycle_offset_ = 0;     ///< batches execute back-to-back
+  std::uint64_t overflow_pairs_ = 0;
+  // --- the current run() ---
+  const simt::DeviceConfig* device_ = nullptr;
+  int device_id_ = 0;
+  std::span<const PointId> queue_;
+  std::vector<double>* kernel_secs_ = nullptr;
+  std::vector<double>* xfer_secs_ = nullptr;
+  Totals totals_;
+};
+
+}  // namespace
+
+void execute_self_join(const SelfJoinConfig& cfg, ExecutionInputs& in,
+                       ScratchArena& arena, SelfJoinOutput& out) {
+  BatchDriver driver(cfg, in, arena, out, /*single_device=*/true);
+  arena.kernel_secs.clear();
+  arena.xfer_secs.clear();
+  arena.kernel_secs.reserve(in.plan->num_batches);
+  arena.xfer_secs.reserve(in.plan->num_batches);
+  const BatchDriver::Totals t =
+      driver.run(*in.plan, in.device, 0, in.queue_order, arena.kernel_secs,
+                 arena.xfer_secs);
+  out.stats.kernel.merge(t.kernel);
+  out.stats.kernel_seconds = t.seconds;
+  out.stats.total_seconds = pipeline_seconds(
+      arena.kernel_secs, arena.xfer_secs, cfg.batching.nstreams);
+  driver.finish();
 }
 
 void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
@@ -353,16 +412,7 @@ void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
   const simt::FleetConfig& fc = cfg.fleet;
   const std::vector<simt::DeviceConfig> devices = fc.resolve(in.device);
   const std::size_t ndev = devices.size();
-  out.stats.warp_size = devices[0].warp_size;
-
-  if (cfg.store_pairs) {
-    out.results.reserve(
-        std::min(in.estimated_total_pairs, cfg.batching.buffer_pairs));
-  }
-  const std::uint64_t capacity =
-      cfg.batching.enabled ? cfg.batching.effective_capacity()
-      : cfg.batching.inject_capacity != 0 ? cfg.batching.inject_capacity
-                                          : ResultSet::kUnlimited;
+  BatchDriver driver(cfg, in, arena, out, /*single_device=*/false);
 
   // --- grain partition (grid/grain.hpp) ---
   // Adaptive: workload-weighted grains, several per device, so the
@@ -431,157 +481,6 @@ void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
     }
   }
 
-  // --- per-warp collection (fleet-wide dispersion; per-slot vectors
-  // and tracer device events are superseded by device-level stats) ---
-  const bool collect = cfg.collect_diagnostics || cfg.metrics != nullptr;
-  auto& all_warp_cycles = arena.all_warp_cycles;
-  all_warp_cycles.clear();
-  obs::CycleHistogram* warp_cycle_hist =
-      cfg.metrics != nullptr
-          ? &cfg.metrics->cycle_histogram("sj.warp_cycles")
-          : nullptr;
-  auto& launch_records = arena.launch_records;
-  launch_records.clear();
-  simt::WarpObserver observer;
-  if (collect) {
-    observer = [&launch_records](const simt::WarpRecord& r) {
-      launch_records.push_back(r);
-    };
-  }
-  out.stats.batches = std::move(arena.spare_batch_stats);
-  arena.spare_batch_stats = {};
-  out.stats.batches.clear();
-
-  const std::atomic<bool>* cancel = in.cancel;
-  obs::FlightRecorder* recorder = in.recorder;
-  const std::uint64_t req_id = in.channel_ctx.request_id;
-  auto throw_if_cancelled = [&] {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      if (recorder != nullptr) {
-        recorder->record("cancelled", req_id, out.stats.batches.size());
-      }
-      throw CancelledError(out.stats.batches.size());
-    }
-  };
-
-  simt::DeviceCounter counter;
-  std::vector<std::vector<double>> dev_kernel_secs(ndev);
-  std::vector<std::vector<double>> dev_xfer_secs(ndev);
-
-  std::uint64_t overflow_pairs = 0;
-  // One batch on one fleet device: the single-device driver's
-  // capacity/rollback/commit discipline, minus per-slot and tracer
-  // bookkeeping. Committed stats and modeled seconds accumulate into
-  // the grain's running totals for the scheduler's feedback.
-  double grain_secs = 0.0;
-  simt::KernelStats grain_kernel;
-  std::size_t batch_first_warp = 0;
-  auto attempt_batch = [&](std::size_t dev, std::span<const PointId> points,
-                           std::span<const PointId> queue,
-                           std::uint64_t queue_len) -> bool {
-    const simt::DeviceConfig& device = devices[dev];
-    KernelParams params;
-    params.grid = &grid;
-    params.pattern = cfg.pattern;
-    params.probe = in.probe;
-    params.assignment =
-        cfg.work_queue ? Assignment::WorkQueue : Assignment::Static;
-    params.k = cfg.k;
-    params.points = points;
-    params.queue = queue;
-    params.counter = &counter;
-    params.device = &device;
-    params.results = &out.results;
-
-    const std::uint64_t groups = cfg.work_queue ? queue_len : points.size();
-    const std::uint64_t nthreads = groups * static_cast<std::uint64_t>(cfg.k);
-
-    out.results.begin_batch(capacity);
-    SelfJoinKernel kernel(params);
-    launch_records.clear();
-    simt::LaunchAbort abort_hook;
-    if (capacity != ResultSet::kUnlimited && cancel != nullptr) {
-      abort_hook = [&results = out.results, cancel] {
-        return results.batch_overflowed() ||
-               cancel->load(std::memory_order_relaxed);
-      };
-    } else if (capacity != ResultSet::kUnlimited) {
-      abort_hook = [&results = out.results] {
-        return results.batch_overflowed();
-      };
-    } else if (cancel != nullptr) {
-      abort_hook = [cancel] {
-        return cancel->load(std::memory_order_relaxed);
-      };
-    }
-    simt::KernelStats ks =
-        simt::launch(device, nthreads, kernel, observer, abort_hook);
-    ks.atomics_executed = kernel.atomics_executed();
-    ks.results_emitted = kernel.results_emitted();
-    throw_if_cancelled();
-
-    if (out.results.batch_overflowed()) {
-      overflow_pairs = out.results.batch_count();
-      out.results.rollback_batch();
-      out.stats.buffer_overflowed = true;
-      ++out.stats.overflow_retries;
-      out.stats.wasted.merge(ks);
-      grain_secs += ks.seconds(device);
-      dev_kernel_secs[dev].push_back(ks.seconds(device));
-      dev_xfer_secs[dev].push_back(0.0);
-      if (recorder != nullptr) {
-        recorder->record("batch_overflow", req_id, overflow_pairs);
-      }
-      return false;
-    }
-
-    grain_kernel.merge(ks);
-    grain_secs += ks.seconds(device);
-    const std::uint64_t batch_pairs = out.results.batch_count();
-    out.stats.max_batch_pairs =
-        std::max(out.stats.max_batch_pairs, batch_pairs);
-    dev_kernel_secs[dev].push_back(ks.seconds(device));
-    dev_xfer_secs[dev].push_back(transfer_seconds(batch_pairs, cfg.batching));
-
-    BatchStats bs;
-    bs.device = static_cast<int>(dev);
-    bs.query_points = groups;
-    bs.result_pairs = batch_pairs;
-    bs.warps = ks.warps_launched;
-    bs.makespan_cycles = ks.makespan_cycles;
-    bs.kernel_seconds = dev_kernel_secs[dev].back();
-    bs.transfer_seconds = dev_xfer_secs[dev].back();
-    bs.wee_percent = ks.warp_execution_efficiency(device.warp_size) * 100.0;
-    if (collect) {
-      for (const auto& r : launch_records) {
-        all_warp_cycles.push_back(r.cycles);
-        if (warp_cycle_hist != nullptr) warp_cycle_hist->record(r.cycles);
-      }
-      const std::span<const std::uint64_t> batch_cycles{
-          all_warp_cycles.data() + batch_first_warp,
-          all_warp_cycles.size() - batch_first_warp};
-      bs.warp_cycle_cov = obs::analyze_warp_cycles(batch_cycles).cov;
-      batch_first_warp = all_warp_cycles.size();
-    }
-    out.stats.batches.push_back(bs);
-    if (recorder != nullptr) {
-      recorder->record("batch_commit", req_id, batch_pairs);
-    }
-    return true;
-  };
-
-  auto check_recoverable = [&](std::uint64_t batch_points) {
-    if (batch_points <= 1 ||
-        out.stats.overflow_retries > cfg.batching.max_overflow_retries) {
-      if (recorder != nullptr) {
-        recorder->record("overflow_exhausted", req_id,
-                         out.stats.overflow_retries);
-      }
-      throw OverflowError(capacity, overflow_pairs, batch_points,
-                          out.stats.overflow_retries);
-    }
-  };
-
   // --- schedule + execute: LPT order, predicted-finish placement,
   // measured-rate feedback after every grain ---
   std::vector<std::size_t> order(num_grains);
@@ -595,74 +494,41 @@ void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
   simt::DeviceFleet fleet(devices);
   std::uint64_t rebalances = 0;
   std::vector<PointId> probe_ids;
+  std::vector<std::vector<double>> dev_kernel_secs(ndev);
+  std::vector<std::vector<double>> dev_xfer_secs(ndev);
+  const std::uint64_t est_total = in.plan->estimated_total_pairs;
 
   for (const std::size_t gidx : order) {
     const WorkGrain& grain = grains[gidx];
     const std::size_t owner = gidx * ndev / num_grains;
     const std::size_t dev = fc.adaptive ? fleet.pick(grain.workload) : owner;
     if (dev != owner) ++rebalances;
-    grain_secs = 0.0;
-    grain_kernel = simt::KernelStats{};
 
+    // The grain's batch plan, sized from its workload share of the
+    // whole-join estimate by the batching layer's own cutters. The
+    // per-point estimate and the ⌊·⌋ + 1 batch count differ from
+    // plan_queue's and plan_strided's arithmetic on purpose: they keep
+    // fleet plans at the values Fleet.GoldenModeledStatsUnchanged pins.
+    const double est_share =
+        total_weight == 0 ? 0.0
+                          : static_cast<double>(est_total) *
+                                (static_cast<double>(grain.workload) /
+                                 static_cast<double>(total_weight));
+    BatchPlan plan;
+    std::span<const PointId> queue;
     if (cfg.work_queue) {
-      const std::vector<PointId>& q = grain_queues[gidx];
-      const std::span<const PointId> qs{q};
-      // Contiguous chunks over the grain's queue slice, cut by the
-      // same two budgets as plan_queue: the 2w+1 hard bound and the
-      // grain-scaled statistical estimate.
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
-      if (!cfg.batching.enabled || q.empty()) {
-        if (!q.empty()) ranges.emplace_back(0, q.size());
-      } else {
-        const double budget = static_cast<double>(cfg.batching.buffer_pairs);
-        const std::uint64_t est_g =
-            total_weight == 0
-                ? 0
-                : static_cast<std::uint64_t>(
-                      static_cast<double>(in.estimated_total_pairs) *
-                      (static_cast<double>(grain.workload) /
-                       static_cast<double>(total_weight)));
-        const double est_per_point =
-            static_cast<double>(est_g) * cfg.batching.safety /
-            static_cast<double>(q.size());
-        std::size_t begin = 0;
-        while (begin < q.size()) {
-          std::uint64_t bound_sum = 0;
-          double est_sum = 0.0;
-          std::size_t end = begin;
-          while (end < q.size()) {
-            const std::uint64_t b =
-                2 * in.point_workloads[q[end]] + 1;
-            if (end > begin &&
-                (static_cast<double>(bound_sum + b) > budget ||
-                 est_sum + est_per_point > budget)) {
-              break;
-            }
-            bound_sum += b;
-            est_sum += est_per_point;
-            ++end;
-          }
-          ranges.emplace_back(begin, end);
-          begin = end;
-        }
+      queue = grain_queues[gidx];
+      double est_per_point = 0.0;
+      if (!queue.empty()) {
+        est_per_point =
+            static_cast<double>(static_cast<std::uint64_t>(est_share)) *
+            cfg.batching.safety / static_cast<double>(queue.size());
       }
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> work(
-          ranges.rbegin(), ranges.rend());
-      while (!work.empty()) {
-        throw_if_cancelled();
-        const auto [begin, end] = work.back();
-        work.pop_back();
-        if (begin == end) continue;
-        counter.reset(begin);
-        if (attempt_batch(dev, {}, qs, end - begin)) continue;
-        check_recoverable(end - begin);
-        const std::uint64_t mid = begin + (end - begin) / 2;
-        work.emplace_back(mid, end);
-        work.emplace_back(begin, mid);
-      }
+      plan.queue_ranges = cut_queue_chunks(queue, in.point_workloads,
+                                           est_per_point, cfg.batching);
     } else {
       // Probe grains own an id *range*, not a slice of point_ids();
-      // materialize it (reused buffer, cleared per grain).
+      // materialize it (reused buffer, refilled per grain).
       std::span<const PointId> gp;
       if (probe != nullptr) {
         probe_ids.resize(grain.points());
@@ -672,51 +538,22 @@ void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
       } else {
         gp = grid.point_ids().subspan(grain.point_begin, grain.points());
       }
-      // Strided chunks within the grain, count scaled from the grain's
-      // share of the whole-join estimate (plan_strided's scheme at
-      // grain granularity).
       std::size_t nb = 1;
-      if (cfg.batching.enabled && total_weight != 0 && !gp.empty()) {
-        const double est_g =
-            static_cast<double>(in.estimated_total_pairs) *
-            (static_cast<double>(grain.workload) /
-             static_cast<double>(total_weight)) *
-            cfg.batching.safety;
-        nb = static_cast<std::size_t>(
-            est_g / static_cast<double>(cfg.batching.buffer_pairs)) + 1;
-        nb = std::min(nb, gp.size());
+      if (cfg.batching.enabled && !gp.empty()) {
+        const auto full = static_cast<std::size_t>(
+            est_share * cfg.batching.safety /
+            static_cast<double>(cfg.batching.buffer_pairs));
+        nb = std::min(full + 1, gp.size());
       }
-      std::vector<std::vector<PointId>> batches(nb);
-      for (std::size_t i = 0; i < gp.size(); ++i) {
-        batches[i % nb].push_back(gp[i]);
-      }
-      if (cfg.sort_by_workload) {
-        for (auto& b : batches) {
-          std::stable_sort(b.begin(), b.end(),
-                           [&in](PointId a, PointId c) {
-                             return in.point_workloads[a] >
-                                    in.point_workloads[c];
-                           });
-        }
-      }
-      std::vector<std::vector<PointId>> work(
-          std::make_move_iterator(batches.rbegin()),
-          std::make_move_iterator(batches.rend()));
-      while (!work.empty()) {
-        throw_if_cancelled();
-        std::vector<PointId> batch = std::move(work.back());
-        work.pop_back();
-        if (batch.empty()) continue;
-        if (attempt_batch(dev, batch, {}, 0)) continue;
-        check_recoverable(batch.size());
-        const std::size_t mid = batch.size() / 2;
-        work.emplace_back(batch.begin() + static_cast<std::ptrdiff_t>(mid),
-                          batch.end());
-        batch.resize(mid);
-        work.push_back(std::move(batch));
-      }
+      plan.batches = stride_batches(
+          gp, nb,
+          cfg.sort_by_workload ? in.point_workloads
+                               : std::span<const std::uint64_t>{});
     }
-    fleet.record(dev, grain.workload, grain_secs, grain_kernel);
+    const BatchDriver::Totals t =
+        driver.run(plan, devices[dev], static_cast<int>(dev), queue,
+                   dev_kernel_secs[dev], dev_xfer_secs[dev]);
+    fleet.record(dev, grain.workload, t.seconds, t.kernel);
   }
 
   // --- finalize: device-level stats, concurrent composition ---
@@ -725,9 +562,6 @@ void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
   for (const simt::DeviceLoad& l : out.stats.fleet.devices) {
     out.stats.kernel.merge_concurrent(l.kernel);
   }
-  out.stats.num_batches = out.stats.batches.size();
-  out.results.begin_batch(ResultSet::kUnlimited);
-  out.stats.result_pairs = out.results.count();
   out.stats.kernel_seconds = out.stats.fleet.makespan_seconds;
   out.stats.total_seconds = 0.0;
   for (std::size_t d = 0; d < ndev; ++d) {
@@ -736,29 +570,9 @@ void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
         pipeline_seconds(dev_kernel_secs[d], dev_xfer_secs[d],
                          cfg.batching.nstreams));
   }
-  if (collect) {
-    out.stats.warp_imbalance = obs::analyze_warp_cycles(all_warp_cycles);
-  }
+  driver.finish();
   if (cfg.metrics != nullptr) {
     obs::Registry& m = *cfg.metrics;
-    m.counter("sj.batches").add(out.stats.num_batches);
-    m.counter("sj.result_pairs").add(out.stats.result_pairs);
-    m.counter("sj.warps_launched").add(out.stats.kernel.warps_launched);
-    m.counter("sj.warp_steps").add(out.stats.kernel.warp_steps);
-    m.counter("sj.active_lane_steps").add(out.stats.kernel.active_lane_steps);
-    m.counter("sj.atomics").add(out.stats.kernel.atomics_executed);
-    m.counter("sj.overflow_retries").add(out.stats.overflow_retries);
-    m.counter("sj.aborted_launches").add(out.stats.wasted.aborted_launches);
-    m.counter("sj.wasted_pairs").add(out.stats.wasted.results_emitted);
-    m.counter("sj.wasted_cycles").add(out.stats.wasted.busy_cycles);
-    m.gauge("sj.wee_percent").set(out.stats.wee_percent());
-    m.gauge("sj.warp_cycle_cov").set(out.stats.warp_cycle_cov());
-    m.gauge("sj.warp_cycle_gini").set(out.stats.warp_cycle_gini());
-    m.gauge("sj.estimated_total_pairs")
-        .set(static_cast<double>(out.stats.estimated_total_pairs));
-    m.gauge("sj.kernel_seconds").set(out.stats.kernel_seconds);
-    m.gauge("sj.total_seconds").set(out.stats.total_seconds);
-    m.gauge("sj.host_prep_seconds").set(out.stats.host_prep_seconds);
     const simt::FleetStats& fs = out.stats.fleet;
     m.gauge("sj.fleet.devices").set(static_cast<double>(ndev));
     m.counter("sj.fleet.grains").add(fs.num_grains);
@@ -768,7 +582,6 @@ void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
     m.gauge("sj.fleet.tail_idle_seconds").set(fs.tail_idle_seconds);
     m.gauge("sj.fleet.imbalance").set(fs.imbalance);
   }
-  if (cfg.store_pairs) out.results.canonicalize();
 }
 
 std::uint64_t subsume_filter(const Dataset& ds,

@@ -2,10 +2,15 @@
 //
 // The join pipeline (sj/pipeline.hpp) runs in three stages: *prepare*
 // (dataset admission), *plan* (grid / workload / batch-plan resolution,
-// cache-served when warm) and *execute* — this file. The execution stage takes a fully resolved
-// plan and drives the batched kernel launches: per-batch capacity
-// windows, overflow rollback + LIFO split recovery, per-warp
-// observability commits, stats finalization and metrics publication.
+// cache-served when warm) and *execute* — this file. The execution
+// stage has one batch driver (execute.cpp's BatchDriver) with two
+// callers. BatchDriver runs one BatchPlan on one device: a kernel launch
+// per batch against a fixed-capacity result window, overflow rollback
+// with wasted-work accounting and LIFO split recovery, cooperative
+// cancellation, per-warp observability commits, and at the end the
+// stats finalization and sj.* metrics. execute_self_join hands it the
+// whole plan once; execute_fleet hands it one plan per work grain,
+// cut by the batching layer's own helpers (sj/batching.hpp).
 //
 // ScratchArena is a run's reusable working memory, leased from the
 // JoinService depot: every vector the execution stage needs per run
@@ -45,7 +50,9 @@ struct ScratchArena {
 /// Everything the execution stage needs, resolved by the plan stage.
 struct ExecutionInputs {
   const GridIndex* grid = nullptr;
-  /// Consumed: the strided driver moves the batch point lists out.
+  /// Consumed: the strided driver moves the batch point lists out. A
+  /// fleet plan carries only the whole-join estimate; execute_fleet
+  /// scales it by grain workload share to plan each grain.
   BatchPlan* plan = nullptr;
   /// R×S probe dataset (JoinMode::RxS): batch/queue point ids index it
   /// instead of the gridded dataset, and the kernels run in probing
@@ -65,13 +72,10 @@ struct ExecutionInputs {
 
   // --- fleet path only (sj/pipeline.hpp fleet branch) ---
   /// Per-point workloads under cfg.pattern (grid/workload.hpp): grain
-  /// weights for the partitioner and the 2w+1 chunk bounds of the
-  /// work-queue driver. Empty on the single-device path.
+  /// weights for the partitioner, the 2w+1 chunk bounds of the
+  /// work-queue cutter and the SORTBYWL order. Empty on the
+  /// single-device path.
   std::span<const std::uint64_t> point_workloads;
-  /// Whole-join result-size estimate (the shared estimate cache's
-  /// value); execute_fleet scales it by grain workload share to size
-  /// per-grain chunks.
-  std::uint64_t estimated_total_pairs = 0;
 
   // --- request-scoped channel (JoinService::submit path) ---
   /// Service-channel tracer for per-launch request spans ("batch N",
@@ -95,16 +99,16 @@ void execute_self_join(const SelfJoinConfig& cfg, ExecutionInputs& in,
 /// Fleet execution (docs/SIMULATOR.md §fleet): shards the grid into
 /// work grains (grid/grain.hpp), schedules them across
 /// cfg.fleet.num_devices modeled devices with the LPT/measured-rate
-/// rebalancer (simt/fleet.hpp), and runs each grain's batches with the
-/// same capacity/overflow/cancellation discipline as the single-device
-/// driver. The merged ResultSet is bit-identical to a single-device run
-/// (canonical order when store_pairs; counts add otherwise); per-device
-/// makespan/CoV/tail-idle land in out.stats.fleet and the sj.fleet.*
-/// metric family. Per-warp dispersion is still collected fleet-wide;
-/// per-slot vectors and tracer device events are not (device-level
-/// accounting supersedes them at this scale). Requires
-/// in.point_workloads and in.estimated_total_pairs from the fleet plan
-/// branch.
+/// rebalancer (simt/fleet.hpp), and runs each grain's plan through the
+/// same batch driver as execute_self_join — same capacity, overflow
+/// recovery, cancellation and request spans. The merged ResultSet is
+/// bit-identical to a single-device run (canonical order when
+/// store_pairs; counts add otherwise); per-device makespan/CoV/tail-idle
+/// land in out.stats.fleet and the sj.fleet.* metric family. Per-warp
+/// dispersion is still collected fleet-wide; per-slot vectors and
+/// tracer warp/batch events are not (device-level accounting supersedes
+/// them at this scale). Requires in.point_workloads and the plan's
+/// whole-join estimate from the fleet plan branch.
 void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
                    ScratchArena& arena, SelfJoinOutput& out);
 

@@ -445,8 +445,8 @@ void plan_and_execute(const SelfJoinConfig& cfg, const Dataset& ds,
     // budgets need per-point workloads regardless of variant, the
     // work-queue variants need D', and the whole-join size estimate is
     // resolved through the same shared cache the batch planners use —
-    // then execute_fleet does its own per-grain chunking, so no batch
-    // plan is built here.
+    // then execute_fleet plans each grain's batches itself, so only
+    // the estimate lands in the plan here.
     {
       const auto sp = obs::span(tracer, "workload_quantify");
       fleet_workloads = src.resolve_workloads(pattern, p);
@@ -459,17 +459,9 @@ void plan_and_execute(const SelfJoinConfig& cfg, const Dataset& ds,
     std::optional<std::uint64_t> est =
         src.find_estimate(cfg.work_queue, est_key);
     if (!est.has_value()) {
-      if (rxs) {
-        est = cfg.work_queue ? estimate_rxs_queue_total(grid, *probe,
-                                                        cfg.batching,
-                                                        queue_order)
-                             : estimate_rxs_strided_total(grid, *probe,
-                                                          cfg.batching);
-      } else {
-        est = cfg.work_queue
-                  ? estimate_queue_total(grid, cfg.batching, queue_order)
-                  : estimate_strided_total(grid, cfg.batching);
-      }
+      est = cfg.work_queue ? estimate_queue_total(grid, cfg.batching,
+                                                  queue_order, probe)
+                           : estimate_strided_total(grid, cfg.batching, probe);
       src.put_estimate(cfg.work_queue, est_key, *est);
     }
     plan.estimated_total_pairs = *est;
@@ -535,7 +527,6 @@ void plan_and_execute(const SelfJoinConfig& cfg, const Dataset& ds,
   in.recorder = robs != nullptr ? robs->recorder : nullptr;
   if (fleet_active) {
     in.point_workloads = fleet_workloads;
-    in.estimated_total_pairs = plan.estimated_total_pairs;
     execute_fleet(cfg, in, arena, out);
   } else {
     execute_self_join(cfg, in, arena, out);

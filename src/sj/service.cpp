@@ -102,6 +102,14 @@ struct ResultFlight {
 
 namespace {
 
+/// ε-subsumption cost model: a cached ε-result answers a smaller ε' via
+/// a linear dist² filter only when cached_pairs <= ratio ×
+/// estimated_result_pairs(ε') (from the shared estimate cache). With no
+/// estimate on file the filter is taken unconditionally — one linear
+/// pass over an existing pair list is far cheaper than the join that
+/// would have to produce it.
+constexpr double kSubsumeCostRatio = 8.0;
+
 /// The artifact a single-flight slot holds, or null while it is still
 /// building (no blocking). get() on a ready future can still rethrow a
 /// build failure in the narrow window before the builder rolls its
@@ -1167,7 +1175,7 @@ bool JoinService::subsume_worthwhile(SharedDataset& sd,
   }
   if (!est.has_value()) return true;
   return static_cast<double>(entry.results.count()) <=
-         cfg_.subsume_cost_ratio * static_cast<double>(*est);
+         kSubsumeCostRatio * static_cast<double>(*est);
 }
 
 void JoinService::repair_result_cache(SharedDataset& sd,

@@ -120,13 +120,6 @@ struct ServiceConfig {
   /// 0 disables retention entirely (in-flight duplicate coalescing
   /// still applies — it needs no storage beyond the running request).
   std::size_t max_result_cache_bytes = std::size_t{64} << 20;
-  /// ε-subsumption cost model: a cached ε-result answers a smaller ε'
-  /// via a linear dist² filter only when cached_pairs <= ratio ×
-  /// estimated_result_pairs(ε') (from the shared estimate cache). With
-  /// no estimate on file the filter is taken unconditionally — one
-  /// linear pass over an existing pair list is far cheaper than the
-  /// join that would have to produce it.
-  double subsume_cost_ratio = 8.0;
 
   // --- the service's own observability channel (optional, non-owning).
   /// obs.tracer receives "prepare" (attach) / "plan_reuse" (cache-
@@ -589,7 +582,9 @@ class JoinService {
   void insert_result_locked(SharedDataset& sd, std::uint64_t eps_bits,
                             std::uint64_t class_digest,
                             const ResultPtr& payload);
-  /// The subsumption cost model (ServiceConfig::subsume_cost_ratio).
+  /// The subsumption cost model: true unless the cached entry holds
+  /// more than kSubsumeCostRatio (service.cpp, 8) times the estimated
+  /// result size of the smaller ε.
   bool subsume_worthwhile(SharedDataset& sd, const SelfJoinConfig& cfg,
                           const ResultPayload& entry);
   /// Advances the result cache across a dataset generation change,

@@ -189,6 +189,41 @@ TEST(Cli, AcceptsWellFormedNumericValues) {
   EXPECT_DOUBLE_EQ(cli.get_double("absent2", 0.25), 0.25);
 }
 
+TEST(Cli, StrictParseNamesTheSourceAndValue) {
+  // The tools' own CSV and request-file tokens once went through
+  // std::stoi/std::stod, which stop at the first bad character:
+  // "--device-sms 56x,28" ran with 56 SMs. The shared strict parse
+  // rejects the whole token and names where it came from.
+  EXPECT_EQ(parse_int("56", "--device-sms"), 56);
+  EXPECT_EQ(parse_int("-3", "priority"), -3);
+  EXPECT_DOUBLE_EQ(parse_double("1.3", "--device-clock"), 1.3);
+  EXPECT_DOUBLE_EQ(parse_double("2e-3", "epsilon"), 2e-3);
+  for (const char* bad : {"56x", "", "x56", "5 6", "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    try {
+      (void)parse_int(bad, "--device-sms");
+      FAIL() << "expected CheckError";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--device-sms"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+    }
+  }
+  for (const char* bad : {"1.3GHz", "", "abc", "1e999999", "0.1,"}) {
+    SCOPED_TRACE(bad);
+    try {
+      (void)parse_double(bad, "request key 'epsilon'");
+      FAIL() << "expected CheckError";
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("request key 'epsilon'"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST(ThreadPool, RunsAllIndices) {
   ThreadPool pool(4);
   std::atomic<std::uint64_t> sum{0};

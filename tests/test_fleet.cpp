@@ -1,23 +1,32 @@
 // Multi-device fleet tests (docs/SIMULATOR.md §fleet): grain
 // partitioning invariants, the KernelStats merge compositions, the
 // config validators, fleet-vs-single-device bit-identity, the
-// adaptive-vs-static rebalancer comparison and the fleet observability
-// surfaces (stats, sj.fleet.* / svc.fleet.* metrics, snapshot rows).
+// adaptive-vs-static rebalancer comparison, the fleet observability
+// surfaces (stats, sj.fleet.* / svc.fleet.* metrics, snapshot rows),
+// golden modeled stats, and overflow recovery and cancellation on a
+// fleet.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
+#include "data/generators.hpp"
 #include "grid/grain.hpp"
 #include "grid/grid_index.hpp"
 #include "grid/workload.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "simt/fleet.hpp"
 #include "sj/selfjoin.hpp"
@@ -490,6 +499,203 @@ TEST(Fleet, ServiceAccountsFleetRuns) {
   (void)svc.run(*sd, SelfJoinConfig::combined(0.05));
   EXPECT_EQ(svc.snapshot().fleet_runs, 2u);
   EXPECT_EQ(reg.counter("svc.fleet.runs").value(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden modeled stats: batching, overflow recovery and grain placement
+// of the fleet driver pinned bit for bit on one skewed case.
+
+/// FNV-1a over the committed batch sequence's (device, query_points,
+/// result_pairs, makespan_cycles).
+std::uint64_t batch_digest(const std::vector<BatchStats>& batches) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto fold = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const BatchStats& b : batches) {
+    fold(static_cast<std::uint64_t>(b.device));
+    fold(b.query_points);
+    fold(b.result_pairs);
+    fold(b.makespan_cycles);
+  }
+  return h;
+}
+
+TEST(Fleet, GoldenModeledStatsUnchanged) {
+  // Recorded from the fleet driver before it shared the single-device
+  // batch driver. Small buffers and an undershooting estimator give
+  // every grain several batches and the strided variants overflow
+  // retries, so chunking, recovery and placement are all pinned.
+  struct Golden {
+    std::uint64_t num_batches, overflow_retries, rebalances;
+    std::uint64_t warps_launched, warp_steps, active_lane_steps, busy_cycles,
+        makespan_cycles;
+    std::uint64_t makespan_bits;
+    std::uint64_t grains[4];
+    std::uint64_t digest;
+  };
+  constexpr Golden kGolden[] = {
+      // Self: the six variants in all_variants() order.
+      {201, 82, 22, 201, 95503, 576510, 3444445, 1688838,
+       0x3f8ff56a742c8eccull, {1, 3, 2, 26}, 0xf02bb6d7b2cc5463ull},
+      {191, 70, 23, 201, 84017, 295005, 3024085, 2410864,
+       0x3f9732af33b8061dull, {1, 3, 2, 26}, 0xcbbc4b675d20a137ull},
+      {221, 102, 21, 222, 66769, 295005, 2400374, 1336929,
+       0x3f8a74fff608ca16ull, {2, 3, 2, 25}, 0xf27a8c8f0d1cd096ull},
+      {198, 79, 22, 198, 96359, 576510, 3473974, 1688838,
+       0x3f8ff56a742c8eccull, {1, 3, 2, 26}, 0x9e2bd719e493f902ull},
+      {388, 0, 22, 396, 204940, 576510, 7363984, 3733617,
+       0x3f97870c47a673edull, {1, 3, 2, 26}, 0x607672c69194d686ull},
+      {234, 0, 22, 417, 15098, 400005, 626873, 169672,
+       0x3f549653d8b3fa88ull, {1, 3, 3, 25}, 0x19e788bbb797d1d5ull},
+      // R×S: the pattern is forced to Full, so the first three agree.
+      {192, 96, 23, 192, 131328, 711356, 4786324, 1651170,
+       0x3f90a14bd0ca18a4ull, {11, 9, 7, 5}, 0x3c9f6003cc34fd42ull},
+      {192, 96, 23, 192, 131328, 711356, 4786324, 1651170,
+       0x3f90a14bd0ca18a4ull, {11, 9, 7, 5}, 0x3c9f6003cc34fd42ull},
+      {192, 96, 23, 192, 131328, 711356, 4786324, 1651170,
+       0x3f90a14bd0ca18a4ull, {11, 9, 7, 5}, 0x3c9f6003cc34fd42ull},
+      {252, 156, 26, 252, 147093, 711356, 5340580, 1882452,
+       0x3f9559df6f66c028ull, {11, 9, 7, 5}, 0xb1312f431501148dull},
+      {486, 0, 23, 486, 261752, 711356, 9461286, 3274441,
+       0x3f95ecf3ab2a5d19ull, {11, 9, 7, 5}, 0x2a20c31bbab835f9ull},
+      {486, 0, 23, 651, 44693, 837356, 1888551, 562267,
+       0x3f6e190980203aa1ull, {11, 9, 7, 5}, 0x19a8954fe9d868dbull},
+      // COMBINED, Self, static sharding.
+      {238, 0, 0, 402, 14741, 400005, 615870, 322482,
+       0x3f6041cecd7fb25eull, {1, 1, 1, 1}, 0x8e6259d36adfc91cull},
+  };
+  const Dataset ds = make_skewed_clusters(1500, 23);
+  const Dataset probe = make_skewed_clusters(1800, 29);
+  struct Case {
+    std::string name;
+    SelfJoinConfig cfg;
+    bool rxs;
+  };
+  std::vector<Case> cases;
+  for (const bool rxs : {false, true}) {
+    for (auto& [name, base] : all_variants(0.03)) {
+      SelfJoinConfig cfg = base;
+      make_hetero4(cfg);
+      cfg.store_pairs = true;
+      cfg.batching.buffer_pairs = 4000;
+      cfg.batching.inject_estimator_skew = 0.5;
+      cases.push_back({name, cfg, rxs});
+    }
+  }
+  SelfJoinConfig fixed = cases.back().cfg;
+  fixed.fleet.adaptive = false;
+  cases.push_back({"COMBINED static", fixed, false});
+
+  ASSERT_EQ(cases.size(), std::size(kGolden));
+  std::size_t i = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name + (c.rxs ? " R×S" : " Self"));
+    const SelfJoinOutput out =
+        c.rxs ? rxs_join(probe, ds, c.cfg) : self_join(ds, c.cfg);
+    const SelfJoinStats& st = out.stats;
+    ASSERT_TRUE(st.fleet.ran());
+    ASSERT_EQ(st.fleet.devices.size(), 4u);
+    const Golden& g = kGolden[i++];
+    EXPECT_EQ(st.num_batches, g.num_batches);
+    EXPECT_EQ(st.overflow_retries, g.overflow_retries);
+    EXPECT_EQ(st.fleet.rebalances, g.rebalances);
+    EXPECT_EQ(st.kernel.warps_launched, g.warps_launched);
+    EXPECT_EQ(st.kernel.warp_steps, g.warp_steps);
+    EXPECT_EQ(st.kernel.active_lane_steps, g.active_lane_steps);
+    EXPECT_EQ(st.kernel.busy_cycles, g.busy_cycles);
+    EXPECT_EQ(st.kernel.makespan_cycles, g.makespan_cycles);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(st.fleet.makespan_seconds),
+              g.makespan_bits);
+    for (std::size_t d = 0; d < 4; ++d) {
+      EXPECT_EQ(st.fleet.devices[d].grains, g.grains[d]) << "device " << d;
+    }
+    EXPECT_EQ(batch_digest(st.batches), g.digest);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Overflow recovery and cancellation on a fleet: the single-device
+// contracts (docs/ROBUSTNESS.md, docs/SERVICE.md) hold per grain.
+
+TEST(Fleet, OverflowRecoveryMatchesSingleDevice) {
+  const Dataset ds = make_skewed_clusters(1500, 31);
+  for (SelfJoinConfig base :
+       {SelfJoinConfig::sort_by_wl(0.03), SelfJoinConfig::combined(0.03)}) {
+    SCOPED_TRACE(base.name());
+    base.store_pairs = true;
+    const SelfJoinOutput single = self_join(ds, base);
+
+    // Detection capacity far below the planned batches (one unbounded
+    // batch per grain at the default buffer) but above any single
+    // point's emission: every grain must split until it fits.
+    SelfJoinConfig cfg = base;
+    make_hetero4(cfg);
+    cfg.batching.inject_capacity = 3000;
+    const SelfJoinOutput fleet = self_join(ds, cfg);
+    ASSERT_TRUE(fleet.stats.fleet.ran());
+    EXPECT_EQ(fleet.results.pairs(), single.results.pairs());
+    EXPECT_GT(fleet.stats.overflow_retries, 0u);
+    EXPECT_TRUE(fleet.stats.buffer_overflowed);
+    EXPECT_GT(fleet.stats.wasted.busy_cycles, 0u);
+    EXPECT_GT(fleet.stats.wasted.warps_launched, 0u);
+    EXPECT_LE(fleet.stats.max_batch_pairs, 3000u);
+
+    // Host threads change wall time only.
+    SelfJoinConfig threaded = cfg;
+    threaded.device.host.num_threads = 3;
+    const SelfJoinOutput t3 = self_join(ds, threaded);
+    EXPECT_EQ(t3.results.pairs(), fleet.results.pairs());
+    EXPECT_EQ(t3.stats.num_batches, fleet.stats.num_batches);
+    EXPECT_EQ(t3.stats.overflow_retries, fleet.stats.overflow_retries);
+    EXPECT_EQ(t3.stats.wasted.busy_cycles, fleet.stats.wasted.busy_cycles);
+    EXPECT_EQ(t3.stats.kernel.busy_cycles, fleet.stats.kernel.busy_cycles);
+    EXPECT_EQ(t3.stats.kernel.makespan_cycles,
+              fleet.stats.kernel.makespan_cycles);
+    EXPECT_EQ(batch_digest(t3.stats.batches),
+              batch_digest(fleet.stats.batches));
+    EXPECT_EQ(t3.stats.fleet.makespan_seconds,
+              fleet.stats.fleet.makespan_seconds);
+
+    // A capacity one dense point alone overflows is unrecoverable.
+    cfg.batching.inject_capacity = 4;
+    try {
+      (void)self_join(ds, cfg);
+      FAIL() << "expected OverflowError";
+    } catch (const OverflowError& e) {
+      EXPECT_EQ(e.capacity(), 4u);
+      EXPECT_EQ(e.batch_points(), 1u);
+      EXPECT_GT(e.observed_pairs(), e.capacity());
+    }
+  }
+}
+
+TEST(Fleet, MidFlightCancelReportsCancelled) {
+  // test_service.cpp's blocker shape (12,000 6-D points, ~3,400 small
+  // batches, seconds uncancelled) on a heterogeneous fleet, so the
+  // cancel lands while a grain's batches are executing.
+  static const Dataset ds = gen_uniform(12'000, 6, 5, 0.0, 1.0);
+  obs::FlightRecorder recorder(256, 1);
+  ServiceConfig scfg;
+  scfg.obs.recorder = &recorder;
+  JoinService svc(scfg);
+  JoinRequest r;
+  r.config = SelfJoinConfig::combined(0.5);
+  r.config.store_pairs = false;
+  r.config.batching.buffer_pairs = 50'000;
+  make_hetero4(r.config);
+  JoinService::Ticket t = svc.submit(svc.attach(ds), r);
+  while (!t.started()) std::this_thread::yield();
+  t.cancel();
+  const JoinResponse resp = t.get();
+  EXPECT_EQ(resp.status, JoinStatus::Cancelled);
+  EXPECT_TRUE(t.started());
+  std::ostringstream dump;
+  recorder.dump(dump, resp.request_id);
+  EXPECT_NE(dump.str().find(" cancelled "), std::string::npos) << dump.str();
 }
 
 TEST(Fleet, WeePercentUsesConfiguredWarpSize) {

@@ -307,6 +307,60 @@ TEST(RequestSpans, ChildSpansNestInsideRootAndExportWithArgs) {
   EXPECT_TRUE(saw_request_args);
 }
 
+TEST(RequestSpans, FleetRequestsEmitBatchAndRetrySpans) {
+  // A fleet request runs its grains through the single-device batch
+  // driver, so it emits the same per-launch request spans: one
+  // "batch N" per launch attempt (N = batches committed so far, across
+  // grains) and one "overflow_retry" per rolled-back launch, all
+  // parented under the request's execute span.
+  const Dataset ds = gen_exponential(2000, 2, /*seed=*/31);
+  obs::Tracer tracer(obs::TimeMode::Logical);
+  ServiceConfig scfg;
+  scfg.workers = 1;
+  scfg.obs.tracer = &tracer;
+  JoinResponse r;
+  {
+    JoinService svc(scfg);
+    const auto sd = svc.attach(ds);
+    JoinRequest req;
+    req.config = SelfJoinConfig::sort_by_wl(0.03);
+    req.config.store_pairs = false;
+    req.config.batching.inject_capacity = 20000;
+    req.config.fleet.num_devices = 4;
+    r = svc.submit(sd, req).get();
+  }
+  ASSERT_EQ(r.status, JoinStatus::Ok);
+  ASSERT_GT(r.breakdown.overflow_retries, 0u);
+
+  std::uint64_t execute_id = 0;
+  for (const auto& s : tracer.host_spans()) {
+    if (s.request == r.request_id && s.name == "execute") execute_id = s.id;
+  }
+  ASSERT_NE(execute_id, 0u);
+  std::set<std::string> batch_names;
+  std::size_t batch_spans = 0;
+  std::size_t retry_spans = 0;
+  for (const auto& s : tracer.host_spans()) {
+    if (s.request != r.request_id) continue;
+    if (s.name.rfind("batch ", 0) == 0) {
+      ++batch_spans;
+      batch_names.insert(s.name);
+      EXPECT_EQ(s.parent, execute_id) << s.name;
+    } else if (s.name == "overflow_retry") {
+      ++retry_spans;
+      EXPECT_EQ(s.parent, execute_id);
+    }
+  }
+  EXPECT_EQ(batch_spans, r.breakdown.batches + r.breakdown.overflow_retries);
+  EXPECT_EQ(retry_spans, r.breakdown.overflow_retries);
+  // Retried attempts reuse the index of the batch they become, so the
+  // distinct names are exactly batch 0 .. batch (batches - 1).
+  EXPECT_EQ(batch_names.size(), r.breakdown.batches);
+  EXPECT_TRUE(batch_names.count("batch 0"));
+  EXPECT_TRUE(
+      batch_names.count("batch " + std::to_string(r.breakdown.batches - 1)));
+}
+
 // -------------------------------------------------- request breakdown
 
 TEST(RequestBreakdown, CacheAttributionColdThenWarm) {

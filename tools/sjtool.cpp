@@ -224,10 +224,10 @@ gsj::simt::FleetConfig parse_fleet_flags(gsj::Cli& cli,
       }
     };
     apply(sms_csv, [](gsj::simt::DeviceConfig& d, const std::string& v) {
-      d.num_sms = std::stoi(v);
+      d.num_sms = static_cast<int>(gsj::parse_int(v, "--device-sms"));
     });
     apply(clock_csv, [](gsj::simt::DeviceConfig& d, const std::string& v) {
-      d.clock_ghz = std::stod(v);
+      d.clock_ghz = gsj::parse_double(v, "--device-clock");
     });
   }
   return fc;
@@ -571,7 +571,9 @@ int cmd_sweep(gsj::Cli& cli) {
       cli.get("epsilons", "", "comma-separated join radii");
   GSJ_CHECK_MSG(!eps_flag.empty(), "--epsilons is required");
   std::vector<double> epsilons;
-  for (const auto& tok : split_csv(eps_flag)) epsilons.push_back(std::stod(tok));
+  for (const auto& tok : split_csv(eps_flag)) {
+    epsilons.push_back(gsj::parse_double(tok, "--epsilons"));
+  }
   const std::vector<std::string> variants = split_csv(cli.get(
       "variants", "gpucalcglobal,unicomp,lidunicomp,sortbywl,workqueue,combined",
       "comma-separated GPU variants"));
@@ -741,22 +743,26 @@ ServeRequest parse_request_line(const std::string& line) {
                       << "' (want key=value)");
     const std::string key = tok.substr(0, eq);
     const std::string val = tok.substr(eq + 1);
+    const std::string what = "request key '" + key + "'";
+    const auto as_int = [&] {
+      return static_cast<int>(gsj::parse_int(val, what));
+    };
     if (key == "epsilon") {
-      r.epsilon = std::stod(val);
+      r.epsilon = gsj::parse_double(val, what);
     } else if (key == "variant") {
       r.variant = val;
     } else if (key == "k") {
-      r.k = std::stoi(val);
+      r.k = as_int();
     } else if (key == "priority") {
-      r.jr.priority = std::stoi(val);
+      r.jr.priority = as_int();
     } else if (key == "deadline-ms") {
-      r.jr.deadline_seconds = std::stod(val) / 1e3;
+      r.jr.deadline_seconds = gsj::parse_double(val, what) / 1e3;
     } else if (key == "cancel-ms") {
-      r.cancel_after_ms = std::stod(val);
+      r.cancel_after_ms = gsj::parse_double(val, what);
     } else if (key == "mode") {
       r.mode = val;
     } else if (key == "knn-k") {
-      r.knn_k = std::stoi(val);
+      r.knn_k = as_int();
     } else {
       GSJ_CHECK_MSG(false, "unknown request key '" << key << "'");
     }

@@ -17,3 +17,27 @@ run(${SJTOOL} dbscan --input ds.bin --epsilon 0.05 --minpts 4)
 if(NOT EXISTS ${WORKDIR}/pairs.csv)
   message(FATAL_ERROR "pairs.csv not written")
 endif()
+
+# Malformed numbers must fail with exit 1 and a message naming the flag
+# (or request key) and the value — never run on a truncated prefix.
+function(run_fails needle)
+  execute_process(COMMAND ${ARGN} WORKING_DIRECTORY ${WORKDIR}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "expected exit 1, got ${rc}: ${ARGN}\n${out}\n${err}")
+  endif()
+  string(FIND "${err}" "${needle}" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR "stderr lacks '${needle}': ${ARGN}\n${err}")
+  endif()
+endfunction()
+
+run_fails("--device-sms: expected an integer, got '56x'"
+          ${SJTOOL} join --input ds.bin --epsilon 0.02 --variant combined
+          --devices 2 --device-sms 56x,28)
+run_fails("--device-clock: expected a number, got '1.3GHz'"
+          ${SJTOOL} join --input ds.bin --epsilon 0.02 --variant combined
+          --devices 2 --device-clock 1.3GHz,1.0)
+file(WRITE ${WORKDIR}/bad_requests.txt "epsilon=0.02x variant=combined\n")
+run_fails("request key 'epsilon': expected a number, got '0.02x'"
+          ${SJTOOL} serve --input ds.bin --requests bad_requests.txt)
