@@ -48,6 +48,60 @@ bool pattern_accepts(CellPattern p, int dims, const CellCoords& oc,
   return false;
 }
 
+static_assert(kMaxDims <= 8, "SlotTable packs dimension sets into 8 bits");
+
+SlotTable::SlotTable(const GridIndex& grid, CellPattern pattern)
+    : pattern_(pattern), dims_(grid.dims()) {
+  for (int d = 0; d < dims_; ++d) {
+    cells_per_dim_[static_cast<std::size_t>(d)] = grid.cells_per_dim(d);
+    stride_[static_cast<std::size_t>(d)] = grid.stride(d);
+  }
+  slots_.resize(static_cast<std::size_t>(grid.adjacency_volume()));
+  for (std::uint32_t i = 0; i < size(); ++i) {
+    Slot& slot = slots_[i];
+    int top = -1;  // highest dimension with a non-zero offset
+    std::uint32_t rem = i;
+    for (int d = dims_ - 1; d >= 0; --d) {
+      const auto off = static_cast<std::int64_t>(rem % 3) - 1;
+      rem /= 3;
+      slot.dims[static_cast<std::size_t>(off + 1)] |=
+          static_cast<std::uint8_t>(1u << d);
+      slot.delta += static_cast<std::uint64_t>(off) *
+                    stride_[static_cast<std::size_t>(d)];
+      if (off != 0 && top < 0) top = d;
+    }
+    switch (pattern) {
+      case CellPattern::Full:
+        slot.gate = 1;
+        break;
+      case CellPattern::LidUnicomp:
+        slot.gate = i > centre() ? 1 : 0;
+        break;
+      case CellPattern::Unicomp:
+        slot.gate = top < 0 ? 0 : static_cast<std::uint8_t>(1u << top);
+        break;
+    }
+  }
+}
+
+SlotTable::Origin SlotTable::origin(const CellCoords& oc) const noexcept {
+  Origin o;
+  o.gate = pattern_ == CellPattern::Unicomp ? 0 : 1;
+  for (int d = 0; d < dims_; ++d) {
+    const auto sd = static_cast<std::size_t>(d);
+    const auto bit = static_cast<std::uint8_t>(1u << d);
+    for (std::int32_t off = -1; off <= 1; ++off) {
+      const std::int32_t v = oc[d] + off;
+      if (v < 0 || v >= cells_per_dim_[sd]) {
+        o.out[static_cast<std::size_t>(off + 1)] |= bit;
+      }
+    }
+    if (pattern_ == CellPattern::Unicomp && (oc[d] & 1) != 0) o.gate |= bit;
+    o.id += static_cast<std::uint64_t>(std::int64_t{oc[d]}) * stride_[sd];
+  }
+  return o;
+}
+
 std::uint64_t pattern_fanout(CellPattern p, int dims, const CellCoords& oc) {
   GSJ_CHECK(dims >= 1 && dims <= kMaxDims);
   std::uint64_t pow3 = 1;

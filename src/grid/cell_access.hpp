@@ -26,10 +26,17 @@
 // only against own-cell points with a larger grid rank and emit both
 // ordered pairs (plus the (q,q) self pair), so all patterns produce the
 // identical ordered result set.
+//
+// SlotTable precomputes a grid's 3^n adjacency window once, so a walk
+// over it (the kernels' NextCell step) decides each slot with a table
+// read and two mask tests, equal to the bounds check plus
+// pattern_accepts, and looks the cell up with GridIndex::seek_cell.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "grid/grid_index.hpp"
 
@@ -51,11 +58,90 @@ enum class CellPattern {
 
 /// Decides whether the origin cell evaluates the adjacent cell
 /// (origin != neighbor; both must be adjacent). `oc`/`nc` are the cell
-/// coordinate vectors, `oid`/`nid` the linear ids.
+/// coordinate vectors, `oid`/`nid` the linear ids. The patterns'
+/// definition: the window walks use SlotTable's equivalent bit tests,
+/// which the tests check against this predicate slot by slot.
 [[nodiscard]] bool pattern_accepts(CellPattern p, int dims,
                                    const CellCoords& oc, const CellCoords& nc,
                                    std::uint64_t oid,
                                    std::uint64_t nid) noexcept;
+
+/// The 3^dims adjacency window of one grid under one pattern. Slot i is
+/// the i-th offset vector of {-1,0,+1}^dims in odometer order (last
+/// dimension fastest, the order of GridIndex::for_each_adjacent_to), so
+/// the centre is slot (3^dims - 1) / 2. Linear ids are lexicographic in
+/// coordinates, hence the in-bounds slots of any origin name strictly
+/// increasing ids in slot order: one GridIndex::seek_cell cursor looks
+/// up a whole walk.
+///
+/// Per origin, Origin holds which dimensions each offset class would
+/// carry outside the grid; a slot is in bounds iff none of its
+/// dimensions falls in its class's mask. The pattern gate is a bit test
+/// too. LID-UNICOMP's nid > oid is "slot after the centre", and
+/// UNICOMP's test reads the origin's parity in the slot's highest
+/// dimension with a non-zero offset.
+class SlotTable {
+ public:
+  struct Slot {
+    /// Linear id of the slot's cell minus the centre's, modulo 2^64.
+    std::uint64_t delta = 0;
+    /// Bit d set in dims[o + 1] iff the offset in dimension d is o.
+    std::array<std::uint8_t, 3> dims{};
+    /// The origin evaluates the slot iff gate & Origin::gate != 0.
+    /// FULL: 1. LID-UNICOMP: 1 iff the slot follows the centre.
+    /// UNICOMP: the bit of the highest dimension with a non-zero
+    /// offset (0 for the centre).
+    std::uint8_t gate = 0;
+  };
+
+  /// A window's centre.
+  struct Origin {
+    /// Linear id of the centre cell, modulo 2^64 (wrapped when a probe
+    /// centre lies outside the grid): id + Slot::delta is the linear id
+    /// of every in-bounds slot.
+    std::uint64_t id = 0;
+    /// Bit d set in out[o + 1] iff offset o in dimension d leaves the
+    /// grid.
+    std::array<std::uint8_t, 3> out{};
+    /// FULL, LID-UNICOMP: 1. UNICOMP: the dimensions whose centre
+    /// coordinate is odd.
+    std::uint8_t gate = 0;
+  };
+
+  SlotTable(const GridIndex& grid, CellPattern pattern);
+
+  [[nodiscard]] std::uint32_t size() const noexcept {
+    return static_cast<std::uint32_t>(slots_.size());
+  }
+  [[nodiscard]] std::uint32_t centre() const noexcept {
+    return (size() - 1) / 2;
+  }
+  [[nodiscard]] const Slot& operator[](std::uint32_t i) const noexcept {
+    return slots_[i];
+  }
+
+  /// The window around cell coordinates `oc`: grid cells, or probe
+  /// coordinates banded by GridIndex::probe_cell_coord.
+  [[nodiscard]] Origin origin(const CellCoords& oc) const noexcept;
+
+  /// Slot `s` of the window around `o` lies inside the grid.
+  [[nodiscard]] static bool in_bounds(const Slot& s, const Origin& o) noexcept {
+    return ((s.dims[0] & o.out[0]) | (s.dims[1] & o.out[1]) |
+            (s.dims[2] & o.out[2])) == 0;
+  }
+
+  /// pattern_accepts for the centre of `o` and the in-bounds slot `s`.
+  [[nodiscard]] static bool accepts(const Slot& s, const Origin& o) noexcept {
+    return (s.gate & o.gate) != 0;
+  }
+
+ private:
+  CellPattern pattern_;
+  int dims_;
+  std::array<std::int32_t, kMaxDims> cells_per_dim_{};
+  std::array<std::uint64_t, kMaxDims> stride_{};
+  std::vector<Slot> slots_;
+};
 
 /// Number of adjacent (non-origin) cell slots the pattern would accept
 /// for an inner cell at coordinates `oc` — grid-boundary and emptiness

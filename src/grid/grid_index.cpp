@@ -278,14 +278,6 @@ CellCoords GridIndex::decode(std::uint64_t linear_id) const noexcept {
   return cc;
 }
 
-std::uint64_t GridIndex::encode(const CellCoords& cc) const noexcept {
-  std::uint64_t id = 0;
-  for (int d = 0; d < dims(); ++d) {
-    id += static_cast<std::uint64_t>(cc[d]) * stride_[static_cast<std::size_t>(d)];
-  }
-  return id;
-}
-
 CellCoords GridIndex::cell_coords_of(std::span<const double> coords) const {
   GSJ_CHECK(static_cast<int>(coords.size()) == dims());
   CellCoords cc;

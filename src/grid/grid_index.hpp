@@ -9,8 +9,12 @@
 //   * `point_ids()`  — all point ids grouped by cell (each cell owns a
 //                      contiguous range), giving O(|D|) space,
 //   * per-point back-references (owning cell, rank within grid order).
+// Lookups that come in ascending id order, such as every adjacency
+// walk, use seek_cell's forward-galloping cursor instead of a binary
+// search per lookup.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -132,6 +136,44 @@ class GridIndex {
   /// maps to an empty cell.
   [[nodiscard]] std::size_t find_cell(std::uint64_t linear_id) const noexcept;
 
+  /// find_cell for ascending id sequences. `cursor` is an index into
+  /// cells() (start it at 0) that only moves forward: the call gallops
+  /// it (1, 2, 4, ... cells, then a binary search over the last jump)
+  /// to the first cell whose linear id is >= `linear_id`, and returns
+  /// that cell's index when its id matches, npos otherwise. A lookup
+  /// therefore costs O(log gap) in the number of cells skipped, not
+  /// O(log |cells|). Exact as long as no cell before the cursor has an
+  /// id >= `linear_id` — guaranteed when the ids passed to one cursor
+  /// never decrease (repeats are fine: a hit leaves the cursor on the
+  /// matched cell). The adjacency walks below rely on it: in odometer
+  /// order the in-bounds cells of a window have strictly increasing
+  /// linear ids.
+  [[nodiscard]] std::size_t seek_cell(std::uint32_t& cursor,
+                                      std::uint64_t linear_id) const noexcept {
+    const GridCell* const first = cells_.data();
+    const GridCell* const last = first + cells_.size();
+    const GridCell* lo = first + cursor;
+    if (lo != last && lo->linear_id < linear_id) {
+      // Invariant: lo->linear_id < linear_id. Gallop until the jump
+      // target reaches the id (or the end), then search the jump.
+      std::size_t jump = 1;
+      while (static_cast<std::size_t>(last - lo) > jump &&
+             lo[jump].linear_id < linear_id) {
+        lo += jump;
+        jump *= 2;
+      }
+      const GridCell* hi =
+          static_cast<std::size_t>(last - lo) > jump ? lo + jump : last;
+      lo = std::lower_bound(
+          lo + 1, hi, linear_id,
+          [](const GridCell& c, std::uint64_t id) { return c.linear_id < id; });
+    }
+    cursor = static_cast<std::uint32_t>(lo - first);
+    return lo != last && lo->linear_id == linear_id
+               ? static_cast<std::size_t>(lo - first)
+               : npos;
+  }
+
   /// Index (into cells()) of the cell owning point `p`.
   [[nodiscard]] std::size_t cell_of_point(PointId p) const noexcept {
     return point_cell_[p];
@@ -152,7 +194,19 @@ class GridIndex {
 
   /// Encodes cell coordinates into a linear id. Coordinates must lie in
   /// [0, cells_per_dim(d)).
-  [[nodiscard]] std::uint64_t encode(const CellCoords& cc) const noexcept;
+  [[nodiscard]] std::uint64_t encode(const CellCoords& cc) const noexcept {
+    std::uint64_t id = 0;
+    for (int d = 0; d < dims(); ++d) {
+      id += static_cast<std::uint64_t>(cc[d]) * stride(d);
+    }
+    return id;
+  }
+
+  /// Linear-id step of one cell along dimension `d` (row-major: the
+  /// last dimension has stride 1).
+  [[nodiscard]] std::uint64_t stride(int d) const noexcept {
+    return stride_[static_cast<std::size_t>(d)];
+  }
 
   /// Cell coordinates an arbitrary location falls into, clamped to the
   /// grid bounds (locations outside the indexed bounding box map to the
@@ -260,7 +314,10 @@ void GridIndex::for_each_adjacent(std::size_t origin_cell, bool include_origin,
 template <typename Fn>
 void GridIndex::for_each_adjacent_to(const CellCoords& oc, Fn&& fn) const {
   const int n = dims();
-  // Odometer over offsets in {-1,0,1}^n, lexicographic.
+  // Odometer over offsets in {-1,0,1}^n, lexicographic: the in-bounds
+  // cells come in ascending id order, so one seek_cell cursor serves
+  // the whole walk.
+  std::uint32_t cursor = 0;
   std::array<std::int32_t, kMaxDims> off{};
   for (int d = 0; d < n; ++d) off[static_cast<std::size_t>(d)] = -1;
   for (;;) {
@@ -276,7 +333,7 @@ void GridIndex::for_each_adjacent_to(const CellCoords& oc, Fn&& fn) const {
     }
     if (inb) {
       const std::uint64_t nid = encode(nc);
-      const std::size_t nidx = find_cell(nid);
+      const std::size_t nidx = seek_cell(cursor, nid);
       if (nidx != npos) fn(nidx, nc, nid);
     }
     // Advance odometer.
@@ -309,6 +366,8 @@ void GridIndex::for_each_within(std::span<const double> coords, int shells,
                                     std::int64_t{cells_per_dim(d)} - 1);
     if (lo[sd] > hi[sd]) return;
   }
+  // Odometer order over the box is ascending id order (seek_cell).
+  std::uint32_t cursor = 0;
   std::array<std::int64_t, kMaxDims> cur = lo;
   for (;;) {
     CellCoords cc;
@@ -316,7 +375,7 @@ void GridIndex::for_each_within(std::span<const double> coords, int shells,
       cc[d] = static_cast<std::int32_t>(cur[static_cast<std::size_t>(d)]);
     }
     const std::uint64_t id = encode(cc);
-    const std::size_t idx = find_cell(id);
+    const std::size_t idx = seek_cell(cursor, id);
     if (idx != npos) fn(idx, cc, id);
     int d = n - 1;
     while (d >= 0) {

@@ -9,30 +9,49 @@
 
 namespace gsj {
 
-std::uint64_t cell_workload_at(const GridIndex& grid, CellPattern pattern,
-                               std::size_t cell_idx) {
+namespace {
+
+/// Points of the non-empty cells `slots` accepts around cell `cell_idx`,
+/// the cell itself excluded: the adjacent part of its workload.
+std::uint64_t accepted_neighbor_points(const GridIndex& grid,
+                                       const SlotTable& slots,
+                                       std::size_t cell_idx) {
   const auto cells = grid.cells();
-  const CellCoords oc = grid.decode(cells[cell_idx].linear_id);
-  const std::uint64_t oid = cells[cell_idx].linear_id;
-  std::uint64_t w = cells[cell_idx].size();  // own cell candidates
-  grid.for_each_adjacent(
-      cell_idx, /*include_origin=*/false,
-      [&](std::size_t nidx, const CellCoords& nc, std::uint64_t nid) {
-        if (pattern_accepts(pattern, grid.dims(), oc, nc, oid, nid)) {
-          w += cells[nidx].size();
-        }
-      });
-  return w;
+  const SlotTable::Origin o =
+      slots.origin(grid.decode(cells[cell_idx].linear_id));
+  std::uint64_t total = 0;
+  std::uint32_t cursor = 0;
+  for (std::uint32_t i = 0; i < slots.size(); ++i) {
+    const SlotTable::Slot& slot = slots[i];
+    if (i == slots.centre() || !SlotTable::in_bounds(slot, o) ||
+        !SlotTable::accepts(slot, o)) {
+      continue;
+    }
+    const std::size_t nidx = grid.seek_cell(cursor, o.id + slot.delta);
+    if (nidx != GridIndex::npos) total += cells[nidx].size();
+  }
+  return total;
 }
+
+/// Workload of the single cell `cell_idx` (an index into grid.cells()):
+/// its own size plus its accepted neighbors'.
+std::uint64_t cell_workload_at(const GridIndex& grid, const SlotTable& slots,
+                               std::size_t cell_idx) {
+  return grid.cells()[cell_idx].size() +
+         accepted_neighbor_points(grid, slots, cell_idx);
+}
+
+}  // namespace
 
 std::vector<std::uint64_t> cell_workloads(const GridIndex& grid,
                                           CellPattern pattern,
                                           ThreadPool* pool) {
   const auto cells = grid.cells();
+  const SlotTable slots(grid, pattern);
   std::vector<std::uint64_t> wl(cells.size(), 0);
   const auto quantify = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t ci = lo; ci < hi; ++ci) {
-      wl[ci] = cell_workload_at(grid, pattern, ci);
+      wl[ci] = cell_workload_at(grid, slots, ci);
     }
   };
   if (pool != nullptr && pool->size() > 1) {
@@ -122,10 +141,11 @@ WorkloadPatchResult patch_workloads(const GridIndex& grid,
   // Per-cell workloads: re-quantify the affected, recover the rest
   // from the old per-point table via any member (an unaffected cell's
   // membership — and every member's id — is unchanged).
+  const SlotTable slots(grid, pattern);
   std::vector<std::uint64_t> cw(cells.size());
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
     if (cell_affected[ci] != 0) {
-      cw[ci] = cell_workload_at(grid, pattern, ci);
+      cw[ci] = cell_workload_at(grid, slots, ci);
       ++out.recomputed_cells;
     } else {
       cw[ci] = old_point_workloads[grid.cell_points(ci).front()];
@@ -175,22 +195,15 @@ WorkloadPatchResult patch_workloads(const GridIndex& grid,
 std::uint64_t total_candidate_evaluations(const GridIndex& grid,
                                           CellPattern pattern) {
   const auto cells = grid.cells();
+  const SlotTable slots(grid, pattern);
   std::uint64_t total = 0;
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-    const CellCoords oc = grid.decode(cells[ci].linear_id);
-    const std::uint64_t oid = cells[ci].linear_id;
     const std::uint64_t sz = cells[ci].size();
     // Own cell: FULL compares every point to every point (self
     // included); unidirectional patterns compare each unordered pair
     // once.
     total += pattern == CellPattern::Full ? sz * sz : sz * (sz - 1) / 2;
-    grid.for_each_adjacent(
-        ci, /*include_origin=*/false,
-        [&](std::size_t nidx, const CellCoords& nc, std::uint64_t nid) {
-          if (pattern_accepts(pattern, grid.dims(), oc, nc, oid, nid)) {
-            total += sz * grid.cells()[nidx].size();
-          }
-        });
+    total += sz * accepted_neighbor_points(grid, slots, ci);
   }
   return total;
 }

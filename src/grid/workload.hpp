@@ -17,12 +17,6 @@ namespace gsj {
 
 class ThreadPool;
 
-/// Workload of the single cell `cell_idx` (an index into grid.cells())
-/// — the value cell_workloads() computes for that slot.
-[[nodiscard]] std::uint64_t cell_workload_at(const GridIndex& grid,
-                                             CellPattern pattern,
-                                             std::size_t cell_idx);
-
 /// Plan artifacts re-aligned to a repaired grid (see patch_workloads).
 struct WorkloadPatchResult {
   std::vector<std::uint64_t> point_workloads;

@@ -12,8 +12,24 @@ std::string to_string(Assignment a) {
   return a == Assignment::Static ? "STATIC" : "WORKQUEUE";
 }
 
-SelfJoinKernel::SelfJoinKernel(const KernelParams& p) : p_(p) {
-  GSJ_CHECK(p.grid != nullptr && p.device != nullptr && p.results != nullptr);
+namespace {
+
+/// The launch's grid, checked before the member initializers use it.
+const GridIndex& grid_of(const KernelParams& p) {
+  GSJ_CHECK(p.grid != nullptr);
+  return *p.grid;
+}
+
+}  // namespace
+
+SelfJoinKernel::SelfJoinKernel(const KernelParams& p)
+    : p_(p),
+      // R×S scans every cell of the window — the unidirectional
+      // patterns' "evaluate each unordered pair once" trick has nothing
+      // to save when queries and candidates come from different
+      // datasets — and its centre is an ordinary slot.
+      slots_(grid_of(p), p.probe != nullptr ? CellPattern::Full : p.pattern) {
+  GSJ_CHECK(p.device != nullptr && p.results != nullptr);
   GSJ_CHECK_MSG(p.k >= 1 && p.device->warp_size % p.k == 0,
                 "k=" << p.k << " must divide warp_size="
                      << p.device->warp_size);
@@ -40,8 +56,6 @@ SelfJoinKernel::SelfJoinKernel(const KernelParams& p) : p_(p) {
     qcoords_ = coords_;
   }
   eps2_ = grid.epsilon() * grid.epsilon();
-  adj_total_ = grid.adjacency_volume();
-  adj_center_ = (adj_total_ - 1) / 2;  // all offsets zero
   unidirectional_ = !rxs_ && is_unidirectional(p.pattern);
   cost_dist_ = p.device->cost_dist(dims_);
 }
@@ -73,48 +87,23 @@ simt::InitResult SelfJoinKernel::init_lane(LaneState& s,
   }
 
   const GridIndex& grid = *p_.grid;
+  CellCoords oc;
   if (rxs_) {
     // Probe points have no cell of their own in the grid: anchor the
     // 3^n window at their banded coordinates (grid/grid_index.hpp).
-    // rank / origin_cell / origin_id stay at their defaults — the R×S
-    // scan never consults them.
+    // rank stays at its default — the R×S scan never consults it.
     for (int d = 0; d < dims_; ++d) {
-      s.oc[d] = grid.probe_cell_coord(p_.probe->coord(s.q, d), d);
+      oc[d] = grid.probe_cell_coord(p_.probe->coord(s.q, d), d);
     }
   } else {
     s.rank = grid.grid_rank(s.q);
-    s.origin_cell = grid.cell_of_point(s.q);
-    s.origin_id = cells_[s.origin_cell].linear_id;
-    s.oc = grid.decode(s.origin_id);
+    oc = grid.coords_of_point(s.q);
   }
-  s.adj_cursor = 0;
+  s.origin = slots_.origin(oc);
+  s.slot = 0;
+  s.cell_cursor = 0;
   s.scanning = false;
   cost += 4;  // point load + cell decode
-  return {true, cost};
-}
-
-simt::StepResult SelfJoinKernel::step_into(LaneState& s, ResultSet& out,
-                                           std::uint64_t& emitted) const {
-  return s.scanning ? scan(s, out, emitted) : next_cell(s, out, emitted);
-}
-
-simt::StepResult SelfJoinKernel::scan(LaneState& s, ResultSet& out,
-                                      std::uint64_t& emitted) const {
-  const PointId c = point_ids_[s.cand_pos];
-  std::uint32_t cost = cost_dist_;
-  if (within_eps(s.q, c)) {
-    out.emit(s.q, c);
-    ++emitted;
-    if (unidirectional_) {
-      // This evaluation is the only one for the unordered pair {q, c}:
-      // mirror it (the CUDA code writes both pairs to the buffer).
-      out.emit(c, s.q);
-      ++emitted;
-    }
-    cost += p_.device->cost_emit;
-  }
-  s.cand_pos += static_cast<std::uint32_t>(p_.k);
-  if (s.cand_pos >= s.cand_end) s.scanning = false;
   return {true, cost};
 }
 
@@ -188,73 +177,6 @@ simt::FastForward SelfJoinKernel::fast_forward_into(
     if (s.cand_pos >= s.cand_end) s.scanning = false;
   }
   return {steps, cycles, nactive};
-}
-
-simt::StepResult SelfJoinKernel::next_cell(LaneState& s, ResultSet& out,
-                                           std::uint64_t& emitted) const {
-  if (s.adj_cursor >= adj_total_) return {false, 1};
-  const std::uint64_t cur = s.adj_cursor++;
-  std::uint32_t cost = p_.device->cost_pattern_check;
-
-  const GridIndex& grid = *p_.grid;
-
-  if (!rxs_ && cur == adj_center_) {
-    // The origin cell itself.
-    const GridCell& cell = cells_[s.origin_cell];
-    std::uint32_t begin, end = cell.end;
-    if (p_.pattern == CellPattern::Full) {
-      begin = cell.begin;  // every own-cell point, q included (self pair)
-    } else {
-      // Rank rule: only own-cell points after q in grid order; each
-      // evaluation emits both pairs. The (q,q) self pair is written
-      // directly, once per group.
-      if (s.group_rank == 0) {
-        out.emit(s.q, s.q);
-        ++emitted;
-        cost += p_.device->cost_emit;
-      }
-      begin = s.rank + 1;
-    }
-    begin += s.group_rank;  // k-way split of the candidate range
-    if (begin < end) {
-      s.cand_pos = begin;
-      s.cand_end = end;
-      s.scanning = true;
-    }
-    return {true, cost};
-  }
-
-  // Decode the odometer slot into a {-1,0,1}^dims offset (mixed radix,
-  // last dimension fastest — matching linear-id order).
-  CellCoords nc;
-  std::uint64_t rem = cur;
-  for (int d = dims_ - 1; d >= 0; --d) {
-    const auto off = static_cast<std::int32_t>(rem % 3) - 1;
-    rem /= 3;
-    const std::int32_t v = s.oc[d] + off;
-    if (v < 0 || v >= grid.cells_per_dim(d)) return {true, cost};
-    nc[d] = v;
-  }
-
-  const std::uint64_t nid = grid.encode(nc);
-  // R×S scans every cell of the window — the unidirectional patterns'
-  // "evaluate each unordered pair once" trick has nothing to save when
-  // queries and candidates come from different datasets.
-  if (!rxs_ && !pattern_accepts(p_.pattern, dims_, s.oc, nc, s.origin_id, nid)) {
-    return {true, cost};
-  }
-  const std::size_t nidx = grid.find_cell(nid);
-  cost += p_.device->cost_cell_probe;
-  if (nidx == GridIndex::npos) return {true, cost};
-
-  const GridCell& cell = cells_[nidx];
-  const std::uint32_t begin = cell.begin + s.group_rank;
-  if (begin < cell.end) {
-    s.cand_pos = begin;
-    s.cand_end = cell.end;
-    s.scanning = true;
-  }
-  return {true, cost};
 }
 
 }  // namespace gsj

@@ -24,9 +24,16 @@
 //       survives (cost_cell_probe);
 //   Scan step     — one candidate distance calculation (cost_dist) and,
 //       within epsilon, result emission (cost_emit).
-// When every active lane of a warp is scanning, the host replays the
-// whole run of Scan steps at once (fast_forward); the modeled steps,
-// cycles and emissions are exactly the per-step ones.
+// The model charges the GPU's work; the host takes shortcuts with the
+// same outcome. A NextCell step is one read of the kernel's SlotTable
+// (grid/cell_access.hpp), two mask tests against the lane's origin,
+// and a GridIndex::seek_cell from the lane's cell cursor (in-bounds
+// slots come in ascending id order), so a slot costs O(1) host work
+// while cost_cell_probe still models the binary search
+// (docs/PERFORMANCE.md, "NextCell window walk"). When every active lane
+// of a warp is scanning, the host replays the whole run of Scan steps
+// at once (fast_forward); the modeled steps, cycles and emissions are
+// exactly the per-step ones.
 //
 // Result-pair semantics match reference.hpp: all ordered pairs with
 // self pairs. FULL evaluates both directions and emits one pair per
@@ -93,15 +100,16 @@ class SelfJoinKernel {
  public:
   explicit SelfJoinKernel(const KernelParams& p);
 
+  /// 48 bytes: the parallel host path keeps one per lane of a
+  /// 4,096-warp block.
   struct LaneState {
+    SlotTable::Origin origin{};     ///< q's cell (R×S: banded probe cell)
     PointId q = 0;
-    std::uint32_t rank = 0;        ///< grid rank of q (own-cell rule)
-    std::uint32_t group_rank = 0;  ///< 0..k-1 within the cooperative group
-    std::uint64_t origin_id = 0;   ///< linear id of q's cell
-    std::size_t origin_cell = 0;   ///< index into grid.cells()
-    CellCoords oc{};               ///< q's cell coordinates
-    std::uint64_t adj_cursor = 0;  ///< odometer over the 3^n slots
-    std::uint32_t cand_pos = 0;    ///< current candidate (into point_ids)
+    std::uint32_t rank = 0;         ///< grid rank of q (own-cell rule)
+    std::uint32_t group_rank = 0;   ///< 0..k-1 within the cooperative group
+    std::uint32_t slot = 0;         ///< odometer over the 3^n slots
+    std::uint32_t cell_cursor = 0;  ///< GridIndex::seek_cell cursor
+    std::uint32_t cand_pos = 0;     ///< current candidate (into point_ids)
     std::uint32_t cand_end = 0;
     bool scanning = false;
   };
@@ -251,6 +259,7 @@ class SelfJoinKernel {
   }
 
   KernelParams p_;
+  SlotTable slots_;  ///< the 3^n window (FULL's for R×S)
   // Cached hot fields.
   const GridCell* cells_ = nullptr;
   const PointId* point_ids_ = nullptr;
@@ -258,13 +267,96 @@ class SelfJoinKernel {
   std::array<const double*, kMaxDims> qcoords_{};  ///< query side (== coords_ for Self)
   int dims_ = 0;
   double eps2_ = 0.0;
-  std::uint64_t adj_total_ = 0;   ///< 3^dims
-  std::uint64_t adj_center_ = 0;  ///< odometer slot of the origin cell
   bool unidirectional_ = false;
   bool rxs_ = false;
   std::uint32_t cost_dist_ = 0;
   std::uint64_t atomics_ = 0;
   std::uint64_t emitted_ = 0;
 };
+
+// The per-lane step is defined here, not in kernels.cpp, so that
+// simt::launch's step loop inlines it: on NextCell-bound joins the call
+// was a measurable share of the host time per lane-step.
+inline simt::StepResult SelfJoinKernel::step_into(
+    LaneState& s, ResultSet& out, std::uint64_t& emitted) const {
+  return s.scanning ? scan(s, out, emitted) : next_cell(s, out, emitted);
+}
+
+inline simt::StepResult SelfJoinKernel::scan(LaneState& s, ResultSet& out,
+                                             std::uint64_t& emitted) const {
+  const PointId c = point_ids_[s.cand_pos];
+  std::uint32_t cost = cost_dist_;
+  if (within_eps(s.q, c)) {
+    out.emit(s.q, c);
+    ++emitted;
+    if (unidirectional_) {
+      // This evaluation is the only one for the unordered pair {q, c}:
+      // mirror it (the CUDA code writes both pairs to the buffer).
+      out.emit(c, s.q);
+      ++emitted;
+    }
+    cost += p_.device->cost_emit;
+  }
+  s.cand_pos += static_cast<std::uint32_t>(p_.k);
+  if (s.cand_pos >= s.cand_end) s.scanning = false;
+  return {true, cost};
+}
+
+inline simt::StepResult SelfJoinKernel::next_cell(
+    LaneState& s, ResultSet& out, std::uint64_t& emitted) const {
+  if (s.slot >= slots_.size()) return {false, 1};
+  const std::uint32_t cur = s.slot++;
+  std::uint32_t cost = p_.device->cost_pattern_check;
+
+  if (!rxs_ && cur == slots_.centre()) {
+    // The origin cell itself: q's own, so the seek hits.
+    const std::size_t own = p_.grid->seek_cell(s.cell_cursor, s.origin.id);
+    GSJ_DCHECK(own != GridIndex::npos);
+    const GridCell& cell = cells_[own];
+    std::uint32_t begin, end = cell.end;
+    if (p_.pattern == CellPattern::Full) {
+      begin = cell.begin;  // every own-cell point, q included (self pair)
+    } else {
+      // Rank rule: only own-cell points after q in grid order; each
+      // evaluation emits both pairs. The (q,q) self pair is written
+      // directly, once per group.
+      if (s.group_rank == 0) {
+        out.emit(s.q, s.q);
+        ++emitted;
+        cost += p_.device->cost_emit;
+      }
+      begin = s.rank + 1;
+    }
+    begin += s.group_rank;  // k-way split of the candidate range
+    if (begin < end) {
+      s.cand_pos = begin;
+      s.cand_end = end;
+      s.scanning = true;
+    }
+    return {true, cost};
+  }
+
+  const SlotTable::Slot& slot = slots_[cur];
+  if (!SlotTable::in_bounds(slot, s.origin) ||
+      !SlotTable::accepts(slot, s.origin)) {
+    return {true, cost};
+  }
+  cost += p_.device->cost_cell_probe;
+  const std::size_t nidx =
+      p_.grid->seek_cell(s.cell_cursor, s.origin.id + slot.delta);
+  if (nidx == GridIndex::npos) return {true, cost};
+
+  const GridCell& cell = cells_[nidx];
+  const std::uint32_t begin = cell.begin + s.group_rank;
+  if (begin < cell.end) {
+    s.cand_pos = begin;
+    s.cand_end = cell.end;
+    s.scanning = true;
+  }
+  return {true, cost};
+}
+
+static_assert(sizeof(SelfJoinKernel::LaneState) <= 48,
+              "LaneState is per-lane host memory on the parallel path");
 
 }  // namespace gsj

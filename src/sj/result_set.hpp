@@ -56,18 +56,23 @@ class ResultSet {
   /// execution path. Both sides must share the storage mode.
   void absorb(ResultSet&& other);
 
+  /// Largest reservation reserve() makes: 2^24 pairs (128 MiB).
+  static constexpr std::uint64_t kMaxReservePairs = std::uint64_t{1} << 24;
+
   /// Pre-sizes pair storage for `expected_pairs` total pairs (from the
   /// batch estimator) so store-pairs joins don't pay realloc churn
   /// mid-kernel. No-op in count-only mode. The reservation is a hint
-  /// from an *untrusted* estimate: callers clamp it to the batch buffer
-  /// capacity, it is bounded to max_size here, and a failed allocation
-  /// is swallowed — a wildly high estimate must not abort the join
-  /// before it starts; emit() simply grows storage amortized as usual.
+  /// from an *untrusted* estimate, so it is clamped to kMaxReservePairs
+  /// before it reaches the allocator (an allocator that aborts on
+  /// absurd sizes, as ASan's does, never sees one), and a failed
+  /// allocation is swallowed — a wildly high estimate must not abort
+  /// the join before it starts; emit() simply grows storage amortized
+  /// as usual.
   void reserve(std::uint64_t expected_pairs) {
     if (!store_) return;
     try {
       pairs_.reserve(static_cast<std::size_t>(
-          std::min<std::uint64_t>(expected_pairs, pairs_.max_size())));
+          std::min(expected_pairs, kMaxReservePairs)));
     } catch (const std::bad_alloc&) {
     }
   }

@@ -6,7 +6,10 @@
 // the six paper variants on self-join 2-D / 6-D and R×S 2-D inputs,
 // with pairs stored or only counted, on the sequential and the parallel
 // host path. A golden test pins the modeled counts and a digest of the
-// emission stream to the values the per-step simulator produced.
+// emission stream to the values the per-step simulator produced; a
+// second pins them for NextCell-bound inputs (sparse 6-D, R×S with
+// out-of-bbox probes, 1-D, 8-D and one- or two-cell dimensions), whose
+// lane-steps are almost all adjacency-slot steps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "data/generators.hpp"
 #include "grid/grid_index.hpp"
 #include "grid/workload.hpp"
@@ -378,6 +382,137 @@ TEST(FastForward, GoldenCountsMatchPerStepSimulator) {
     EXPECT_EQ(h.stats.active_lane_steps, kGolden[i].active_lane_steps);
     EXPECT_EQ(h.stats.busy_cycles, kGolden[i].busy_cycles);
     EXPECT_EQ(stream_digest(h.results.pairs()), kGolden[i].digest);
+  }
+}
+
+/// Sparse uniform 6-D: 6 cells per dimension (46,656 cells for 3,000
+/// points), the shape of the sparse-6d benchmark workload.
+Dataset sparse_6d() { return gen_uniform(3000, 6, 141, 0.0, 6.0); }
+
+const Input& sparse_self_6d() {
+  static const Input in(sparse_6d(), 1.0);
+  return in;
+}
+
+/// R×S over the sparse 6-D grid. Most probes lie outside the bounding
+/// box in some dimension, reaching far enough on both sides that their
+/// cell coordinates are banded to -2 and cells_per_dim + 1; the last
+/// 500 lie inside.
+const Input& sparse_rxs_6d() {
+  static const Input in(sparse_6d(), 1.0, [] {
+    Dataset probe = gen_uniform(1500, 6, 142, -2.5, 8.5);
+    const Dataset inside = gen_uniform(500, 6, 143, 0.0, 6.0);
+    std::vector<double> row(6);
+    for (std::size_t i = 0; i < inside.size(); ++i) {
+      for (int d = 0; d < 6; ++d) {
+        row[static_cast<std::size_t>(d)] = inside.coord(i, d);
+      }
+      probe.push_back(row);
+    }
+    return probe;
+  }());
+  return in;
+}
+
+const Input& self_1d() {
+  static const Input in(gen_uniform(2000, 1, 151, 0.0, 50.0), 0.1);
+  return in;
+}
+
+/// kMaxDims: 4 cells per dimension, a 3^8 = 6,561-slot window.
+const Input& self_8d() {
+  static const Input in(gen_uniform(400, kMaxDims, 153, 0.0, 4.0), 1.0);
+  return in;
+}
+
+/// 4-D with 1, 2, 1 and 30 cells per dimension: every ±1 offset in
+/// dimensions 0 and 2 leaves the grid, and dimension 1 has no inner
+/// cell.
+const Input& narrow_4d() {
+  static const Input in(
+      [] {
+        const double extent[] = {0.5, 1.5, 0.9, 30.0};
+        Xoshiro256 rng(157);
+        Dataset ds(4);
+        std::vector<double> row(4);
+        for (int i = 0; i < 1200; ++i) {
+          for (std::size_t d = 0; d < 4; ++d) {
+            row[d] = rng.uniform(0.0, extent[d]);
+          }
+          ds.push_back(row);
+        }
+        return ds;
+      }(),
+      1.0);
+  return in;
+}
+
+TEST(NextCell, GoldenCountsMatchSlotWalk) {
+  // Recorded from the odometer-decode / binary-search NextCell walk
+  // (stored pairs, sequential host path); the 4-thread host path must
+  // reproduce them too.
+  struct Golden {
+    std::uint64_t makespan_cycles, warp_steps, active_lane_steps,
+        busy_cycles, digest;
+  };
+  struct Case {
+    InputCase input;
+    Golden golden[std::size(kVariants)];
+  };
+  const Case cases[] = {
+      {{"SparseSelf6D", &sparse_self_6d},
+       {{243730, 73521, 2261842, 3800630, 0x2cab7bb7ab943fedull},
+        {226530, 72387, 2224421, 3519058, 0xf51648078de719bdull},
+        {131602, 71258, 2224421, 2047810, 0x9665241f6d1b40a5ull},
+        {239022, 70898, 2261842, 3636330, 0x91520c2454631d85ull},
+        {238698, 70899, 2261842, 3733562, 0x7dd3ae77524ae57dull},
+        {811919, 556122, 17554421, 12932522, 0x8ba606478a072395ull}}},
+      {{"SparseRxS6D", &sparse_rxs_6d},
+       {{129160, 47739, 1473503, 1658027, 0xf250aa323b0255f5ull},
+        {129160, 47739, 1473503, 1658027, 0xf250aa323b0255f5ull},
+        {129160, 47739, 1473503, 1658027, 0xf250aa323b0255f5ull},
+        {83252, 46454, 1473503, 960299, 0x729fa9e8d2f83541ull},
+        {73514, 46454, 1473503, 1024459, 0x810f85acb9635041ull},
+        {390489, 368378, 11693503, 6207624, 0x762600a9cd81b461ull}}},
+      {{"Self1D", &self_1d},
+       {{4486, 1515, 33860, 68145, 0x826d1579103b6531ull},
+        {3862, 1225, 19930, 57007, 0x9d9285ca82e7ff41ull},
+        {3060, 969, 19930, 43631, 0x7c04592e669a6681ull},
+        {3484, 1072, 33860, 51419, 0xe6da687b474f7ed1ull},
+        {7396, 1074, 33860, 115409, 0x19194d20391ef541ull},
+        {15586, 2986, 75930, 244500, 0xf9750deb56ccd2d1ull}}},
+      {{"Self8D", &self_8d},
+       {{297941, 85646, 2628730, 3841509, 0x80ab12542d64ccc5ull},
+        {288105, 85528, 2626565, 3610857, 0x8dee2504bafbd015ull},
+        {162177, 85504, 2626565, 2095657, 0x76848f6b692d5e95ull},
+        {307105, 85455, 2628730, 3702961, 0x99d6cda921823dddull},
+        {303665, 85464, 2628730, 3793557, 0x6371701c9698f875ull},
+        {758883, 656653, 21000165, 11386596, 0xa9ebcb377bf582f5ull}}},
+      {{"Narrow4D", &narrow_4d},
+       {{23051, 8058, 238400, 291646, 0x5dd4efbb25bb4d89ull},
+        {20255, 7560, 167800, 255214, 0x5a029041ebf9f6b5ull},
+        {15835, 6518, 167800, 200318, 0x0dc14fc47f0aa78dull},
+        {21323, 7561, 238400, 268278, 0x38ab825a992d91f9ull},
+        {24115, 7571, 238400, 307162, 0xb823c1beef014a55ull},
+        {25235, 27379, 856600, 399096, 0x0557e3dd1d1568adull}}},
+  };
+  for (const Case& c : cases) {
+    const Input& in = c.input.get();
+    for (std::size_t i = 0; i < std::size(kVariants); ++i) {
+      const Variant& v = kVariants[i];
+      SCOPED_TRACE(std::string(c.input.name) + " " + v.name);
+      const std::vector<PointId> queries = query_order(in, v);
+      for (const int threads : {0, 4}) {
+        SCOPED_TRACE(threads);
+        Harness<FastKernel> h(in, v, true, threads);
+        h.launch(queries);
+        EXPECT_EQ(h.stats.makespan_cycles, c.golden[i].makespan_cycles);
+        EXPECT_EQ(h.stats.warp_steps, c.golden[i].warp_steps);
+        EXPECT_EQ(h.stats.active_lane_steps, c.golden[i].active_lane_steps);
+        EXPECT_EQ(h.stats.busy_cycles, c.golden[i].busy_cycles);
+        EXPECT_EQ(stream_digest(h.results.pairs()), c.golden[i].digest);
+      }
+    }
   }
 }
 
