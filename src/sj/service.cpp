@@ -1452,20 +1452,7 @@ JoinService::DeltaPoll JoinService::poll(SubscriptionId id) {
     out.fallback = true;
     count("svc.stream.fallbacks");
   }
-  // Advance the retained snapshot by sorted set ops. Survivors of
-  // (retained \ lost) are untouched pairs whose ids are stable across
-  // the window (docs/STREAMING.md), and gained carries current ids, so
-  // the union is exactly the current canonical pair set.
-  std::vector<ResultPair> survivors;
-  survivors.reserve(sub.retained.size());
-  std::set_difference(sub.retained.begin(), sub.retained.end(),
-                      delta->lost.begin(), delta->lost.end(),
-                      std::back_inserter(survivors));
-  std::vector<ResultPair> next;
-  next.reserve(survivors.size() + delta->gained.size());
-  std::set_union(survivors.begin(), survivors.end(), delta->gained.begin(),
-                 delta->gained.end(), std::back_inserter(next));
-  sub.retained = std::move(next);
+  sub.retained = apply_pair_delta(sub.retained, *delta);
   sub.generation = out.generation;
   if (!delta->gained.empty()) {
     count("svc.stream.gained_pairs", delta->gained.size());

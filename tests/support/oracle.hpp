@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -145,6 +146,26 @@ inline AdversarialCase make_adversarial_case(std::uint64_t seed) {
   }
   c.dataset = std::move(ds);
   return c;
+}
+
+/// The pair delta a delta join must report across a mutation window
+/// (sj/delta.hpp): the literal set differences of the canonical
+/// brute-force results after and before it.
+struct OracleDelta {
+  std::vector<ResultPair> gained;  ///< after \ before
+  std::vector<ResultPair> lost;    ///< before \ after
+};
+
+inline OracleDelta brute_force_delta(const ResultSet& before,
+                                     const ResultSet& after) {
+  OracleDelta d;
+  const auto& b = before.pairs();
+  const auto& a = after.pairs();
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(d.gained));
+  std::set_difference(b.begin(), b.end(), a.begin(), a.end(),
+                      std::back_inserter(d.lost));
+  return d;
 }
 
 // ---------------------------------------------------------------------------

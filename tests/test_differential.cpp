@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -564,16 +565,10 @@ void churn_vs_oracle(const std::string& family, std::uint64_t seed_lo,
       const std::optional<PairDelta> delta =
           engine.delta_join(prep, c.epsilon, base);
       ASSERT_TRUE(delta.has_value()) << tag;
-      std::vector<ResultPair> want_gained;
-      std::set_difference(after.pairs().begin(), after.pairs().end(),
-                          before.pairs().begin(), before.pairs().end(),
-                          std::back_inserter(want_gained));
-      std::vector<ResultPair> want_lost;
-      std::set_difference(before.pairs().begin(), before.pairs().end(),
-                          after.pairs().begin(), after.pairs().end(),
-                          std::back_inserter(want_lost));
-      EXPECT_EQ(delta->gained, want_gained) << tag;
-      EXPECT_EQ(delta->lost, want_lost) << tag;
+      const testsupport::OracleDelta want =
+          testsupport::brute_force_delta(before, after);
+      EXPECT_EQ(delta->gained, want.gained) << tag;
+      EXPECT_EQ(delta->lost, want.lost) << tag;
 
       // (c) Warm runs across every kernel variant match the oracle.
       for (auto& [name, cfg] : all_variants(c.epsilon)) {
@@ -597,6 +592,83 @@ TEST(Differential, ChurnMoveStreamStaysConsistent) {
 }
 TEST(Differential, ChurnMixedStreamStaysConsistent) {
   churn_vs_oracle("mixed", 191, 196);
+}
+
+/// Id-reuse churn (docs/STREAMING.md §5): long windows in which one id
+/// names two different points. Most steps erase a point near the tail,
+/// which renames the tail into the erased id by swap-and-pop, then
+/// insert a point within eps of the tail's position, so the insert
+/// takes the vacated tail id next to the old tail's neighbours. The
+/// other steps move a point by less than eps, or erase or insert one
+/// anywhere. The delta runs on a grid coarser than the query (cell
+/// width > eps) and must equal the brute-force set difference after
+/// every window. A failure prints the (seed, window, dims, n, eps,
+/// cell) tuple.
+TEST(Differential, ChurnIdReuseStreamStaysConsistent) {
+  for (std::uint64_t seed = 300; seed <= 315; ++seed) {
+    Xoshiro256 rng(seed * 0x9e3779b97f4a7c15ull + 3);
+    const int dims = 1 + static_cast<int>(rng.uniform_index(3));  // 1..3
+    const double cell = 0.5 + rng.uniform();
+    const double eps = cell * (0.4 + 0.55 * rng.uniform());  // < cell
+    const double extent =
+        cell * static_cast<double>(2 + rng.uniform_index(4));
+    const double step = eps / static_cast<double>(dims);  // per coordinate
+    Dataset ds(dims);
+    std::vector<double> p(static_cast<std::size_t>(dims));
+    const auto place = [&](auto&& coord) {
+      for (int d = 0; d < dims; ++d) p[static_cast<std::size_t>(d)] = coord(d);
+    };
+    const std::size_t n = 30 + rng.uniform_index(120);
+    for (std::size_t i = 0; i < n; ++i) {
+      place([&](int) { return rng.uniform(0.0, extent); });
+      ds.push_back(p);
+    }
+    GridIndex grid(ds, cell);
+    ResultSet before = brute_force_join(ds, eps);
+    for (int window = 0; window < 4; ++window) {
+      const std::uint64_t base = ds.generation();
+      const std::size_t steps = 10 + rng.uniform_index(31);
+      for (std::size_t s = 0; s < steps; ++s) {
+        const double r = rng.uniform();
+        if (r < 0.45 && ds.size() > 1) {
+          const std::size_t tail = ds.size() - 1;
+          place([&](int d) {
+            return ds.coord(tail, d) + rng.uniform(-step, step);
+          });
+          ds.erase(static_cast<PointId>(
+              tail - rng.uniform_index(std::min<std::size_t>(4, ds.size()))));
+          ASSERT_EQ(ds.insert(p), tail);
+        } else if (r < 0.75) {
+          const auto i = static_cast<PointId>(rng.uniform_index(ds.size()));
+          place([&](int d) {
+            return ds.coord(i, d) + rng.uniform(-step, step);
+          });
+          ds.move_point(i, p);
+        } else if (r < 0.875 && ds.size() > 1) {
+          ds.erase(static_cast<PointId>(rng.uniform_index(ds.size())));
+        } else {
+          place([&](int) { return rng.uniform(0.0, extent); });
+          (void)ds.insert(p);
+        }
+      }
+      std::ostringstream tag;
+      tag.precision(17);
+      tag << "(seed=" << seed << ", window=" << window << ", dims=" << dims
+          << ", n=" << ds.size() << ", eps=" << eps << ", cell=" << cell
+          << ")";
+      (void)grid.repair();
+      const auto log = ds.mutations_since(base);
+      ASSERT_TRUE(log.has_value()) << tag.str();
+      const PairDelta delta =
+          compute_pair_delta(grid, summarize_churn(ds, *log), eps);
+      ResultSet after = brute_force_join(ds, eps);
+      const testsupport::OracleDelta want =
+          testsupport::brute_force_delta(before, after);
+      EXPECT_EQ(delta.gained, want.gained) << tag.str();
+      EXPECT_EQ(delta.lost, want.lost) << tag.str();
+      before = std::move(after);
+    }
+  }
 }
 
 TEST(Differential, ChurnedFleetSubmitMatchesOracle) {

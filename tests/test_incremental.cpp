@@ -29,6 +29,7 @@
 #include "sj/reference.hpp"
 #include "sj/selfjoin.hpp"
 #include "sj/service.hpp"
+#include "support/oracle.hpp"
 
 namespace gsj {
 namespace {
@@ -57,26 +58,6 @@ Dataset make_clusters(std::size_t n, std::uint64_t seed, int clusters,
     ds.push_back(std::span<const double>(p));
   }
   return ds;
-}
-
-std::vector<ResultPair> oracle_gained(const ResultSet& before,
-                                      const ResultSet& after) {
-  std::vector<ResultPair> out;
-  const auto a = after.pairs();
-  const auto b = before.pairs();
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(out));
-  return out;
-}
-
-std::vector<ResultPair> oracle_lost(const ResultSet& before,
-                                    const ResultSet& after) {
-  std::vector<ResultPair> out;
-  const auto a = after.pairs();
-  const auto b = before.pairs();
-  std::set_difference(b.begin(), b.end(), a.begin(), a.end(),
-                      std::back_inserter(out));
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -423,8 +404,10 @@ TEST(Delta, HandComputedGainsAndLosses) {
   const PairDelta delta = compute_pair_delta(grid, churn, eps);
 
   const ResultSet after = brute_force_join(ds, eps);
-  EXPECT_EQ(delta.gained, oracle_gained(before, after));
-  EXPECT_EQ(delta.lost, oracle_lost(before, after));
+  const testsupport::OracleDelta want =
+      testsupport::brute_force_delta(before, after);
+  EXPECT_EQ(delta.gained, want.gained);
+  EXPECT_EQ(delta.lost, want.lost);
   EXPECT_EQ(delta.stats.touched_points, 2u);
   EXPECT_EQ(delta.stats.removed_points, 0u);
   EXPECT_GT(delta.stats.candidates, 0u);
@@ -447,8 +430,10 @@ TEST(Delta, EraseRenameAliasLabelsLostPairsWithBaseIds) {
   const PairDelta delta = compute_pair_delta(grid, churn, eps);
 
   const ResultSet after = brute_force_join(ds, eps);
-  EXPECT_EQ(delta.gained, oracle_gained(before, after));
-  EXPECT_EQ(delta.lost, oracle_lost(before, after));
+  const testsupport::OracleDelta want =
+      testsupport::brute_force_delta(before, after);
+  EXPECT_EQ(delta.gained, want.gained);
+  EXPECT_EQ(delta.lost, want.lost);
   EXPECT_EQ(delta.stats.removed_points, 1u);
 }
 
@@ -462,6 +447,148 @@ TEST(Delta, QuiescentWindowIsEmpty) {
   const PairDelta delta = compute_pair_delta(grid, churn, 0.1);
   EXPECT_TRUE(delta.empty());
   EXPECT_EQ(delta.stats.candidates, 0u);
+}
+
+TEST(Delta, InsertTakingAnErasedTailIdCancelsAcrossTheWindow) {
+  // One id names two different points across the window: erasing 1
+  // renames the tail L (id 3) into it, and the insert then takes the
+  // vacated id 3. Both L (before) and the new point (after) are within
+  // eps of q = 2, so the pair (3, 2) is present on both sides and must
+  // appear in neither list; a delta keyed by point rather than by id
+  // reports it as gained and lost at once.
+  Dataset ds = make_points(
+      {{0.0, 0.0}, {5.0, 5.0}, {0.2, 0.0}, {0.3, 0.1}});
+  const double eps = 0.5;
+  const ResultSet before = brute_force_join(ds, eps);
+  const std::uint64_t base = ds.generation();
+  ds.erase(1);  // L: 3 -> 1
+  const std::array<double, 2> p{0.1, 0.2};
+  ASSERT_EQ(ds.insert(std::span<const double>(p)), 3u);
+
+  const auto window = ds.mutations_since(base);
+  ASSERT_TRUE(window.has_value());
+  const ChurnSummary churn = summarize_churn(ds, *window);
+  GridIndex grid(ds, eps);
+  const PairDelta delta = compute_pair_delta(grid, churn, eps);
+
+  const ResultSet after = brute_force_join(ds, eps);
+  const testsupport::OracleDelta want =
+      testsupport::brute_force_delta(before, after);
+  EXPECT_EQ(delta.gained, want.gained);
+  EXPECT_EQ(delta.lost, want.lost);
+  for (const ResultPair& pair : {ResultPair{3, 2}, ResultPair{2, 3}}) {
+    EXPECT_FALSE(std::binary_search(delta.gained.begin(), delta.gained.end(),
+                                    pair));
+    EXPECT_FALSE(
+        std::binary_search(delta.lost.begin(), delta.lost.end(), pair));
+  }
+}
+
+/// FNV-1a over a pair stream, each id as 4 little-endian bytes.
+std::uint64_t pair_stream_digest(const std::vector<ResultPair>& pairs) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](PointId id) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (id >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const auto& [a, c] : pairs) {
+    mix(a);
+    mix(c);
+  }
+  return h;
+}
+
+TEST(Delta, GoldenDigestsUnchanged) {
+  // Recorded from the sort-and-set-difference delta join, on n = 4,000
+  // exponential points at the churn-2d benchmark's density (rate
+  // 0.4 / (n / 2e6)^(1/dims), eps = 0.2): five consecutive windows of
+  // 40 seeded mutations shaped like churn-2d's (40% moves by up to
+  // eps/8 per coordinate, 30% erases, 30% inserts), then insert-only,
+  // erase-only and move-only windows, then one 3-D window.
+  struct Window {
+    const char* name;
+    int moves, erases, inserts;
+  };
+  struct Golden {
+    std::size_t gained, lost;
+    std::uint64_t gained_digest, lost_digest;
+  };
+  constexpr double kEps = 0.2;
+  constexpr Window kWindows2d[] = {
+      {"churn0", 16, 12, 12}, {"churn1", 16, 12, 12}, {"churn2", 16, 12, 12},
+      {"churn3", 16, 12, 12}, {"churn4", 16, 12, 12}, {"insert", 0, 0, 40},
+      {"erase", 0, 40, 0},    {"move", 40, 0, 0},
+  };
+  constexpr Window kWindow3d = {"churn-3d", 16, 12, 12};
+  constexpr Golden kGolden[] = {
+      {19516, 13848, 0x040fede01b1ef731ull, 0x11980de900a7b545ull},
+      {18328, 16498, 0x1c3b64734e83b6d1ull, 0x2535a72bd9773259ull},
+      {15614, 33190, 0x9bf99203dd09fc85ull, 0x8949755e7808dce5ull},
+      {20236, 22052, 0xca263bc51c8a38d5ull, 0x9afc2818ddf2db05ull},
+      {14142, 29244, 0x0b97ab32950884f5ull, 0xeacd09c6ad79e509ull},
+      {205816, 0, 0x2a3c458551f79861ull, 0xcbf29ce484222325ull},
+      {51318, 268220, 0xc0b3495359b5f509ull, 0x03fb2c3e926ba50dull},
+      {5342, 4428, 0xa016e6f4f982e90dull, 0xb8b33a46b906be49ull},
+      {5316, 7008, 0x29072657f8b8f855ull, 0x3d9b46f50dffee69ull},
+  };
+  static_assert(std::size(kGolden) == std::size(kWindows2d) + 1);
+
+  std::size_t next = 0;
+  const auto run = [&](int dims, std::uint64_t seed,
+                       std::span<const Window> windows) {
+    constexpr std::size_t kN = 4000;
+    const double rate =
+        0.4 / std::pow(static_cast<double>(kN) / 2e6, 1.0 / dims);
+    Dataset ds = gen_exponential(kN, dims, seed, rate);
+    Xoshiro256 rng(seed + 1);
+    std::vector<double> p(static_cast<std::size_t>(dims));
+    for (const Window& w : windows) {
+      SCOPED_TRACE(w.name);
+      std::vector<Mutation::Kind> kinds;
+      kinds.insert(kinds.end(), static_cast<std::size_t>(w.moves),
+                   Mutation::Kind::Move);
+      kinds.insert(kinds.end(), static_cast<std::size_t>(w.erases),
+                   Mutation::Kind::Erase);
+      kinds.insert(kinds.end(), static_cast<std::size_t>(w.inserts),
+                   Mutation::Kind::Insert);
+      for (std::size_t i = kinds.size(); i > 1; --i) {
+        std::swap(kinds[i - 1], kinds[rng.uniform_index(i)]);
+      }
+      const std::uint64_t base = ds.generation();
+      for (const Mutation::Kind kind : kinds) {
+        const auto id = static_cast<PointId>(rng.uniform_index(ds.size()));
+        if (kind == Mutation::Kind::Erase) {
+          ds.erase(id);
+          continue;
+        }
+        for (int d = 0; d < dims; ++d) {
+          p[static_cast<std::size_t>(d)] =
+              kind == Mutation::Kind::Move
+                  ? ds.coord(id, d) + kEps / 8.0 * (2.0 * rng.uniform() - 1.0)
+                  : -std::log1p(-rng.uniform()) / rate;
+        }
+        if (kind == Mutation::Kind::Move) {
+          ds.move_point(id, p);
+        } else {
+          (void)ds.insert(p);
+        }
+      }
+      const auto window = ds.mutations_since(base);
+      ASSERT_TRUE(window.has_value());
+      const ChurnSummary churn = summarize_churn(ds, *window);
+      const GridIndex grid(ds, kEps);
+      const PairDelta delta = compute_pair_delta(grid, churn, kEps);
+      const Golden& g = kGolden[next++];
+      EXPECT_EQ(delta.gained.size(), g.gained);
+      EXPECT_EQ(delta.lost.size(), g.lost);
+      EXPECT_EQ(pair_stream_digest(delta.gained), g.gained_digest);
+      EXPECT_EQ(pair_stream_digest(delta.lost), g.lost_digest);
+    }
+  };
+  run(2, 1601, kWindows2d);
+  run(3, 1602, std::span<const Window>(&kWindow3d, 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -554,8 +681,10 @@ TEST(EngineIncremental, DeltaJoinMatchesOracleDiff) {
   const std::optional<PairDelta> delta = engine.delta_join(prep, eps, base);
   ASSERT_TRUE(delta.has_value());
   const ResultSet after = brute_force_join(ds, eps);
-  EXPECT_EQ(delta->gained, oracle_gained(before, after));
-  EXPECT_EQ(delta->lost, oracle_lost(before, after));
+  const testsupport::OracleDelta want =
+      testsupport::brute_force_delta(before, after);
+  EXPECT_EQ(delta->gained, want.gained);
+  EXPECT_EQ(delta->lost, want.lost);
 }
 
 TEST(EngineIncremental, DeltaJoinRefusesLostWindow) {
@@ -752,8 +881,10 @@ TEST(ServiceIncremental, SubscriptionDeliversIncrementalDeltas) {
     const JoinService::DeltaPoll dp = svc.poll(sub);
     const ResultSet after = brute_force_join(ds, eps);
     EXPECT_EQ(dp.generation, ds.generation());
-    EXPECT_EQ(dp.delta.gained, oracle_gained(before, after));
-    EXPECT_EQ(dp.delta.lost, oracle_lost(before, after));
+    const testsupport::OracleDelta want =
+        testsupport::brute_force_delta(before, after);
+    EXPECT_EQ(dp.delta.gained, want.gained);
+    EXPECT_EQ(dp.delta.lost, want.lost);
     before = std::move(after);
   }
   EXPECT_GE(metrics.counter("svc.stream.polls").value(), 4u);
@@ -779,8 +910,10 @@ TEST(ServiceIncremental, SubscriptionFallsBackAfterBulkLoad) {
   const JoinService::DeltaPoll dp = svc.poll(sub);
   EXPECT_TRUE(dp.fallback);
   const ResultSet after = brute_force_join(ds, eps);
-  EXPECT_EQ(dp.delta.gained, oracle_gained(before, after));
-  EXPECT_EQ(dp.delta.lost, oracle_lost(before, after));
+  const testsupport::OracleDelta want =
+      testsupport::brute_force_delta(before, after);
+  EXPECT_EQ(dp.delta.gained, want.gained);
+  EXPECT_EQ(dp.delta.lost, want.lost);
   EXPECT_GE(metrics.counter("svc.stream.fallbacks").value(), 1u);
 
   // The fallback resynchronized the retained snapshot: further
@@ -790,8 +923,10 @@ TEST(ServiceIncremental, SubscriptionFallsBackAfterBulkLoad) {
   const JoinService::DeltaPoll dp2 = svc.poll(sub);
   EXPECT_FALSE(dp2.fallback);
   const ResultSet after2 = brute_force_join(ds, eps);
-  EXPECT_EQ(dp2.delta.gained, oracle_gained(after, after2));
-  EXPECT_EQ(dp2.delta.lost, oracle_lost(after, after2));
+  const testsupport::OracleDelta want2 =
+      testsupport::brute_force_delta(after, after2);
+  EXPECT_EQ(dp2.delta.gained, want2.gained);
+  EXPECT_EQ(dp2.delta.lost, want2.lost);
   svc.unsubscribe(sub);
 }
 

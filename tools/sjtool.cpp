@@ -130,7 +130,9 @@ int usage() {
       "           a seeded mutation mix touches ~R of the points\n"
       "           (insert/erase/move), the incremental repair path is\n"
       "           timed against a cold rebuild+rejoin, and every cached\n"
-      "           grid digest is checked against a from-scratch build\n"
+      "           grid digest is checked against a from-scratch build;\n"
+      "           with --verify the pairs advanced by each delta must\n"
+      "           equal the cold rejoin's\n"
       "           (scheduled cancellations are skipped in churn mode)\n"
       "  top      (--input F | --dataset <name> [--n N] [--seed S])\n"
       "           [--stress N] [--workers W] [--interval-ms I]\n"
@@ -968,6 +970,7 @@ int cmd_serve(gsj::Cli& cli) {
   std::vector<double> repair_secs, rebuild_secs;
   std::uint64_t churn_mutations = 0;
   std::size_t digest_checks = 0, digest_mismatches = 0;
+  std::size_t delta_checks = 0, delta_mismatches = 0;
   std::size_t churn_verified = 0;
 
   gsj::Timer wall;
@@ -1020,7 +1023,14 @@ int cmd_serve(gsj::Cli& cli) {
     delta_cfg.store_pairs = true;
     gsj::JoinEngine delta_engine;
     gsj::PreparedDataset delta_prep = delta_engine.prepare(ds);
-    (void)delta_engine.run(delta_prep, delta_cfg);
+    // --verify tracks the pair set the deltas imply: seeded from the
+    // warm run, advanced by each epoch's delta and compared with that
+    // epoch's cold re-join.
+    std::vector<gsj::ResultPair> retained;
+    {
+      gsj::SelfJoinOutput warm = delta_engine.run(delta_prep, delta_cfg);
+      if (verify) retained = warm.results.pairs();
+    }
 
     for (int epoch = 0; epoch < churn_epochs; ++epoch) {
       if (epoch > 0) {
@@ -1039,8 +1049,18 @@ int cmd_serve(gsj::Cli& cli) {
         // From-scratch path: cold engine, full grid build + full join.
         gsj::Timer rebuild_t;
         gsj::JoinEngine cold;
-        (void)cold.self_join(ds, delta_cfg);
+        const gsj::SelfJoinOutput rejoin = cold.self_join(ds, delta_cfg);
         rebuild_secs.push_back(rebuild_t.seconds());
+        if (verify) {
+          const auto& now = rejoin.results.pairs();
+          if (delta.has_value()) {
+            retained = gsj::apply_pair_delta(retained, *delta);
+            ++delta_checks;
+            if (retained != now) ++delta_mismatches;
+          } else {
+            retained = now;  // lost window: re-seed from the re-join
+          }
+        }
       }
       // This epoch's request wave (round-robin split of the list).
       std::vector<std::size_t> wave;
@@ -1084,6 +1104,10 @@ int cmd_serve(gsj::Cli& cli) {
                   digest_mismatches
                       << " cached grid digest(s) diverged from a "
                          "from-scratch rebuild");
+    GSJ_CHECK_MSG(delta_mismatches == 0,
+                  delta_mismatches
+                      << " epoch(s) where the pairs advanced by the delta "
+                         "differ from the cold re-join");
   } else {
     responses.reserve(reqs.size());
     std::vector<gsj::JoinService::Ticket> tickets;
@@ -1260,7 +1284,9 @@ int cmd_serve(gsj::Cli& cli) {
               << metrics.counter("sj.incr.rebuild_fallbacks").value()
               << " rebuild fallbacks\n"
               << "churn: digest parity " << digest_checks << "/"
-              << digest_checks << " cached grids, repair+delta p50 "
+              << digest_checks << " cached grids, delta parity "
+              << delta_checks << "/" << delta_checks
+              << " epochs, repair+delta p50 "
               << repair_p50 * 1e3 << " ms vs rebuild+rejoin p50 "
               << rebuild_p50 * 1e3 << " ms (speedup " << repair_speedup
               << "x)\n";
@@ -1389,6 +1415,8 @@ int cmd_serve(gsj::Cli& cli) {
       << metrics.counter("svc.result_cache.repair_kept").value()
       << ", \"digest_checks\": " << digest_checks
       << ", \"digest_mismatches\": " << digest_mismatches
+      << ", \"delta_checks\": " << delta_checks
+      << ", \"delta_mismatches\": " << delta_mismatches
       << ", \"repair_seconds_p50\": " << repair_p50
       << ", \"rebuild_seconds_p50\": " << rebuild_p50
       << ", \"repair_vs_rebuild_speedup\": " << repair_speedup

@@ -41,3 +41,17 @@ run_fails("--device-clock: expected a number, got '1.3GHz'"
 file(WRITE ${WORKDIR}/bad_requests.txt "epsilon=0.02x variant=combined\n")
 run_fails("request key 'epsilon': expected a number, got '0.02x'"
           ${SJTOOL} serve --input ds.bin --requests bad_requests.txt)
+
+# Churn serve with --verify: the pairs advanced by every epoch's delta
+# must equal that epoch's cold re-join, and the report must say so.
+run(${SJTOOL} serve --input ds.bin --stress 6 --workers 2 --seed 3
+    --churn-rate 0.02 --churn-epochs 4 --verify --out churn.json)
+file(READ ${WORKDIR}/churn.json churn_json)
+string(REGEX MATCH "\"delta_checks\": ([0-9]+)" _ "${churn_json}")
+if(NOT CMAKE_MATCH_1 GREATER 0)
+  message(FATAL_ERROR "churn serve ran no delta checks:\n${churn_json}")
+endif()
+string(REGEX MATCH "\"delta_mismatches\": ([0-9]+)" _ "${churn_json}")
+if(NOT CMAKE_MATCH_1 EQUAL 0)
+  message(FATAL_ERROR "churn serve delta mismatches:\n${churn_json}")
+endif()
