@@ -448,52 +448,6 @@ void Registry::write_json(std::ostream& os) const {
   os << '\n';
 }
 
-void Registry::write_csv(std::ostream& os) const {
-  std::lock_guard lk(mu_);
-  os << "kind,name,field,value\n";
-  for (const auto& [k, v] : counters_) {
-    os << "counter," << k << ",value," << v->value() << '\n';
-  }
-  for (const auto& [k, v] : gauges_) {
-    os << "gauge," << k << ",value," << json::format_double(v->value())
-       << '\n';
-  }
-  for (const auto& [k, h] : hists_) {
-    os << "histogram," << k << ",total," << h->total() << '\n';
-    os << "histogram," << k << ",p50," << json::format_double(h->percentile(50))
-       << '\n';
-    os << "histogram," << k << ",p95," << json::format_double(h->percentile(95))
-       << '\n';
-    os << "histogram," << k << ",p99," << json::format_double(h->percentile(99))
-       << '\n';
-  }
-  for (const auto& [k, h] : cycles_) {
-    os << "cycle_histogram," << k << ",total," << h->total() << '\n';
-    os << "cycle_histogram," << k << ",min," << h->min() << '\n';
-    os << "cycle_histogram," << k << ",max," << h->max() << '\n';
-    os << "cycle_histogram," << k << ",mean," << json::format_double(h->mean())
-       << '\n';
-    os << "cycle_histogram," << k << ",p50," << h->percentile(50) << '\n';
-    os << "cycle_histogram," << k << ",p95," << h->percentile(95) << '\n';
-    os << "cycle_histogram," << k << ",p99," << h->percentile(99) << '\n';
-  }
-  for (const auto& [k, h] : times_) {
-    os << "time_histogram," << k << ",total," << h->total() << '\n';
-    os << "time_histogram," << k << ",min,"
-       << json::format_double(h->min_seconds()) << '\n';
-    os << "time_histogram," << k << ",max,"
-       << json::format_double(h->max_seconds()) << '\n';
-    os << "time_histogram," << k << ",mean,"
-       << json::format_double(h->mean_seconds()) << '\n';
-    os << "time_histogram," << k << ",p50,"
-       << json::format_double(h->percentile_seconds(50)) << '\n';
-    os << "time_histogram," << k << ",p95,"
-       << json::format_double(h->percentile_seconds(95)) << '\n';
-    os << "time_histogram," << k << ",p99,"
-       << json::format_double(h->percentile_seconds(99)) << '\n';
-  }
-}
-
 // --- OpenMetrics exposition -------------------------------------------------
 
 namespace {

@@ -257,9 +257,6 @@ class Registry {
   /// "histograms":{...}} with p50/p95/p99 pre-computed per histogram.
   void write_json(std::ostream& os) const;
 
-  /// CSV: kind,name,field,value — one row per scalar.
-  void write_csv(std::ostream& os) const;
-
   /// OpenMetrics/Prometheus text exposition (docs/OBSERVABILITY.md):
   /// dot-path names mangled to underscores, counters as `_total`
   /// samples, FixedHistograms as cumulative-`le` histogram families,

@@ -39,7 +39,7 @@ std::uint64_t skewed(std::uint64_t estimate, const BatchingConfig& cfg) {
 /// must not plan millions of empty batches.
 std::size_t batch_count(std::uint64_t estimated, const BatchingConfig& cfg,
                         std::size_t n) {
-  if (!cfg.enabled || estimated == 0) return 1;
+  if (estimated == 0) return 1;
   const double padded = static_cast<double>(estimated) * cfg.safety;
   const auto wanted = static_cast<std::size_t>(
       std::max(1.0, std::ceil(padded / static_cast<double>(cfg.buffer_pairs))));
@@ -139,7 +139,6 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> cut_queue_chunks(
     std::span<const PointId> queue, std::span<const std::uint64_t> workloads,
     double est_per_point, const BatchingConfig& cfg) {
   const std::size_t n = queue.size();
-  if (!cfg.enabled) return {{0, n}};
   std::vector<std::pair<std::uint64_t, std::uint64_t>> chunks;
   const auto budget = static_cast<double>(cfg.buffer_pairs);
   std::size_t begin = 0;

@@ -49,8 +49,6 @@ struct BatchingConfig {
   /// The paper's Quadro GP100 is an NVLink-class card; 40 GB/s is a
   /// realistic sustained pinned-memory rate for it.
   double pcie_gbps = 40.0;
-  /// When false, everything runs as one unbounded batch.
-  bool enabled = true;
 
   // --- overflow recovery (docs/ROBUSTNESS.md) ---
   /// Failed-launch budget across the whole join: each buffer overflow
@@ -141,8 +139,8 @@ struct BatchPlan {
 ///  * estimate — `est_per_point` (the caller's safety-scaled mean pairs
 ///    per point) keeps chunk sizes close to the paper's equal-share
 ///    scheme when the bound is loose.
-/// Every chunk takes at least one point. Disabled batching returns the
-/// whole queue as one chunk.
+/// Every chunk takes at least one point; the maximum buffer_pairs
+/// returns the whole queue as one chunk.
 [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
 cut_queue_chunks(std::span<const PointId> queue,
                  std::span<const std::uint64_t> workloads,
@@ -156,7 +154,7 @@ cut_queue_chunks(std::span<const PointId> queue,
 /// quantification and the per-batch SORTBYWL sorts (deterministic —
 /// same plan with or without it).
 ///
-/// Cached-artifact fast path (sj/pipeline.hpp): a non-empty `workloads`
+/// Cached-artifact fast path (sj/pipeline.cpp): a non-empty `workloads`
 /// span (size n, from point_workloads under `pattern`) skips the
 /// quantification, and an engaged `precomputed_estimate` (a prior
 /// estimate_strided_total value) skips the sampling join. The emitted

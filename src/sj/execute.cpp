@@ -50,14 +50,9 @@ class BatchDriver {
         req_tracer_(in.channel_ctx.request_id != 0 ? in.channel_tracer
                                                    : nullptr),
         // Per-batch result capacity: the fixed pinned buffer of a real
-        // GPU join. Overflow detection (and its fault-injection
-        // override) only applies while batching is on; a disabled
-        // batcher runs one unbounded batch unless a capacity is
-        // injected for testing.
-        capacity_(cfg.batching.enabled ? cfg.batching.effective_capacity()
-                  : cfg.batching.inject_capacity != 0
-                      ? cfg.batching.inject_capacity
-                      : ResultSet::kUnlimited),
+        // GPU join (or its fault-injection override). The maximum
+        // buffer_pairs is ResultSet::kUnlimited: one unbounded batch.
+        capacity_(cfg.batching.effective_capacity()),
         collect_(cfg.collect_diagnostics || tracer_ != nullptr ||
                  cfg.metrics != nullptr),
         warp_cycle_hist_(cfg.metrics != nullptr
@@ -539,7 +534,7 @@ void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
         gp = grid.point_ids().subspan(grain.point_begin, grain.points());
       }
       std::size_t nb = 1;
-      if (cfg.batching.enabled && !gp.empty()) {
+      if (!gp.empty()) {
         const auto full = static_cast<std::size_t>(
             est_share * cfg.batching.safety /
             static_cast<double>(cfg.batching.buffer_pairs));

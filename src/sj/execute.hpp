@@ -1,6 +1,6 @@
 // Execution stage of the self-join pipeline (internal).
 //
-// The join pipeline (sj/pipeline.hpp) runs in three stages: *prepare*
+// The join pipeline (sj/pipeline.cpp) runs in three stages: *prepare*
 // (dataset admission), *plan* (grid / workload / batch-plan resolution,
 // cache-served when warm) and *execute* — this file. The execution
 // stage has one batch driver (execute.cpp's BatchDriver) with two
@@ -70,11 +70,10 @@ struct ExecutionInputs {
   /// partial output is discarded by the caller.
   const std::atomic<bool>* cancel = nullptr;
 
-  // --- fleet path only (sj/pipeline.hpp fleet branch) ---
-  /// Per-point workloads under cfg.pattern (grid/workload.hpp): grain
-  /// weights for the partitioner, the 2w+1 chunk bounds of the
-  /// work-queue cutter and the SORTBYWL order. Empty on the
-  /// single-device path.
+  /// Per-point workloads under cfg.pattern (grid/workload.hpp), resolved
+  /// for fleet, WORKQUEUE and SORTBYWL runs (empty otherwise). Only
+  /// execute_fleet reads them: grain weights for the partitioner, the
+  /// 2w+1 chunk bounds of the work-queue cutter and the SORTBYWL order.
   std::span<const std::uint64_t> point_workloads;
 
   // --- request-scoped channel (JoinService::submit path) ---
@@ -107,8 +106,8 @@ void execute_self_join(const SelfJoinConfig& cfg, ExecutionInputs& in,
 /// land in out.stats.fleet and the sj.fleet.* metric family. Per-warp
 /// dispersion is still collected fleet-wide; per-slot vectors and
 /// tracer warp/batch events are not (device-level accounting supersedes
-/// them at this scale). Requires in.point_workloads and the plan's
-/// whole-join estimate from the fleet plan branch.
+/// them at this scale). Requires in.point_workloads and a plan that
+/// carries only the whole-join estimate.
 void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
                    ScratchArena& arena, SelfJoinOutput& out);
 

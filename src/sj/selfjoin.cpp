@@ -1,4 +1,4 @@
-// Public one-shot API. The pipeline itself lives in sj/pipeline.hpp
+// Public one-shot API. The pipeline itself lives in sj/pipeline.cpp
 // (plan resolution: grid, workloads, D', estimate, batch plan) and
 // sj/execute.cpp (the batched launches); the free wrapper rides the
 // process-wide JoinService (sj/service.hpp). This file keeps the named

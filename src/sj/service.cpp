@@ -7,13 +7,11 @@
 #include <cmath>
 #include <exception>
 #include <iostream>
-#include <numeric>
 #include <optional>
 #include <span>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "data/churn.hpp"
@@ -275,319 +273,6 @@ std::size_t SharedDataset::result_cache_bytes() const {
   return result_bytes_;
 }
 
-namespace detail {
-
-/// PlanSource (sj/pipeline.hpp) over a SharedDataset's reader/writer-
-/// locked caches. Discipline:
-///
-///  * hits take the shared lock only (scan, bump the atomic LRU tick,
-///    copy the slot's shared_future) — concurrent hits never serialize;
-///  * misses double-check under the exclusive lock, install a
-///    promise-backed future (single-flight), then build *outside* any
-///    lock and publish through the promise; waiters block on their
-///    future copy, also outside the lock;
-///  * every resolved slot/artifact is pinned by a shared_ptr member for
-///    the run's duration, so concurrent LRU eviction can drop a slot
-///    from the cache vectors without invalidating anything this run
-///    still references (the pipeline's artifact-lifetime contract);
-///  * a builder that throws publishes the exception to its waiters and
-///    rolls the slot back so later requests rebuild.
-///
-/// The builder counts the miss; waiters and fast-path readers count
-/// hits (a waiter is served from the cache — it just arrives early).
-class ServicePlanSource {
- public:
-  /// `cfg` makes the source mode-aware: for R×S requests, workloads/D'
-  /// resolve against the probe dataset and plan slots are keyed by
-  /// probe_signature. Null `cfg` (delta_join) behaves as Self.
-  ServicePlanSource(JoinService& svc, SharedDataset& sd,
-                    const SelfJoinConfig* cfg,
-                    obs::RequestObs* robs = nullptr)
-      : svc_(svc),
-        sd_(sd),
-        probe_(cfg != nullptr && cfg->mode == JoinMode::RxS ? cfg->probe
-                                                            : nullptr),
-        probe_sig_(cfg != nullptr ? probe_signature(*cfg) : 0),
-        robs_(robs) {}
-
-  ~ServicePlanSource() {
-    if (pool_ != nullptr) svc_.return_pool(pool_threads_, std::move(pool_));
-  }
-
-  void sync() { svc_.sync_shared(sd_); }
-
-  ThreadPool* pool(int n) {
-    if (pool_ == nullptr) {
-      pool_threads_ = n;
-      pool_ = svc_.checkout_pool(n);
-    }
-    return pool_.get();
-  }
-
-  obs::Tracer* channel_tracer() { return svc_.config().obs.tracer; }
-
-  obs::RequestObs* request_obs() { return robs_; }
-
-  void resolve_grid(double eps, ThreadPool* p, bool* hit) {
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(eps);
-    std::shared_future<SharedDataset::GridPtr> fut;
-    std::promise<SharedDataset::GridPtr> prom;
-    bool builder = false;
-    {
-      std::shared_lock lk(sd_.mu_);
-      if (auto* s = find_grid_locked(bits)) {
-        gslot_ = shared_of(sd_.grids_, s);
-        fut = s->grid;
-      }
-    }
-    if (!fut.valid()) {
-      std::unique_lock lk(sd_.mu_);
-      if (auto* s = find_grid_locked(bits)) {
-        gslot_ = shared_of(sd_.grids_, s);
-        fut = s->grid;
-      } else {
-        builder = true;
-        fut = prom.get_future().share();
-        auto slot = std::make_shared<SharedDataset::GridSlot>();
-        slot->eps_bits = bits;
-        slot->grid = fut;
-        slot->last_used.store(next_tick(), std::memory_order_relaxed);
-        gslot_ = slot;
-        sd_.grids_.push_back(std::move(slot));
-        evict_lru_locked(sd_.grids_, sd_.max_grids_);
-      }
-    }
-    cache_event("grid", !builder);
-    if (builder) {
-      try {
-        prom.set_value(std::make_shared<const GridIndex>(sd_.dataset(), eps, p));
-      } catch (...) {
-        prom.set_exception(std::current_exception());
-        std::unique_lock lk(sd_.mu_);
-        std::erase(sd_.grids_, gslot_);
-        throw;
-      }
-    }
-    grid_ = fut.get();  // waits outside any lock; rethrows build failures
-    *hit = !builder;
-  }
-
-  [[nodiscard]] const GridIndex& grid() const { return *grid_; }
-
-  std::span<const std::uint64_t> resolve_workloads(CellPattern pattern,
-                                                   ThreadPool* p) {
-    ensure_plan_slot(pattern);
-    workloads_ = resolve_in_slot<SharedDataset::WorkloadsPtr>(
-        "workload", [&](SharedDataset::PlanSlot& s) { return &s.workloads; },
-        [&] {
-          return std::make_shared<const std::vector<std::uint64_t>>(
-              probe_ != nullptr ? probe_point_workloads(*grid_, *probe_, p)
-                                : point_workloads(*grid_, pattern, p));
-        });
-    return *workloads_;
-  }
-
-  std::span<const PointId> resolve_order(CellPattern pattern, ThreadPool* p) {
-    ensure_plan_slot(pattern);
-    order_ = resolve_in_slot<SharedDataset::OrderPtr>(
-        "order", [&](SharedDataset::PlanSlot& s) { return &s.order; },
-        [&] {
-          // The pipeline resolves workloads before the order, so
-          // workloads_ is pinned by the time a builder runs. R×S
-          // orders rank probe ids (the workloads already index them).
-          std::vector<PointId> order(probe_ != nullptr
-                                         ? probe_->size()
-                                         : sd_.dataset().size());
-          std::iota(order.begin(), order.end(), PointId{0});
-          parallel_stable_sort(
-              order,
-              [&pw = *workloads_](PointId a, PointId b) {
-                return pw[a] > pw[b];
-              },
-              p);
-          return std::make_shared<const std::vector<PointId>>(
-              std::move(order));
-        });
-    return *order_;
-  }
-
-  std::optional<std::uint64_t> find_estimate(bool queue,
-                                             detail::EstimateKey key) {
-    auto [mu, map] = estimate_map(queue);
-    std::lock_guard lk(*mu);
-    if (const auto it = map->find(key); it != map->end()) {
-      cache_event("estimate", true);
-      return it->second;
-    }
-    cache_event("estimate", false);
-    return std::nullopt;
-  }
-
-  void put_estimate(bool queue, detail::EstimateKey key, std::uint64_t value) {
-    auto [mu, map] = estimate_map(queue);
-    std::lock_guard lk(*mu);
-    // emplace = first-wins: concurrent runs compute the same pure
-    // function of (grid, config), so whichever lands is the value.
-    map->emplace(key, value);
-  }
-
- private:
-  [[nodiscard]] std::uint64_t next_tick() {
-    return sd_.tick_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-
-  SharedDataset::GridSlot* find_grid_locked(std::uint64_t bits) {
-    for (auto& s : sd_.grids_) {
-      if (s->eps_bits == bits) {
-        s->last_used.store(next_tick(), std::memory_order_relaxed);
-        return s.get();
-      }
-    }
-    return nullptr;
-  }
-
-  SharedDataset::PlanSlot* find_plan_locked(std::uint64_t key,
-                                            CellPattern pattern) {
-    for (auto& s : sd_.plans_) {
-      if (s->grid_key == key && s->pattern == pattern &&
-          s->probe_sig == probe_sig_) {
-        s->last_used.store(next_tick(), std::memory_order_relaxed);
-        return s.get();
-      }
-    }
-    return nullptr;
-  }
-
-  template <typename Slot>
-  static std::shared_ptr<Slot> shared_of(
-      const std::vector<std::shared_ptr<Slot>>& v, Slot* raw) {
-    for (const auto& s : v) {
-      if (s.get() == raw) return s;
-    }
-    return nullptr;  // unreachable: caller found `raw` in `v` under lock
-  }
-
-  /// LRU-evicts beyond `bound`. The just-inserted slot holds the max
-  /// tick, so it is never the victim; pinned runs keep evicted slots
-  /// alive through their shared_ptrs.
-  template <typename Slot>
-  void evict_lru_locked(std::vector<std::shared_ptr<Slot>>& v,
-                        std::size_t bound) {
-    bound = std::max<std::size_t>(1, bound);
-    if (v.size() <= bound) return;
-    const auto victim = std::min_element(
-        v.begin(), v.end(), [](const auto& a, const auto& b) {
-          return a->last_used.load(std::memory_order_relaxed) <
-                 b->last_used.load(std::memory_order_relaxed);
-        });
-    v.erase(victim);
-    count("evictions");
-  }
-
-  void ensure_plan_slot(CellPattern pattern) {
-    if (pslot_ != nullptr) return;
-    const std::uint64_t key = grid_->content_key();
-    {
-      std::shared_lock lk(sd_.mu_);
-      if (auto* s = find_plan_locked(key, pattern)) {
-        pslot_ = shared_of(sd_.plans_, s);
-        return;
-      }
-    }
-    std::unique_lock lk(sd_.mu_);
-    if (auto* s = find_plan_locked(key, pattern)) {
-      pslot_ = shared_of(sd_.plans_, s);
-      return;
-    }
-    auto slot = std::make_shared<SharedDataset::PlanSlot>();
-    slot->grid_key = key;
-    slot->pattern = pattern;
-    slot->probe_sig = probe_sig_;
-    slot->last_used.store(next_tick(), std::memory_order_relaxed);
-    pslot_ = slot;
-    sd_.plans_.push_back(std::move(slot));
-    evict_lru_locked(sd_.plans_, sd_.max_plans_);
-  }
-
-  /// Single-flight resolution of one future-valued artifact inside the
-  /// pinned plan slot. `member` picks the future, `build` produces the
-  /// artifact (runs outside any lock).
-  template <typename Ptr, typename Member, typename Build>
-  Ptr resolve_in_slot(const char* artifact, Member member, Build build) {
-    std::shared_future<Ptr> fut;
-    std::promise<Ptr> prom;
-    bool builder = false;
-    {
-      std::shared_lock lk(sd_.mu_);
-      if (member(*pslot_)->valid()) fut = *member(*pslot_);
-    }
-    if (!fut.valid()) {
-      std::unique_lock lk(sd_.mu_);
-      if (member(*pslot_)->valid()) {
-        fut = *member(*pslot_);
-      } else {
-        builder = true;
-        fut = prom.get_future().share();
-        *member(*pslot_) = fut;
-      }
-    }
-    cache_event(artifact, !builder);
-    if (builder) {
-      try {
-        prom.set_value(build());
-      } catch (...) {
-        prom.set_exception(std::current_exception());
-        std::unique_lock lk(sd_.mu_);
-        *member(*pslot_) = {};  // roll back so later requests rebuild
-        throw;
-      }
-    }
-    return fut.get();
-  }
-
-  std::pair<std::mutex*, SharedDataset::EstimateMap*> estimate_map(
-      bool queue) {
-    if (queue) return {&pslot_->est_mu, &pslot_->queue_estimates};
-    return {&gslot_->est_mu, &gslot_->strided_estimates};
-  }
-
-  void count(const char* event) {
-    if (svc_.config().obs.metrics != nullptr) {
-      svc_.config().obs.metrics->counter(std::string("sj.cache.") + event)
-          .add(1);
-    }
-  }
-
-  void cache_event(const char* artifact, bool hit) {
-    if (robs_ != nullptr && robs_->breakdown != nullptr) {
-      robs_->breakdown->count_cache(artifact, hit);
-    }
-    obs::Registry* m = svc_.config().obs.metrics;
-    if (m == nullptr) return;
-    m->counter(hit ? "sj.cache.hits" : "sj.cache.misses").add(1);
-    m->counter(std::string("sj.cache.") + artifact +
-               (hit ? ".hits" : ".misses"))
-        .add(1);
-  }
-
-  JoinService& svc_;
-  SharedDataset& sd_;
-  const Dataset* probe_ = nullptr;    ///< R×S only; null for Self/KNN
-  std::uint64_t probe_sig_ = 0;
-  obs::RequestObs* robs_;             ///< request attribution (may be null)
-  std::unique_ptr<ThreadPool> pool_;  ///< depot lease, returned in dtor
-  int pool_threads_ = 0;
-
-  // Pins for the run's duration (artifact-lifetime contract).
-  std::shared_ptr<SharedDataset::GridSlot> gslot_;
-  std::shared_ptr<SharedDataset::PlanSlot> pslot_;
-  SharedDataset::GridPtr grid_;
-  SharedDataset::WorkloadsPtr workloads_;
-  SharedDataset::OrderPtr order_;
-};
-
-}  // namespace detail
-
 // ---------------------------------------------------------------------------
 // JoinService
 // ---------------------------------------------------------------------------
@@ -639,11 +324,8 @@ SelfJoinOutput JoinService::execute(SharedDataset& sd,
     std::unique_ptr<detail::ScratchArena> arena;
     ~ArenaLease() { svc.return_arena(std::move(arena)); }
   } lease{*this, checkout_arena()};
-  // Returns its pool lease in dtor.
-  detail::ServicePlanSource src(*this, sd, &cfg, robs);
-
   SelfJoinOutput out;
-  detail::plan_and_execute(cfg, sd.dataset(), src, *lease.arena, cancel, out);
+  detail::plan_and_execute(*this, sd, cfg, *lease.arena, cancel, robs, out);
   if (out.stats.fleet.ran()) record_fleet(out.stats.fleet);
   return out;
 }
@@ -690,12 +372,9 @@ void JoinService::sync_shared(SharedDataset& sd) {
     const std::uint64_t old_key = old->content_key();
     auto fresh = std::make_shared<GridIndex>(*old);
     const GridRepairOutcome rep = fresh->repair();
-    {
-      // Estimates always re-derive under churn (a cold run would
-      // re-sample the changed data), keeping warm == cold.
-      std::lock_guard el(gs->est_mu);
-      gs->strided_estimates.clear();
-    }
+    // Estimates always re-derive under churn (a cold run would
+    // re-sample the changed data), keeping warm == cold.
+    gs->strided_estimates.clear();
     gs->grid = ready_future(SharedDataset::GridPtr(fresh));
     kept_grids.push_back(gs);
     if (!rep.repaired) {
@@ -735,10 +414,7 @@ void JoinService::sync_shared(SharedDataset& sd) {
         ps->order = {};
       }
       ps->grid_key = new_key;
-      {
-        std::lock_guard el(ps->est_mu);
-        ps->queue_estimates.clear();
-      }
+      ps->queue_estimates.clear();
       plan_alive[i] = 1;
       ++patches;
     }
@@ -1060,8 +736,9 @@ JoinService::ResultGate JoinService::result_gate(
         }
       }
       if (cand != nullptr && subsume_worthwhile(sd, cfg, *cand->payload)) {
-        // Safe lock nesting: result_mu_ -> sd.mu_ (shared) -> est_mu;
-        // no path acquires result_mu_ while holding either.
+        // Safe lock nesting: result_mu_ -> sd.mu_ (shared) -> the
+        // slot's Estimates::mu; no path acquires result_mu_ while
+        // holding either.
         super = cand->payload;
       }
       if (super == nullptr) {
@@ -1155,22 +832,16 @@ bool JoinService::subsume_worthwhile(SharedDataset& sd,
   // strided estimate — present once any variant has planned this ε).
   // No estimate on file means no grid exists for this ε either: the
   // single linear pass wins by default against grid build + join.
+  // The read bumps no LRU tick and counts no plan-cache event.
   std::optional<std::uint64_t> est;
   {
     std::shared_lock lk(sd.mu_);
     const std::uint64_t bits = std::bit_cast<std::uint64_t>(cfg.epsilon);
-    // Subsumption is Self-only, so the probe-signature element is 0.
-    const detail::EstimateKey key{
-        std::bit_cast<std::uint64_t>(cfg.batching.sample_fraction),
-        std::bit_cast<std::uint64_t>(cfg.batching.inject_estimator_skew), 0};
     for (const auto& g : sd.grids_) {
-      if (g->eps_bits != bits) continue;
-      std::lock_guard el(g->est_mu);
-      if (const auto it = g->strided_estimates.find(key);
-          it != g->strided_estimates.end()) {
-        est = it->second;
+      if (g->eps_bits == bits) {
+        est = g->strided_estimates.find(detail::estimate_key(cfg));
+        break;
       }
-      break;
     }
   }
   if (!est.has_value()) return true;
@@ -1474,13 +1145,9 @@ std::optional<PairDelta> JoinService::delta_join(
   const auto window = ds.mutations_since(from_generation);
   if (!window.has_value()) return std::nullopt;
   const ChurnSummary churn = summarize_churn(ds, *window);
-  // Resolve (and repair) the ε grid through the shared artifact cache —
-  // a delta join warms the same grid later joins hit.
-  detail::ServicePlanSource src(*this, sd, /*cfg=*/nullptr);
-  src.sync();
-  bool hit = false;
-  src.resolve_grid(epsilon, /*pool=*/nullptr, &hit);
-  PairDelta delta = compute_pair_delta(src.grid(), churn, epsilon);
+  PairDelta delta =
+      compute_pair_delta(*detail::shared_grid(*this, sd, epsilon), churn,
+                         epsilon);
   count("sj.incr.delta_joins");
   count("sj.incr.delta_candidates", delta.stats.candidates);
   return delta;

@@ -94,8 +94,12 @@ class ThreadPool;
 
 namespace detail {
 struct ScratchArena;      // sj/execute.hpp
-class ServicePlanSource;  // sj/service.cpp (PlanSource over SharedDataset)
+class ServicePlanSource;  // sj/pipeline.cpp (the plan stage's artifacts)
 struct ResultFlight;      // sj/service.cpp (result-coalescing flight slot)
+/// Result-size-estimate cache key (sj/pipeline.hpp estimate_key):
+/// (sample_fraction bits, inject_estimator_skew bits, probe signature —
+/// 0 for Self, so R×S estimates of different probes never alias).
+using EstimateKey = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
 }  // namespace detail
 
 struct ServiceConfig {
@@ -281,14 +285,35 @@ class SharedDataset {
   friend class detail::ServicePlanSource;
   friend struct detail::ResultFlight;
 
-  /// detail::EstimateKey (sj/pipeline.hpp): (sample_fraction bits,
-  /// skew bits, probe signature — 0 for Self).
-  using EstimateMap =
-      std::map<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>,
-               std::uint64_t>;
   using GridPtr = std::shared_ptr<const GridIndex>;
   using WorkloadsPtr = std::shared_ptr<const std::vector<std::uint64_t>>;
   using OrderPtr = std::shared_ptr<const std::vector<PointId>>;
+
+  /// Result-size estimates cached in one grid or plan slot. Its own
+  /// mutex, so estimate traffic from pinned runs never touches the
+  /// dataset-wide lock.
+  struct Estimates {
+    std::mutex mu;
+    std::map<detail::EstimateKey, std::uint64_t> map;
+    /// The one estimate-cache read: the plan stage's and the result
+    /// gate's cost model (JoinService::subsume_worthwhile).
+    std::optional<std::uint64_t> find(const detail::EstimateKey& key) {
+      std::lock_guard lk(mu);
+      const auto it = map.find(key);
+      if (it == map.end()) return std::nullopt;
+      return it->second;
+    }
+    /// First wins: concurrent runs compute the same pure function of
+    /// (grid, config), so whichever lands is the value.
+    void put(const detail::EstimateKey& key, std::uint64_t value) {
+      std::lock_guard lk(mu);
+      map.emplace(key, value);
+    }
+    void clear() {
+      std::lock_guard lk(mu);
+      map.clear();
+    }
+  };
 
   /// One cached grid (single-flight: `grid` may still be building).
   /// Slots are shared_ptr-held: an in-flight run pins its slot, so LRU
@@ -296,10 +321,7 @@ class SharedDataset {
   struct GridSlot {
     std::uint64_t eps_bits = 0;
     std::shared_future<GridPtr> grid;  ///< guarded by SharedDataset::mu_
-    /// Guards `strided_estimates` alone; per-slot so estimate traffic
-    /// from pinned runs never touches the dataset-wide lock.
-    std::mutex est_mu;
-    EstimateMap strided_estimates;
+    Estimates strided_estimates;
     std::atomic<std::uint64_t> last_used{0};
   };
 
@@ -316,8 +338,7 @@ class SharedDataset {
     /// installs its promise. Guarded by SharedDataset::mu_.
     std::shared_future<WorkloadsPtr> workloads;
     std::shared_future<OrderPtr> order;
-    std::mutex est_mu;  ///< guards queue_estimates alone
-    EstimateMap queue_estimates;
+    Estimates queue_estimates;
     std::atomic<std::uint64_t> last_used{0};
   };
 

@@ -3,6 +3,8 @@
 // pipeline model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "data/generators.hpp"
@@ -140,7 +142,7 @@ TEST(Batching, DisabledMeansSingleBatch) {
   const Dataset ds = gen_uniform(2000, 2, 9);
   const GridIndex g(ds, 1.0);
   BatchingConfig cfg = small_buffers();
-  cfg.enabled = false;
+  cfg.buffer_pairs = std::numeric_limits<std::uint64_t>::max();
   const BatchPlan plan = plan_strided(g, cfg, false, CellPattern::Full);
   EXPECT_EQ(plan.num_batches, 1u);
   EXPECT_EQ(plan.batches[0].size(), ds.size());

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/check.hpp"
 #include "data/generators.hpp"
@@ -118,7 +120,7 @@ TEST(EdgeCases, KEqualsWarpSize) {
 TEST(EdgeCases, BatchingDisabledSingleLaunch) {
   const Dataset ds = gen_exponential(2000, 2, 37);
   SelfJoinConfig cfg = SelfJoinConfig::combined(0.05);
-  cfg.batching.enabled = false;
+  cfg.batching.buffer_pairs = std::numeric_limits<std::uint64_t>::max();
   const auto out = self_join(ds, cfg);
   EXPECT_EQ(out.stats.num_batches, 1u);
   EXPECT_EQ(out.stats.kernel.launches, 1u);

@@ -194,6 +194,33 @@ TEST(KnnJoin, ZeroEpsilonRequestIsValidOnService) {
   EXPECT_EQ(r2.breakdown.served_from, obs::ServedFrom::ResultCache);
 }
 
+TEST(KnnJoin, ResultCacheServesKnnAtAnyEpsilon) {
+  // KNN's answer does not depend on cfg.epsilon, so a repeat that
+  // differs only in that field is an exact result-cache hit.
+  const RxsCase c = make_rxs_case(61);  // overlapping family
+  JoinService svc;
+  const auto sd = svc.attach(c.s);
+  JoinRequest req;
+  req.config.mode = JoinMode::Knn;
+  req.config.probe = &c.r;
+  req.config.knn_k = 4;
+  req.config.epsilon = 0.1;
+  req.config.store_pairs = true;
+  const JoinResponse cold = svc.submit(sd, req).get();
+  ASSERT_EQ(cold.status, JoinStatus::Ok) << cold.error;
+  EXPECT_EQ(cold.breakdown.served_from, obs::ServedFrom::Execution);
+
+  req.config.epsilon = 0.2;
+  const JoinResponse warm = svc.submit(sd, req).get();
+  ASSERT_EQ(warm.status, JoinStatus::Ok) << warm.error;
+  EXPECT_EQ(warm.breakdown.served_from, obs::ServedFrom::ResultCache);
+  EXPECT_EQ(warm.output.results.pairs(), cold.output.results.pairs());
+  EXPECT_EQ(warm.output.stats.knn_rounds, cold.output.stats.knn_rounds);
+  EXPECT_EQ(warm.output.stats.knn_final_epsilon,
+            cold.output.stats.knn_final_epsilon);
+  EXPECT_EQ(warm.output.results.pairs(), brute_force_knn(c.s, c.r, 4).pairs());
+}
+
 TEST(KnnJoin, SelfCacheNeverServesKnn) {
   const RxsCase c = make_rxs_case(55);  // overlapping family
   JoinService svc;

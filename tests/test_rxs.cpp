@@ -260,6 +260,16 @@ TEST(RxsJoin, ResultKeyPinnedRegression) {
   EXPECT_NE(detail::make_result_key(1, knn_g3).config_digest,
             detail::make_result_key(1, knn_cfg).config_digest);
 
+  // KNN never reads cfg.epsilon (the widening schedule replaces it), so
+  // the whole key is equal across ε.
+  SelfJoinConfig knn_other_eps = knn_cfg;
+  knn_other_eps.epsilon = 0.25;
+  EXPECT_EQ(detail::make_result_key(1, knn_other_eps),
+            detail::make_result_key(1, knn_cfg));
+  knn_other_eps.epsilon = 0.0;
+  EXPECT_EQ(detail::make_result_key(1, knn_other_eps),
+            detail::make_result_key(1, knn_cfg));
+
   // Variant knobs stay out of the digest: the key is variant-agnostic
   // (the existing Self behaviour, preserved).
   SelfJoinConfig other_variant = SelfJoinConfig::unicomp(0.5);
