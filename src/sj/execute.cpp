@@ -579,35 +579,4 @@ void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
   }
 }
 
-std::uint64_t subsume_filter(const Dataset& ds,
-                             std::span<const ResultPair> pairs,
-                             double epsilon, ResultSet* out) {
-  const double eps2 = epsilon * epsilon;
-  std::uint64_t kept = 0;
-  // The 2-D specialization reads the two coordinate columns through
-  // spans so the distance math in the hot loop is branch-free and
-  // auto-vectorizable; higher dimensions fall back to dist2 (which
-  // early-exits per dimension).
-  if (ds.dims() == 2) {
-    const std::span<const double> x = ds.dim(0);
-    const std::span<const double> y = ds.dim(1);
-    for (const auto& [a, b] : pairs) {
-      const double dx = x[a] - x[b];
-      const double dy = y[a] - y[b];
-      if (dx * dx + dy * dy <= eps2) {
-        ++kept;
-        if (out != nullptr) out->emit(a, b);
-      }
-    }
-  } else {
-    for (const auto& [a, b] : pairs) {
-      if (ds.dist2(a, b) <= eps2) {
-        ++kept;
-        if (out != nullptr) out->emit(a, b);
-      }
-    }
-  }
-  return kept;
-}
-
 }  // namespace gsj::detail
