@@ -841,6 +841,50 @@ TEST(ServiceIncremental, ResultCacheDropsEntryTouchedByNearMove) {
   EXPECT_EQ(fresh.output.results.pairs(), want.results.pairs());
 }
 
+TEST(ServiceIncremental, UnbuildableCachedGridIsDropped) {
+  // One point far outside the unit cube: the cached ε = 0.05 grid would
+  // now need more than 2^62 cells. Its repair must drop it rather than
+  // fail every warm run on the dataset.
+  Dataset ds = gen_uniform(500, 3, 73, 0.0, 1.0);
+  obs::Registry metrics;
+  ServiceConfig scfg;
+  scfg.obs.metrics = &metrics;
+  JoinService svc(scfg);
+  const auto sd = svc.attach(ds);
+
+  const SelfJoinConfig fine = SelfJoinConfig::combined(0.05);
+  const SelfJoinConfig coarse = SelfJoinConfig::combined(5'000.0);
+  (void)svc.run(*sd, fine);
+  (void)svc.run(*sd, coarse);
+  ASSERT_EQ(sd->cached_grid_count(), 2u);
+
+  const std::array<double, 3> far{1e5, 1e5, 1e5};
+  (void)ds.insert(std::span<const double>(far));
+  const std::uint64_t before =
+      metrics.counter("sj.cache.invalidations").value();
+  const SelfJoinOutput warm = svc.run(*sd, coarse);
+  EXPECT_EQ(warm.stats.result_pairs, 250'001u);  // 500² + the far self-pair
+  EXPECT_GT(metrics.counter("sj.cache.invalidations").value(), before);
+  EXPECT_EQ(sd->cached_grid_count(), 1u);
+
+  // The dropped ε is rebuilt on demand and fails exactly as cold.
+  std::string cold;
+  try {
+    JoinEngine engine;
+    (void)engine.self_join(ds, fine);
+  } catch (const CheckError& e) {
+    cold = e.what();
+  }
+  ASSERT_FALSE(cold.empty()) << "a cold run accepted the dataset";
+  std::string warm_error;
+  try {
+    (void)svc.run(*sd, fine);
+  } catch (const CheckError& e) {
+    warm_error = e.what();
+  }
+  EXPECT_EQ(warm_error, cold);
+}
+
 TEST(ServiceIncremental, SubscriptionDeliversIncrementalDeltas) {
   Dataset ds = make_clusters(250, /*seed=*/71, /*clusters=*/4, /*radius=*/0.04);
   const double eps = 0.06;
