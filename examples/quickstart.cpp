@@ -9,6 +9,7 @@
 #include "common/stats.hpp"
 #include "data/generators.hpp"
 #include "sj/engine.hpp"
+#include "sj/neighbor_table.hpp"
 #include "superego/super_ego.hpp"
 
 int main(int argc, char** argv) {
@@ -62,10 +63,10 @@ int main(int argc, char** argv) {
             << base.stats.kernel_seconds / opt.stats.kernel_seconds << "x\n\n";
 
   // Neighborhood size distribution — the source of the load imbalance.
-  const auto nl = opt.results.neighbor_lists(ds.size());
+  const gsj::NeighborTable table(opt.results, ds.size());
   std::vector<double> degs(ds.size());
   for (std::size_t p = 0; p < ds.size(); ++p) {
-    degs[p] = static_cast<double>(nl.offsets[p + 1] - nl.offsets[p]);
+    degs[p] = static_cast<double>(table.degree(static_cast<gsj::PointId>(p)));
   }
   const gsj::Summary s = gsj::summarize(degs);
   std::cout << "neighbors per point: min " << s.min << ", median " << s.median

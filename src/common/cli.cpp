@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <sstream>
@@ -80,6 +81,17 @@ double Cli::get_double(const std::string& name, double def,
 bool Cli::get_bool(const std::string& name, bool def, const std::string& help) {
   const std::string v = get(name, def ? "true" : "false", help);
   return v == "true" || v == "1" || v == "yes" || v == "on";
+}
+
+std::vector<std::string> Cli::unknown() const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : values_) {
+    if (std::none_of(registered_.begin(), registered_.end(),
+                     [&](const auto& r) { return r.first == name; })) {
+      out.push_back(name);
+    }
+  }
+  return out;
 }
 
 std::string Cli::help_text() const {

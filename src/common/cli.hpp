@@ -23,9 +23,9 @@ namespace gsj {
 
 class Cli {
  public:
-  /// Parses argv. Unknown flags are collected and reported by `unknown()`;
-  /// flags registered after parsing still resolve (registration only
-  /// feeds --help and default values).
+  /// Parses argv. Flags that no getter ever reads are reported by
+  /// `unknown()`; flags registered after parsing still resolve
+  /// (registration only feeds --help and default values).
   Cli(int argc, const char* const* argv);
 
   /// Registers a flag for --help output and returns its value (or
@@ -50,6 +50,11 @@ class Cli {
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
   }
+
+  /// Names (without the leading "--") of the flags that were given but
+  /// never read by a getter, in name order: misspellings, and flags the
+  /// caller does not take. Call it once every flag has been read.
+  [[nodiscard]] std::vector<std::string> unknown() const;
 
  private:
   void note(const std::string& name, const std::string& def,

@@ -31,23 +31,4 @@ void ResultSet::canonicalize() {
   std::sort(pairs_.begin(), pairs_.end());
 }
 
-ResultSet::NeighborLists ResultSet::neighbor_lists(std::size_t n) const {
-  GSJ_CHECK_MSG(store_, "neighbor_lists requires stored pairs");
-  NeighborLists nl;
-  nl.offsets.assign(n + 1, 0);
-  for (const auto& [a, b] : pairs_) {
-    GSJ_CHECK(a < n && b < n);
-    ++nl.offsets[a + 1];
-  }
-  for (std::size_t i = 1; i <= n; ++i) nl.offsets[i] += nl.offsets[i - 1];
-  nl.neighbors.resize(pairs_.size());
-  std::vector<std::uint64_t> cursor(nl.offsets.begin(), nl.offsets.end() - 1);
-  for (const auto& [a, b] : pairs_) nl.neighbors[cursor[a]++] = b;
-  for (std::size_t p = 0; p < n; ++p) {
-    std::sort(nl.neighbors.begin() + static_cast<std::ptrdiff_t>(nl.offsets[p]),
-              nl.neighbors.begin() + static_cast<std::ptrdiff_t>(nl.offsets[p + 1]));
-  }
-  return nl;
-}
-
 }  // namespace gsj

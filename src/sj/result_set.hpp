@@ -132,15 +132,6 @@ class ResultSet {
   /// orders but must produce the same set).
   void canonicalize();
 
-  /// Converts stored ordered pairs into per-point neighbor lists
-  /// (CSR-style offsets + flattened neighbor ids). Requires stored
-  /// pairs; `n` is the dataset size.
-  struct NeighborLists {
-    std::vector<std::uint64_t> offsets;  ///< size n+1
-    std::vector<PointId> neighbors;
-  };
-  [[nodiscard]] NeighborLists neighbor_lists(std::size_t n) const;
-
   void clear() noexcept {
     count_ = 0;
     pairs_.clear();

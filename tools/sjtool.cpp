@@ -39,6 +39,7 @@
 #include <map>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -248,6 +249,17 @@ void print_fleet_stats(const gsj::simt::FleetStats& fs) {
   }
 }
 
+/// Fails on every flag that was given but never read — a misspelling,
+/// or a flag this subcommand does not take in this mode. Each
+/// subcommand calls it once it has read its flags, before it runs.
+void reject_unknown_flags(const gsj::Cli& cli) {
+  std::string names;
+  for (const std::string& name : cli.unknown()) names += " --" + name;
+  if (!names.empty()) {
+    throw std::invalid_argument("unknown flag(s):" + names);
+  }
+}
+
 gsj::Dataset load_input(gsj::Cli& cli) {
   const std::string path = cli.get("input", "", "input dataset (.bin)");
   GSJ_CHECK_MSG(!path.empty(), "--input is required");
@@ -282,6 +294,7 @@ int cmd_generate(gsj::Cli& cli) {
       cli.get_int("n", 0, "points (0 = spec default)"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1, ""));
   const std::string out = cli.get("out", "dataset.bin", "output path");
+  reject_unknown_flags(cli);
   const gsj::Dataset ds = gsj::make_dataset(name, n, seed);
   gsj::save_binary(ds, out);
   std::cout << "wrote " << ds.describe() << " to " << out << "\n";
@@ -290,6 +303,7 @@ int cmd_generate(gsj::Cli& cli) {
 
 int cmd_info(gsj::Cli& cli) {
   const gsj::Dataset ds = load_input(cli);
+  reject_unknown_flags(cli);
   std::cout << ds.describe() << "\n";
   for (int d = 0; d < ds.dims(); ++d) {
     const gsj::Summary s = gsj::summarize(ds.dim(d));
@@ -325,6 +339,7 @@ int cmd_join(gsj::Cli& cli) {
     cfg.nthreads = static_cast<std::size_t>(
         cli.get_int("threads", 0, "SUPER-EGO threads"));
     cfg.store_pairs = !pairs_out.empty();
+    reject_unknown_flags(cli);
     const auto out = gsj::super_ego_join(ds, cfg);
     std::cout << "SUPER-EGO: " << out.stats.result_pairs << " pairs in "
               << out.stats.sort_seconds + out.stats.seconds << " s ("
@@ -352,6 +367,7 @@ int cmd_join(gsj::Cli& cli) {
   apply_batching_flags(cli, cfg.batching);
   cfg.fleet = parse_fleet_flags(cli, cfg.device);
   cfg.store_pairs = !pairs_out.empty();
+  reject_unknown_flags(cli);
 
   const gsj::SelfJoinOutput out = [&] {
     if (mode == "rxs") {
@@ -400,6 +416,7 @@ int cmd_knn(gsj::Cli& cli) {
   cfg.knn_initial_epsilon = cli.get_double(
       "initial-epsilon", 0.0, "explicit eps0 (0 = density-derived seed)");
   cfg.store_pairs = !pairs_out.empty();
+  reject_unknown_flags(cli);
 
   // Self-kNN (no --queries) probes the dataset with itself; each point
   // then counts itself as its own nearest neighbor (distance 0) — the
@@ -438,6 +455,7 @@ int cmd_dbscan(gsj::Cli& cli) {
   apply_batching_flags(cli, cfg.join.batching);
   const std::string labels_out =
       cli.get("labels-out", "", "write per-point labels to CSV");
+  reject_unknown_flags(cli);
 
   const auto res = gsj::dbscan(ds, cfg);
   std::cout << "dbscan: " << res.num_clusters << " clusters, "
@@ -489,6 +507,7 @@ int cmd_profile(gsj::Cli& cli) {
         cli.get_int("threads", 0, "SUPER-EGO threads"));
     cfg.tracer = &tracer;
     cfg.metrics = &metrics;
+    reject_unknown_flags(cli);
     const auto out = gsj::super_ego_join(ds, cfg);
     std::cout << "SUPER-EGO: " << out.stats.result_pairs << " pairs in "
               << out.stats.sort_seconds + out.stats.seconds << " s\n";
@@ -506,6 +525,7 @@ int cmd_profile(gsj::Cli& cli) {
     apply_batching_flags(cli, cfg.batching);
     cfg.tracer = &tracer;
     cfg.metrics = &metrics;
+    reject_unknown_flags(cli);
 
     const auto out = gsj::self_join(ds, cfg);
     std::cout << cfg.name() << ": " << out.stats.result_pairs << " pairs, "
@@ -588,6 +608,7 @@ int cmd_sweep(gsj::Cli& cli) {
       "per-call-baseline", false,
       "also run every cell through the one-shot self_join for comparison");
   const std::string out_path = cli.get("out", "sweep.json", "JSON report path");
+  reject_unknown_flags(cli);
 
   gsj::obs::Registry svc_metrics;
   gsj::ServiceConfig scfg;
@@ -847,6 +868,7 @@ int cmd_serve(gsj::Cli& cli) {
   if (sms > 0) base_device.num_sms = sms;
   base_device.host.num_threads = host_threads;
   const gsj::simt::FleetConfig fleet = parse_fleet_flags(cli, base_device);
+  reject_unknown_flags(cli);
 
   // --- assemble the request list ---
   std::vector<ServeRequest> reqs;
@@ -1454,6 +1476,7 @@ int cmd_top(gsj::Cli& cli) {
   if (sms > 0) base_device.num_sms = sms;
   base_device.host.num_threads = host_threads;
   const gsj::simt::FleetConfig fleet = parse_fleet_flags(cli, base_device);
+  reject_unknown_flags(cli);
 
   // The serve --stress mix (without scheduled cancellations): every
   // variant, a few epsilons, three priority classes.
@@ -1586,6 +1609,7 @@ int cmd_explain(gsj::Cli& cli) {
       cli.get_int("host-threads", 0, "host worker threads (0 = sequential)"));
   apply_batching_flags(cli, cfg.batching);
   cfg.store_pairs = false;
+  reject_unknown_flags(cli);
 
   gsj::obs::Tracer tracer(logical ? gsj::obs::TimeMode::Logical
                                   : gsj::obs::TimeMode::Wall);

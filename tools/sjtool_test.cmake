@@ -38,6 +38,11 @@ run_fails("--device-sms: expected an integer, got '56x'"
 run_fails("--device-clock: expected a number, got '1.3GHz'"
           ${SJTOOL} join --input ds.bin --epsilon 0.02 --variant combined
           --devices 2 --device-clock 1.3GHz,1.0)
+# A misspelled flag fails the subcommand before it runs, naming the flag.
+run_fails("unknown flag(s): --varient"
+          ${SJTOOL} join --input ds.bin --epsilon 0.02 --varient unicomp)
+run_fails("unknown flag(s): --worker"
+          ${SJTOOL} serve --input ds.bin --stress 2 --worker 2)
 file(WRITE ${WORKDIR}/bad_requests.txt "epsilon=0.02x variant=combined\n")
 run_fails("request key 'epsilon': expected a number, got '0.02x'"
           ${SJTOOL} serve --input ds.bin --requests bad_requests.txt)
