@@ -57,6 +57,8 @@ SlotTable::SlotTable(const GridIndex& grid, CellPattern pattern)
     stride_[static_cast<std::size_t>(d)] = grid.stride(d);
   }
   slots_.resize(static_cast<std::size_t>(grid.adjacency_volume()));
+  words_ = (size() + 63) / 64;
+  masks_.assign(4 * kMaxDims * std::size_t{words_}, 0);
   for (std::uint32_t i = 0; i < size(); ++i) {
     Slot& slot = slots_[i];
     int top = -1;  // highest dimension with a non-zero offset
@@ -80,6 +82,15 @@ SlotTable::SlotTable(const GridIndex& grid, CellPattern pattern)
       case CellPattern::Unicomp:
         slot.gate = top < 0 ? 0 : static_cast<std::uint8_t>(1u << top);
         break;
+    }
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    for (std::uint32_t g = slot.gate; g != 0; g &= g - 1) {
+      masks_[gate_mask(std::countr_zero(g)) + i / 64] |= bit;
+    }
+    for (std::size_t c = 0; c < 3; ++c) {
+      for (std::uint32_t x = slot.dims[c]; x != 0; x &= x - 1) {
+        masks_[offset_mask(c, std::countr_zero(x)) + i / 64] |= bit;
+      }
     }
   }
 }

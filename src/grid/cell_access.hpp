@@ -31,9 +31,12 @@
 // over it (the kernels' NextCell step) decides each slot with a table
 // read and two mask tests, equal to the bounds check plus
 // pattern_accepts, and looks the cell up with GridIndex::seek_cell.
+// Whole-window walks skip the rejected slots 64 at a time through the
+// per-origin accepted-slot bitmask (SlotTable::accepted).
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -80,6 +83,12 @@ enum class CellPattern {
 /// too. LID-UNICOMP's nid > oid is "slot after the centre", and
 /// UNICOMP's test reads the origin's parity in the slot's highest
 /// dimension with a non-zero offset.
+///
+/// The same tests, slot-parallel: bit i % 64 of word i / 64 of a slot
+/// mask stands for slot i. The table keeps one mask per (offset class,
+/// dimension) — the slots whose offset in that dimension is that class
+/// — and one per pattern gate bit, so accepted(o, w) builds word w of
+/// the origin's accepted-slot mask with a few AND-NOTs and ORs.
 class SlotTable {
  public:
   struct Slot {
@@ -135,12 +144,56 @@ class SlotTable {
     return (s.gate & o.gate) != 0;
   }
 
+  /// Words of a slot mask: at most kMaxWords.
+  [[nodiscard]] std::uint32_t words() const noexcept { return words_; }
+  static constexpr std::uint32_t kMaxWords = [] {
+    std::uint32_t slots = 1;
+    for (int d = 0; d < kMaxDims; ++d) slots *= 3;
+    return (slots + 63) / 64;
+  }();
+
+  /// Word `w` of the accepted-slot mask around `o`: bit i set iff slot
+  /// 64·w + i is in bounds and accepted (in_bounds && accepts). FULL's
+  /// centre is accepted; LID-UNICOMP's and UNICOMP's never is.
+  [[nodiscard]] std::uint64_t accepted(const Origin& o,
+                                       std::uint32_t w) const noexcept {
+    std::uint64_t m = 0;
+    for (std::uint32_t g = o.gate; g != 0; g &= g - 1) {
+      m |= masks_[gate_mask(std::countr_zero(g)) + w];
+    }
+    for (std::size_t c = 0; c < 3; ++c) {
+      for (std::uint32_t x = o.out[c]; x != 0; x &= x - 1) {
+        m &= ~masks_[offset_mask(c, std::countr_zero(x)) + w];
+      }
+    }
+    return m;
+  }
+
+  /// The centre's bit in word `w` of a slot mask (0 in every other word).
+  [[nodiscard]] std::uint64_t centre_bit(std::uint32_t w) const noexcept {
+    return w == centre() / 64 ? std::uint64_t{1} << (centre() % 64) : 0;
+  }
+
  private:
+  /// Offset into masks_ of the slots whose Slot::gate has bit `b`
+  /// (FULL and LID-UNICOMP: b = 0).
+  [[nodiscard]] std::size_t gate_mask(int b) const noexcept {
+    return static_cast<std::size_t>(b) * words_;
+  }
+  /// Offset into masks_ of the slots whose offset in dimension `d` is
+  /// c − 1.
+  [[nodiscard]] std::size_t offset_mask(std::size_t c, int d) const noexcept {
+    return (kMaxDims + c * kMaxDims + static_cast<std::size_t>(d)) * words_;
+  }
+
   CellPattern pattern_;
   int dims_;
   std::array<std::int32_t, kMaxDims> cells_per_dim_{};
   std::array<std::uint64_t, kMaxDims> stride_{};
   std::vector<Slot> slots_;
+  std::uint32_t words_ = 0;
+  /// kMaxDims gate masks, then 3·kMaxDims offset masks, words_ each.
+  std::vector<std::uint64_t> masks_;
 };
 
 /// Number of adjacent (non-origin) cell slots the pattern would accept

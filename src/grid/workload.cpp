@@ -1,6 +1,7 @@
 #include "grid/workload.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -21,14 +22,13 @@ std::uint64_t accepted_neighbor_points(const GridIndex& grid,
       slots.origin(grid.decode(cells[cell_idx].linear_id));
   std::uint64_t total = 0;
   std::uint32_t cursor = 0;
-  for (std::uint32_t i = 0; i < slots.size(); ++i) {
-    const SlotTable::Slot& slot = slots[i];
-    if (i == slots.centre() || !SlotTable::in_bounds(slot, o) ||
-        !SlotTable::accepts(slot, o)) {
-      continue;
+  for (std::uint32_t w = 0; w < slots.words(); ++w) {
+    for (std::uint64_t m = slots.accepted(o, w) & ~slots.centre_bit(w); m != 0;
+         m &= m - 1) {
+      const auto i = w * 64 + static_cast<std::uint32_t>(std::countr_zero(m));
+      const std::size_t nidx = grid.seek_cell(cursor, o.id + slots[i].delta);
+      if (nidx != GridIndex::npos) total += cells[nidx].size();
     }
-    const std::size_t nidx = grid.seek_cell(cursor, o.id + slot.delta);
-    if (nidx != GridIndex::npos) total += cells[nidx].size();
   }
   return total;
 }

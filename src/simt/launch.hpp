@@ -40,24 +40,23 @@
 // bit-identical to the sequential path; kernels lacking the shard API
 // silently keep the sequential path.
 //
-// Fast-forward. A kernel may additionally provide
+// Warp replay. A kernel may additionally provide
 //
-//   simt::FastForward K::fast_forward(LaneState* lanes,
+//   simt::detail::WarpRun K::run_warp(LaneState* lanes,
 //                                     const std::uint8_t* active,
 //                                     int warp_size);
-//   simt::FastForward K::fast_forward(LaneState*, const std::uint8_t*,
+//   simt::detail::WarpRun K::run_warp(LaneState*, const std::uint8_t*,
 //                                     int, Shard&);  // parallel path
 //
-// The step loop calls it before every lockstep step. A result with
-// steps > 0 means the kernel advanced the warp by that many steps at
-// once, leaving the lane states and side effects (in order) that
-// `steps` rounds of step() would have left, with no lane retiring on
-// the way: `nactive` lanes were active throughout and `cycles` is the
-// sum over those steps of the max lane cost. The loop charges steps,
-// steps·nactive lane-steps and cycles, then asks again. steps == 0
-// declines, and the loop runs one ordinary step. The hook never
-// changes the active mask. Kernels without it (or, on the parallel
-// path, without its shard overload) compile to the plain lockstep loop.
+// The launch calls it once per warp, right after init_lane, in place
+// of the lockstep loop: it must leave the side effects (in order) that
+// the loop over step() would leave, and return that loop's steps,
+// active lane-steps and cycles, init cost excluded (the launch adds
+// it). Lanes with active[l] == 0 take no step. A kernel's lanes never
+// read each other, so the hook can replay each lane's trace on its own
+// and reduce the warp afterwards (sj/kernels.hpp). Kernels without the
+// hook (or, on the parallel path, without its shard overload) run the
+// generic lockstep loop.
 //
 // Abortable launch. An optional `should_abort` hook is polled every
 // detail::kWarpBlock warps — at the *same* warp-count boundaries on the
@@ -78,7 +77,6 @@
 #include <functional>
 #include <optional>
 #include <queue>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -134,25 +132,27 @@ concept ParallelHostKernel =
       k.merge_shard(std::move(shard));
     };
 
-/// What a kernel's fast_forward hook reports (see header comment):
-/// `steps` lockstep steps taken at once, the sum of their step costs,
-/// and the number of lanes active throughout. steps == 0 declines.
-struct FastForward {
-  std::uint64_t steps = 0;
+namespace detail {
+
+/// One warp's step-loop outcome (the launch's cycles include init).
+struct WarpRun {
   std::uint64_t cycles = 0;
-  std::uint32_t nactive = 0;
+  std::uint64_t steps = 0;
+  std::uint64_t active_lane_steps = 0;
 };
 
-/// Kernels that can advance a whole warp several lockstep steps at once.
-/// FastForwardKernel<K, Shard> asks for the parallel path's overload,
-/// which emits into a shard.
+}  // namespace detail
+
+/// Kernels that replay a whole warp at once (see header comment).
+/// WarpRunKernel<K, Shard> asks for the parallel path's overload, which
+/// emits into a shard.
 template <typename K, typename... Shard>
-concept FastForwardKernel =
+concept WarpRunKernel =
     requires(K& k, typename K::LaneState* lanes, const std::uint8_t* active,
              int warp_size, Shard&... shard) {
       {
-        k.fast_forward(lanes, active, warp_size, shard...)
-      } -> std::same_as<FastForward>;
+        k.run_warp(lanes, active, warp_size, shard...)
+      } -> std::same_as<detail::WarpRun>;
     };
 
 /// Launch abort hook: polled between warp blocks; returning true stops
@@ -229,13 +229,6 @@ class SlotSchedule {
   std::vector<std::uint64_t> slot_finish_;
 };
 
-/// One warp's step-loop outcome (cycles include init).
-struct WarpRun {
-  std::uint64_t cycles = 0;
-  std::uint64_t steps = 0;
-  std::uint64_t active_lane_steps = 0;
-};
-
 /// Runs init_lane over one warp's lanes (in lane order); returns the
 /// summed init cost and fills `lanes`/`active`.
 template <typename K>
@@ -262,44 +255,13 @@ std::uint64_t init_warp(const DeviceConfig& cfg, std::uint64_t num_threads,
   return init_cost;
 }
 
-/// The step loop's fast-forward callable for kernels without the hook:
-/// its presence compiles the check out of the loop.
-struct NoFastForward {};
-
-/// `k`'s fast_forward hook (the overload taking `shard...`, if given)
-/// bound for the step loop, or NoFastForward.
-template <typename K, typename... Shard>
-auto fast_forward_fn(K& k, Shard&... shard) {
-  if constexpr (FastForwardKernel<K, Shard...>) {
-    return [&k, &shard...](typename K::LaneState* lanes,
-                           const std::uint8_t* active, int warp_size) {
-      return k.fast_forward(lanes, active, warp_size, shard...);
-    };
-  } else {
-    return NoFastForward{};
-  }
-}
-
 /// Lockstep step loop of one warp: each step costs the max over its
 /// active lanes; the warp retires when every lane reports inactive.
-/// Before each step the kernel's fast_forward hook, if any, may advance
-/// the warp several steps at once (see header comment).
-template <typename LaneState, typename StepFn, typename FastForwardFn>
+template <typename LaneState, typename StepFn>
 WarpRun warp_step_loop(int warp_size, LaneState* lanes, std::uint8_t* active,
-                       std::uint64_t init_cost, StepFn&& step,
-                       [[maybe_unused]] FastForwardFn fast_forward) {
+                       StepFn&& step) {
   WarpRun run;
-  run.cycles = init_cost;
   for (;;) {
-    if constexpr (!std::is_same_v<FastForwardFn, NoFastForward>) {
-      const FastForward ff = fast_forward(lanes, active, warp_size);
-      if (ff.steps > 0) {
-        run.steps += ff.steps;
-        run.active_lane_steps += ff.steps * ff.nactive;
-        run.cycles += ff.cycles;
-        continue;
-      }
-    }
     std::uint32_t step_cost = 0;
     std::uint32_t nactive = 0;
     for (int l = 0; l < warp_size; ++l) {
@@ -315,6 +277,26 @@ WarpRun warp_step_loop(int warp_size, LaneState* lanes, std::uint8_t* active,
     run.active_lane_steps += nactive;
     run.cycles += step_cost;
   }
+  return run;
+}
+
+/// Runs one initialized warp: `k`'s run_warp hook (the overload taking
+/// `shard...`, if given) when it has one, the lockstep loop over step()
+/// otherwise. Adds `init_cost` to the cycles.
+template <typename K, typename... Shard>
+WarpRun run_warp(K& k, int warp_size, typename K::LaneState* lanes,
+                 std::uint8_t* active, std::uint64_t init_cost,
+                 Shard&... shard) {
+  WarpRun run;
+  if constexpr (WarpRunKernel<K, Shard...>) {
+    run = k.run_warp(lanes, active, warp_size, shard...);
+  } else {
+    run = warp_step_loop(warp_size, lanes, active,
+                         [&k, &shard...](typename K::LaneState& s) {
+                           return k.step(s, shard...);
+                         });
+  }
+  run.cycles += init_cost;
   return run;
 }
 
@@ -404,13 +386,9 @@ KernelStats launch(const DeviceConfig& cfg, std::uint64_t num_threads, K& k,
         // Pass 2 — parallel step loops into per-warp shards.
         pool->parallel_for(static_cast<std::size_t>(bsize), [&](std::size_t i) {
           const std::size_t off = i * static_cast<std::size_t>(ws);
-          runs[i] = detail::warp_step_loop(
-              cfg.warp_size, lanes.data() + off, active.data() + off,
-              init_costs[i],
-              [&k, &shard = shards[i]](typename K::LaneState& s) {
-                return k.step(s, shard);
-              },
-              detail::fast_forward_fn(k, shards[i]));
+          runs[i] = detail::run_warp(k, cfg.warp_size, lanes.data() + off,
+                                     active.data() + off, init_costs[i],
+                                     shards[i]);
         });
         // Pass 3 — sequential replay: slot heap, stats, observer and
         // shard merge in dispatch order.
@@ -447,10 +425,8 @@ KernelStats launch(const DeviceConfig& cfg, std::uint64_t num_threads, K& k,
       const std::uint64_t w = order[static_cast<std::size_t>(seq)];
       const std::uint64_t init_cost = detail::init_warp(
           cfg, num_threads, k, w, lanes.data(), active.data(), scratch);
-      const detail::WarpRun run = detail::warp_step_loop(
-          cfg.warp_size, lanes.data(), active.data(), init_cost,
-          [&k](typename K::LaneState& s) { return k.step(s); },
-          detail::fast_forward_fn(k));
+      const detail::WarpRun run = detail::run_warp(
+          k, cfg.warp_size, lanes.data(), active.data(), init_cost);
       retire(w, seq, run);
     }
   }

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
+#include <numeric>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -58,6 +59,20 @@ SelfJoinKernel::SelfJoinKernel(const KernelParams& p)
   eps2_ = grid.epsilon() * grid.epsilon();
   unidirectional_ = !rxs_ && is_unidirectional(p.pattern);
   cost_dist_ = p.device->cost_dist(dims_);
+
+  // The step costs of next_cell() and scan(), with their uint32 sums.
+  const simt::DeviceConfig& dev = *p.device;
+  class_cost_[kCheck] = dev.cost_pattern_check;
+  class_cost_[kCheckEmit] = dev.cost_pattern_check + dev.cost_emit;
+  class_cost_[kProbe] = dev.cost_pattern_check + dev.cost_cell_probe;
+  class_cost_[kDist] = cost_dist_;
+  class_cost_[kDistEmit] = cost_dist_ + dev.cost_emit;
+  class_cost_[kRetire] = 1;
+  std::iota(class_order_.begin(), class_order_.end(), std::uint8_t{0});
+  std::sort(class_order_.begin(), class_order_.end(),
+            [this](std::uint8_t a, std::uint8_t b) {
+              return class_cost_[a] > class_cost_[b];
+            });
 }
 
 simt::InitResult SelfJoinKernel::init_lane(LaneState& s,
@@ -107,76 +122,281 @@ simt::InitResult SelfJoinKernel::init_lane(LaneState& s,
   return {true, cost};
 }
 
-simt::FastForward SelfJoinKernel::fast_forward_into(
-    LaneState* lanes, const std::uint8_t* active, int warp_size,
-    ResultSet& out, std::uint64_t& emitted) const {
-  // Eligible only when every active lane is mid-scan: the warp can then
-  // run the shortest remaining run with no lane leaving Scan early, so
-  // every one of those steps is a scan step on every active lane. The
-  // first lane that is not scanning, or whose run is shorter than the
-  // threshold, declines at once (this check runs before every step).
-  const auto k = static_cast<std::uint32_t>(p_.k);
-  const std::uint32_t min_cands = (kMinFastForwardSteps - 1) * k + 1;
-  std::array<std::uint8_t, 32> lane_of{};  // active lanes, in lane order
-  std::uint32_t nactive = 0;
-  std::uint32_t min_left = std::numeric_limits<std::uint32_t>::max();
-  for (int l = 0; l < warp_size; ++l) {
-    if (!active[l]) continue;
-    const LaneState& s = lanes[l];
-    if (!s.scanning || s.cand_end - s.cand_pos < min_cands) return {};
-    min_left = std::min(min_left, s.cand_end - s.cand_pos);
-    lane_of[nactive++] = static_cast<std::uint8_t>(l);
-  }
-  if (nactive == 0) return {};
-  const std::uint32_t steps = (min_left - 1) / k + 1;  // ⌈min_left / k⌉
+namespace {
 
-  const std::uint64_t pairs_per_hit = unidirectional_ ? 2 : 1;
-  std::array<std::uint64_t, 32> masks{};
-  std::array<std::uint32_t, 32> first{};  // chunk's first candidate per lane
-  std::uint64_t cycles = 0;
-  for (std::uint32_t done = 0; done < steps;) {
-    const std::uint32_t len = std::min<std::uint32_t>(steps - done, 64);
-    std::uint64_t any = 0;
-    std::uint64_t hits = 0;
-    for (std::uint32_t a = 0; a < nactive; ++a) {
-      LaneState& s = lanes[lane_of[a]];
-      first[a] = s.cand_pos;
-      masks[a] = hit_mask(s.q, s.cand_pos, len);
-      s.cand_pos += len * k;
-      any |= masks[a];
-      hits += static_cast<std::uint64_t>(std::popcount(masks[a]));
+/// Bit i set iff bit first + i of the slot mask `words` is, for
+/// i < n <= 64 (bits past the mask's last slot read as 0).
+std::uint64_t mask_run(const std::uint64_t* words, std::uint32_t first,
+                       std::uint32_t n) noexcept {
+  const std::uint32_t w = first / 64;
+  const std::uint32_t b = first % 64;
+  std::uint64_t m = words[w] >> b;
+  if (b + n > 64) m |= words[w + 1] << (64 - b);
+  return n == 64 ? m : m & ((std::uint64_t{1} << n) - 1);
+}
+
+}  // namespace
+
+bool SelfJoinKernel::find_cell(const LaneState& s, const std::uint64_t* walked,
+                               Walk& w, std::uint32_t limit,
+                               WindowCell& out) const {
+  // next_cell()'s lookups, for the walked slots only: the rejected ones
+  // are skipped a mask word at a time.
+  while (w.slot < limit) {
+    const std::uint32_t word = w.slot / 64;
+    std::uint64_t m = walked[word] & (~std::uint64_t{0} << (w.slot % 64));
+    for (; m != 0; m &= m - 1) {
+      const auto i = word * 64 + static_cast<std::uint32_t>(std::countr_zero(m));
+      if (i >= limit) break;
+      w.slot = i + 1;
+      if (!rxs_ && i == slots_.centre()) {
+        // q's own cell: FULL scans all of it, the unidirectional
+        // patterns only the points after q (the rank rule).
+        const std::size_t own = p_.grid->cell_of_point(s.q);
+        w.cursor = static_cast<std::uint32_t>(own);
+        const GridCell& cell = cells_[own];
+        out = {i, p_.pattern == CellPattern::Full ? cell.begin : s.rank + 1,
+               cell.end};
+        return true;
+      }
+      const std::size_t nidx =
+          p_.grid->seek_cell(w.cursor, s.origin.id + slots_[i].delta);
+      if (nidx != GridIndex::npos) {
+        out = {i, cells_[nidx].begin, cells_[nidx].end};
+        return true;
+      }
     }
-    // A step costs its slowest lane: cost_dist, plus cost_emit when any
-    // lane hit.
-    cycles += static_cast<std::uint64_t>(len) * cost_dist_ +
-              static_cast<std::uint64_t>(std::popcount(any)) *
-                  p_.device->cost_emit;
-    emitted += hits * pairs_per_hit;
-    if (!out.stores_pairs()) {
-      out.add_count(hits * pairs_per_hit);
+    w.slot = std::min(limit, (word + 1) * 64);
+  }
+  return false;
+}
+
+simt::detail::WarpRun SelfJoinKernel::replay(LaneState* lanes,
+                                             const std::uint8_t* active,
+                                             int warp_size, ResultSet& out,
+                                             std::uint64_t& emitted) const {
+  const auto k = static_cast<std::uint32_t>(p_.k);
+  const std::uint32_t nslots = slots_.size();
+  const std::uint32_t centre = slots_.centre();
+  const bool store = out.stores_pairs();
+
+  // Lanes still stepping, in lane order, and their groups.
+  std::array<std::uint8_t, 32> live{};
+  std::array<std::uint8_t, 32> group{};
+  std::uint32_t nlive = 0;
+  for (int l = 0; l < warp_size; ++l) {
+    GSJ_DCHECK(active[l] == active[l - l % p_.k]);
+    if (!active[l]) continue;
+    live[nlive] = static_cast<std::uint8_t>(l);
+    group[nlive++] = static_cast<std::uint8_t>(static_cast<std::uint32_t>(l) / k);
+  }
+
+  // One window walk per cooperative group — the k consecutive lanes
+  // that share q, whose NextCell steps differ only in where their scans
+  // start. The walk runs lazily: a lane asks for cells only as far as
+  // its next 64 steps reach, and the group's ring keeps the cells its
+  // trailing lanes have yet to pass (lower group ranks scan longer, so
+  // they trail). A lane the ring has left behind walks on alone.
+  // ring, walked and hit_cand are written before they are read, so
+  // they are left unzeroed (about 45 KB per warp).
+  const auto ngroups = static_cast<std::uint32_t>(warp_size) / k;
+  const std::uint32_t ring_size = std::bit_floor(kRingCells / ngroups);
+  std::array<WindowCell, kRingCells> ring;
+  // Each group's walked slots: the accepted ones, plus the centre of a
+  // self-join window (its own cell, which next_cell() finds unprobed).
+  const std::uint32_t words = slots_.words();
+  std::array<std::uint64_t, 32 * SlotTable::kMaxWords> walked;
+  for (std::uint32_t g = 0; g < ngroups; ++g) {
+    if (!active[g * k]) continue;
+    for (std::uint32_t w = 0; w < words; ++w) {
+      walked[g * words + w] = slots_.accepted(lanes[g * k].origin, w) |
+                              (rxs_ ? 0 : slots_.centre_bit(w));
+    }
+  }
+  std::array<Walk, 32> group_walk{};
+  std::array<std::uint32_t, 32> group_found{};
+  std::array<Walk, 32> own{};               // per live lane
+  std::array<std::uint32_t, 32> passed{};   // per live lane: cells passed
+  // Passes the cells of the lane at live[a] up to its next scanning
+  // cell below `limit`; false if there is none.
+  const auto next_scan = [&](std::uint32_t a, std::uint32_t limit,
+                             WindowCell& c) {
+    const LaneState& s = lanes[live[a]];
+    const std::uint32_t g = group[a];
+    const std::uint64_t* slots = walked.data() + g * words;
+    WindowCell* cells = ring.data() + g * ring_size;
+    for (std::uint32_t& i = passed[a];; ++i) {
+      if (i + ring_size < group_found[g]) {
+        if (!find_cell(s, slots, own[a], limit, c)) return false;
+      } else if (i < group_found[g]) {
+        c = cells[i & (ring_size - 1)];
+        if (c.slot >= limit) return false;
+      } else {
+        if (!find_cell(s, slots, group_walk[g], limit, c)) return false;
+        cells[group_found[g]++ & (ring_size - 1)] = c;
+      }
+      own[a].slot = c.slot + 1;
+      if (c.begin + s.group_rank < c.end) {
+        ++i;
+        return true;
+      }
+    }
+  };
+
+  const auto low_bits = [](std::uint32_t n) {
+    return n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+  };
+  const std::uint64_t pairs_per_hit = unidirectional_ ? 2 : 1;
+  // Per live lane: the chunk's emitting steps (scan hits, and the own
+  // cell's (q, q) pair) and each hit's candidate.
+  std::array<std::uint64_t, 32> hit_steps{};
+  std::array<std::uint64_t, 32> self_steps{};
+  std::array<std::array<PointId, 64>, 32> hit_cand;  // stored pairs only
+  // Records the candidates of the scan steps t + i, i in `hits`, of the
+  // lane at live[a], whose scan stood at `pos`.
+  const auto keep_hits = [&](std::uint32_t a, std::uint32_t t,
+                             std::uint64_t hits, std::uint32_t pos) {
+    for (std::uint64_t h = hits; h != 0; h &= h - 1) {
+      const auto b = static_cast<std::uint32_t>(std::countr_zero(h));
+      hit_cand[a][t + b] = point_ids_[pos + b * k];
+    }
+  };
+  simt::detail::WarpRun run;
+  while (nlive > 0) {
+    // Each live lane's next 64 steps, one bitmask per cost class: the
+    // steps step() would take, in order. `warp` ORs them over the lanes.
+    std::array<std::uint64_t, kClasses> warp{};
+    std::uint64_t hit_total = 0;
+    std::uint64_t self_total = 0;
+    std::uint32_t retired = 0;  // bit a: the lane at live[a]
+    for (std::uint32_t a = 0; a < nlive; ++a) {
+      LaneState& s = lanes[live[a]];
+      if (s.scanning && s.cand_end - s.cand_pos > 63 * k) {
+        // The common case on dense data: the whole chunk scans.
+        const std::uint64_t hits = hit_mask(s.q, s.cand_pos, 64);
+        if (store) keep_hits(a, 0, hits, s.cand_pos);
+        s.cand_pos += 64 * k;
+        s.scanning = s.cand_pos < s.cand_end;
+        warp[kDist] |= ~hits;
+        warp[kDistEmit] |= hits;
+        hit_total += static_cast<std::uint64_t>(std::popcount(hits));
+        hit_steps[a] = hits;
+        self_steps[a] = 0;
+        run.active_lane_steps += 64;
+        continue;
+      }
+      const std::uint32_t r = s.group_rank;
+      std::uint64_t m[kClasses] = {};
+      std::uint32_t t = 0;
+      while (t < 64) {
+        if (s.scanning) {
+          // min(room, ⌈left / k⌉), dividing only when the scan ends
+          // within this chunk.
+          const std::uint32_t room = 64 - t;
+          const std::uint32_t left = s.cand_end - s.cand_pos;
+          const std::uint32_t n =
+              left > (room - 1) * k ? room : (left - 1) / k + 1;
+          const std::uint64_t hits = hit_mask(s.q, s.cand_pos, n);
+          m[kDistEmit] |= hits << t;
+          m[kDist] |= (low_bits(n) & ~hits) << t;
+          if (store) keep_hits(a, t, hits, s.cand_pos);
+          s.cand_pos += n * k;
+          s.scanning = s.cand_pos < s.cand_end;
+          t += n;
+          continue;
+        }
+        if (s.slot == nslots) {
+          m[kRetire] = std::uint64_t{1} << t++;
+          break;
+        }
+        // NextCell steps up to and including the next cell this lane
+        // scans; the cells it has no candidate in are ordinary probes.
+        WindowCell c;
+        const bool scans = next_scan(a, std::min(nslots, s.slot + 64 - t), c);
+        const std::uint32_t stop =
+            scans ? c.slot + 1 : std::min(nslots, s.slot + 64 - t);
+        const std::uint32_t n = stop - s.slot;
+        std::uint64_t probe =
+            mask_run(walked.data() + group[a] * words, s.slot, n);
+        std::uint64_t check = low_bits(n) & ~probe;
+        if (!rxs_ && centre - s.slot < n) {
+          // The own cell is not probed: a check step, which also emits
+          // (q, q) on the group leader of a unidirectional pattern.
+          const std::uint64_t cb = std::uint64_t{1} << (centre - s.slot);
+          probe &= ~cb;
+          check |= cb;
+          if (unidirectional_ && r == 0) {
+            check &= ~cb;
+            m[kCheckEmit] |= cb << t;
+          }
+        }
+        m[kProbe] |= probe << t;
+        m[kCheck] |= check << t;
+        s.slot = stop;
+        t += n;
+        if (scans) {
+          s.cand_pos = c.begin + r;
+          s.cand_end = c.end;
+          s.scanning = true;
+        }
+      }
+      run.active_lane_steps += t;
+      for (std::size_t c = 0; c < kClasses; ++c) warp[c] |= m[c];
+      hit_total += static_cast<std::uint64_t>(std::popcount(m[kDistEmit]));
+      self_total += static_cast<std::uint64_t>(std::popcount(m[kCheckEmit]));
+      hit_steps[a] = m[kDistEmit];
+      self_steps[a] = m[kCheckEmit];
+      if (m[kRetire] != 0) retired |= std::uint32_t{1} << a;
+    }
+
+    // A step costs its slowest lane: walk the classes from the most
+    // expensive down, charging each step the first class it has.
+    std::uint64_t charged = 0;
+    for (const std::uint8_t c : class_order_) {
+      run.cycles += static_cast<std::uint64_t>(
+                        std::popcount(warp[c] & ~charged)) *
+                    class_cost_[c];
+      charged |= warp[c];
+    }
+    run.steps += static_cast<std::uint64_t>(std::popcount(charged));
+
+    const std::uint64_t emits = hit_total * pairs_per_hit + self_total;
+    emitted += emits;
+    if (!store) {
+      out.add_count(emits);
     } else {
       // (step, lane) order with each mirror right after its primary:
-      // the per-step loop's emission stream, so the batch-capacity
+      // the lockstep loop's emission stream, so the batch-capacity
       // clamp keeps the same pairs.
-      for (std::uint64_t rest = any; rest != 0; rest &= rest - 1) {
+      for (std::uint64_t rest = warp[kDistEmit] | warp[kCheckEmit]; rest != 0;
+           rest &= rest - 1) {
         const int j = std::countr_zero(rest);
-        for (std::uint32_t a = 0; a < nactive; ++a) {
-          if (((masks[a] >> j) & 1) == 0) continue;
-          const PointId q = lanes[lane_of[a]].q;
-          const PointId c =
-              point_ids_[first[a] + static_cast<std::uint32_t>(j) * k];
-          out.emit(q, c);
-          if (unidirectional_) out.emit(c, q);
+        for (std::uint32_t a = 0; a < nlive; ++a) {
+          const PointId q = lanes[live[a]].q;
+          if (((hit_steps[a] >> j) & 1) != 0) {
+            const PointId c = hit_cand[a][static_cast<std::size_t>(j)];
+            out.emit(q, c);
+            if (unidirectional_) out.emit(c, q);
+          } else if (((self_steps[a] >> j) & 1) != 0) {
+            out.emit(q, q);
+          }
         }
       }
     }
-    done += len;
+
+    if (retired != 0) {
+      std::uint32_t kept = 0;
+      for (std::uint32_t a = 0; a < nlive; ++a) {
+        if (((retired >> a) & 1) != 0) continue;
+        live[kept] = live[a];
+        group[kept] = group[a];
+        own[kept] = own[a];
+        passed[kept++] = passed[a];
+      }
+      nlive = kept;
+    }
   }
-  for (std::uint32_t a = 0; a < nactive; ++a) {
-    LaneState& s = lanes[lane_of[a]];
-    if (s.cand_pos >= s.cand_end) s.scanning = false;
-  }
-  return {steps, cycles, nactive};
+  return run;
 }
 
 }  // namespace gsj

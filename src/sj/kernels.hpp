@@ -25,15 +25,18 @@
 //   Scan step     — one candidate distance calculation (cost_dist) and,
 //       within epsilon, result emission (cost_emit).
 // The model charges the GPU's work; the host takes shortcuts with the
-// same outcome. A NextCell step is one read of the kernel's SlotTable
-// (grid/cell_access.hpp), two mask tests against the lane's origin,
-// and a GridIndex::seek_cell from the lane's cell cursor (in-bounds
-// slots come in ascending id order), so a slot costs O(1) host work
-// while cost_cell_probe still models the binary search
-// (docs/PERFORMANCE.md, "NextCell window walk"). When every active lane
-// of a warp is scanning, the host replays the whole run of Scan steps
-// at once (fast_forward); the modeled steps, cycles and emissions are
-// exactly the per-step ones.
+// same outcome. step() is the per-step reference: a NextCell step is
+// one read of the kernel's SlotTable (grid/cell_access.hpp), two mask
+// tests against the lane's origin, and a GridIndex::seek_cell from the
+// lane's cell cursor (in-bounds slots come in ascending id order), so a
+// slot costs O(1) host work while cost_cell_probe still models the
+// binary search (docs/PERFORMANCE.md, "NextCell window walk").
+// simt::launch instead calls run_warp once per warp, which replays the
+// whole warp (docs/PERFORMANCE.md, "Warp replay"): each cooperative
+// group walks its window once through the accepted-slot mask, each
+// lane's steps become 64-step bitmasks per cost class, and the warp
+// reduces them to each step's max cost in the device's cost order. The
+// modeled steps, cycles and emissions are exactly the per-step ones.
 //
 // Result-pair semantics match reference.hpp: all ordered pairs with
 // self pairs. FULL evaluates both directions and emits one pair per
@@ -152,21 +155,16 @@ class SelfJoinKernel {
     p_.results->absorb(std::move(shard.results));
   }
 
-  // --- scan fast-forward (simt::FastForwardKernel) ---
-  /// When every active lane is mid-scan with at least
-  /// kMinFastForwardSteps k-strided candidates left, runs the warp's
-  /// next min-remaining scan steps at once: hit bitmasks per lane, the
-  /// per-step max cost, and emissions in (step, lane) order — exactly
-  /// what the per-step loop produces (docs/PERFORMANCE.md, "Scan
-  /// fast-forward"). Declines (steps == 0) otherwise.
-  simt::FastForward fast_forward(LaneState* lanes, const std::uint8_t* active,
+  // --- warp replay (simt::WarpRunKernel) ---
+  /// Runs the warp's whole lockstep loop at once, leaving exactly the
+  /// stats and emission stream the loop over step() leaves.
+  simt::detail::WarpRun run_warp(LaneState* lanes, const std::uint8_t* active,
                                  int warp_size) {
-    return fast_forward_into(lanes, active, warp_size, *p_.results, emitted_);
+    return replay(lanes, active, warp_size, *p_.results, emitted_);
   }
-  simt::FastForward fast_forward(LaneState* lanes, const std::uint8_t* active,
+  simt::detail::WarpRun run_warp(LaneState* lanes, const std::uint8_t* active,
                                  int warp_size, Shard& shard) {
-    return fast_forward_into(lanes, active, warp_size, shard.results,
-                             shard.emitted);
+    return replay(lanes, active, warp_size, shard.results, shard.emitted);
   }
 
   [[nodiscard]] std::uint64_t atomics_executed() const noexcept {
@@ -177,10 +175,32 @@ class SelfJoinKernel {
   }
 
  private:
-  /// Shortest remaining scan run the fast path takes: below it the
-  /// eligibility pass and mask setup cost more than they save (with a
-  /// threshold of 2, a prototype slowed sparse 6-D joins by 5–10%).
-  static constexpr std::uint32_t kMinFastForwardSteps = 4;
+  /// A lane step's cost class: the replay keeps one step bitmask per
+  /// class. The costs are next_cell()'s and scan()'s.
+  enum StepClass : std::uint8_t {
+    kCheck,      ///< rejected, out-of-bounds or centre slot
+    kCheckEmit,  ///< the centre slot, emitting the group's (q, q) pair
+    kProbe,      ///< accepted slot: pattern check plus cell probe
+    kDist,       ///< candidate outside ε
+    kDistEmit,   ///< candidate within ε, emitted
+    kRetire,     ///< the step past the last slot
+    kClasses,
+  };
+  /// One non-empty cell of a window: its slot and the group's
+  /// candidate range there (group rank r scans begin + r, begin + r + k,
+  /// ...).
+  struct WindowCell {
+    std::uint32_t slot, begin, end;
+  };
+  /// A resumable walk over a window's cells: the next slot to look at
+  /// and the GridIndex::seek_cell cursor.
+  struct Walk {
+    std::uint32_t slot = 0;
+    std::uint32_t cursor = 0;
+  };
+  /// Window cells one warp's replay keeps, shared out evenly among its
+  /// groups' rings.
+  static constexpr std::uint32_t kRingCells = 1024;
 
   simt::StepResult step_into(LaneState& s, ResultSet& out,
                              std::uint64_t& emitted) const;
@@ -188,10 +208,14 @@ class SelfJoinKernel {
                              std::uint64_t& emitted) const;
   simt::StepResult scan(LaneState& s, ResultSet& out,
                         std::uint64_t& emitted) const;
-  simt::FastForward fast_forward_into(LaneState* lanes,
-                                      const std::uint8_t* active,
-                                      int warp_size, ResultSet& out,
-                                      std::uint64_t& emitted) const;
+  simt::detail::WarpRun replay(LaneState* lanes, const std::uint8_t* active,
+                               int warp_size, ResultSet& out,
+                               std::uint64_t& emitted) const;
+  /// The first cell of `s`'s window at a slot in [w.slot, limit) that
+  /// the slot mask `walked` names, moving `w` past it, or false (with
+  /// `w` at `limit`) if none.
+  bool find_cell(const LaneState& s, const std::uint64_t* walked, Walk& w,
+                 std::uint32_t limit, WindowCell& out) const;
   /// Bit i set iff candidate point_ids_[pos + i·k] is within ε of `q`,
   /// for i < len <= 64: scan()'s test over a run of candidates. In 2-D
   /// the query is loaded once for the run.
@@ -243,7 +267,7 @@ class SelfJoinKernel {
   /// dist(a, b) <= epsilon with per-dimension short-circuit for
   /// dims > 2 (host-side speedup only — the modeled cost_dist is
   /// charged in full either way, like SUPER-EGO's early termination).
-  /// The hit test of scan() and, outside 2-D, of the fast-forward's
+  /// The hit test of scan() and, outside 2-D, of the replay's
   /// hit_mask, so the two paths cannot disagree on a pair.
   [[nodiscard]] bool within_eps(PointId a, PointId b) const noexcept {
     if (dims_ == 2) return dist2_2d(qcoords_[0][a], qcoords_[1][a], b) <= eps2_;
@@ -270,6 +294,10 @@ class SelfJoinKernel {
   bool unidirectional_ = false;
   bool rxs_ = false;
   std::uint32_t cost_dist_ = 0;
+  std::array<std::uint32_t, kClasses> class_cost_{};
+  /// Classes by descending cost under the device's cost table: the
+  /// order in which the replay charges each step its slowest lane.
+  std::array<std::uint8_t, kClasses> class_order_{};
   std::uint64_t atomics_ = 0;
   std::uint64_t emitted_ = 0;
 };

@@ -355,17 +355,22 @@ std::size_t ResultCache::drop_locked(Pred drop) {
   });
 }
 
+ResultCache::~ResultCache() {
+  if (bytes_ != 0) account_locked(-static_cast<long long>(bytes_));
+}
+
 void ResultCache::account_locked(long long delta) {
   bytes_ = static_cast<std::size_t>(static_cast<long long>(bytes_) + delta);
-  const long long total =
-      env_->bytes.fetch_add(delta, std::memory_order_relaxed) + delta;
+  const std::lock_guard lk(env_->mu);
+  env_->bytes += delta;
   if (env_->metrics != nullptr) {
     env_->metrics->gauge("svc.result_cache.bytes")
-        .set(static_cast<double>(std::max<long long>(0, total)));
+        .set(static_cast<double>(std::max<long long>(0, env_->bytes)));
   }
 }
 
 void ResultCache::count(const char* name, std::uint64_t n) const {
+  const std::lock_guard lk(env_->mu);
   if (env_->metrics != nullptr) env_->metrics->counter(name).add(n);
 }
 

@@ -24,7 +24,6 @@
 // pairs run ends in.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -87,20 +86,30 @@ class ResultCache {
   /// The owning service's side, shared by every dataset's cache: the
   /// per-dataset byte budget (ServiceConfig::max_result_cache_bytes),
   /// the svc.* channel, and the service-wide byte total that the
-  /// svc.result_cache.bytes gauge mirrors.
+  /// svc.result_cache.bytes gauge mirrors. Shared ownership: a dataset
+  /// handle can outlive its service (a PreparedDataset dropped after its
+  /// JoinEngine) and still gives its bytes back when it goes.
   struct Env {
     std::size_t budget = 0;
-    obs::Registry* metrics = nullptr;
     obs::FlightRecorder* recorder = nullptr;  ///< never null in use
-    std::atomic<long long> bytes{0};
+    /// Guards `metrics` and `bytes`. The service sets `metrics` to null
+    /// on destruction, so no cache touches a registry after it.
+    std::mutex mu;
+    obs::Registry* metrics = nullptr;
+    long long bytes = 0;
   };
 
   /// One executing primary and the identical requests parked on it.
   struct Flight;
 
-  /// `env` (the owning service's) must outlive every gate and settle.
-  ResultCache(std::uint64_t generation, Env& env)
-      : generation_(generation), env_(&env) {}
+  /// The owning service must outlive every gate and settle; `env`
+  /// outlives the cache.
+  ResultCache(std::uint64_t generation, std::shared_ptr<Env> env)
+      : generation_(generation), env_(std::move(env)) {}
+  /// Gives the retained answers' bytes back to the service-wide total.
+  ~ResultCache();
+  ResultCache(const ResultCache&) = delete;
+  ResultCache& operator=(const ResultCache&) = delete;
 
   /// Routes a valid request whose dataset's artifact caches are synced
   /// (JoinService::sync_shared): ResultCache or Subsumed — answered
@@ -180,7 +189,7 @@ class ResultCache {
   std::size_t bytes_ = 0;
   Slots slots_;
   std::vector<std::shared_ptr<Flight>> flights_;
-  Env* env_;
+  std::shared_ptr<Env> env_;
 };
 
 }  // namespace gsj::detail

@@ -168,9 +168,9 @@ JoinService::JoinService(ServiceConfig cfg) : cfg_(cfg) {
   if (cfg_.obs.recorder == nullptr) {
     own_recorder_ = std::make_unique<obs::FlightRecorder>();
   }
-  results_env_.budget = cfg_.max_result_cache_bytes;
-  results_env_.metrics = cfg_.obs.metrics;
-  results_env_.recorder = &recorder();
+  results_env_->budget = cfg_.max_result_cache_bytes;
+  results_env_->metrics = cfg_.obs.metrics;
+  results_env_->recorder = &recorder();
 }
 
 JoinService::~JoinService() {
@@ -180,6 +180,9 @@ JoinService::~JoinService() {
   }
   queue_cv_.notify_all();
   for (auto& w : workers_) w.join();
+  // Datasets still attached outlive this service's registry.
+  const std::lock_guard lk(results_env_->mu);
+  results_env_->metrics = nullptr;
 }
 
 JoinService& JoinService::shared() {

@@ -382,12 +382,13 @@ class SharedDataset {
   };
 
   SharedDataset(const Dataset& ds, std::size_t max_grids,
-                std::size_t max_plans, detail::ResultCache::Env& results)
+                std::size_t max_plans,
+                std::shared_ptr<detail::ResultCache::Env> results)
       : ds_(&ds),
         generation_(ds.generation()),
         max_grids_(max_grids),
         max_plans_(max_plans),
-        answers_(ds.generation(), results) {}
+        answers_(ds.generation(), std::move(results)) {}
 
   /// The result cache's reads of the artifact caches: a ready cached
   /// grid of the dataset's current generation (any ε), and the strided
@@ -635,7 +636,8 @@ class JoinService {
   /// Every dataset's result cache shares it. Its service-wide byte total
   /// feeds the svc.result_cache.bytes gauge; snapshot() recomputes
   /// exact totals from the live datasets instead of reading it.
-  detail::ResultCache::Env results_env_;
+  std::shared_ptr<detail::ResultCache::Env> results_env_ =
+      std::make_shared<detail::ResultCache::Env>();
 
   // --- admission queue ---
   mutable std::mutex queue_mu_;

@@ -92,9 +92,9 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, KdJoinExactness,
     ::testing::Combine(::testing::Values("unif", "expo"),
                        ::testing::Values(2, 3, 5)),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_" +
-             std::to_string(std::get<1>(info.param)) + "D";
+    [](const auto& param) {
+      return std::get<0>(param.param) + "_" +
+             std::to_string(std::get<1>(param.param)) + "D";
     });
 
 // ---------------------------------------------------------------------------
@@ -176,9 +176,9 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, RtJoinExactness,
     ::testing::Combine(::testing::Values("unif", "expo"),
                        ::testing::Values(2, 3, 5)),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_" +
-             std::to_string(std::get<1>(info.param)) + "D";
+    [](const auto& param) {
+      return std::get<0>(param.param) + "_" +
+             std::to_string(std::get<1>(param.param)) + "D";
     });
 
 // ---------------------------------------------------------------------------
@@ -236,9 +236,9 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, MortonJoinExactness,
     ::testing::Combine(::testing::Values("unif", "expo"),
                        ::testing::Values(2, 3, 5)),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_" +
-             std::to_string(std::get<1>(info.param)) + "D";
+    [](const auto& param) {
+      return std::get<0>(param.param) + "_" +
+             std::to_string(std::get<1>(param.param)) + "D";
     });
 
 TEST(MortonJoin, CountOnlyMatchesStored) {

@@ -1,5 +1,5 @@
-// Equivalence suite for the scan fast-forward (simt::FastForwardKernel):
-// SelfJoinKernel's fast_forward hook must leave every observable of a
+// Equivalence suite for the warp replay (simt::WarpRunKernel):
+// SelfJoinKernel's run_warp hook must leave every observable of a
 // launch exactly as the per-step lockstep loop leaves it — every
 // KernelStats field, the raw emission stream (order and batch-capacity
 // clamp included), results_emitted and the WarpObserver records — for
@@ -9,7 +9,10 @@
 // emission stream to the values the per-step simulator produced; a
 // second pins them for NextCell-bound inputs (sparse 6-D, R×S with
 // out-of-bbox probes, 1-D, 8-D and one- or two-cell dimensions), whose
-// lane-steps are almost all adjacency-slot steps.
+// lane-steps are almost all adjacency-slot steps. The edge tests cover
+// narrow warps with cooperative groups, cost tables whose class order
+// matches neither default, a lane its group's ring leaves behind, and
+// the accepted-slot masks the window walks read.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,12 +37,12 @@
 namespace gsj {
 namespace {
 
-/// Forwards SelfJoinKernel's lane and shard API. With kFastForward
-/// false it hides the fast_forward hook, so simt::launch runs the plain
-/// per-step loop: the reference. With it true it forwards the hook and
-/// counts the lane-steps the fast path covered (the hook runs on worker
-/// threads on the parallel path, hence the atomic).
-template <bool kFastForward>
+/// Forwards SelfJoinKernel's lane and shard API. With kRunWarp false
+/// it hides the run_warp hook, so simt::launch runs the plain per-step
+/// loop: the reference. With it true it forwards the hook and counts
+/// the lane-steps the replay covered (the hook runs on worker threads
+/// on the parallel path, hence the atomic).
+template <bool kRunWarp>
 class ForwardingKernel {
  public:
   using LaneState = SelfJoinKernel::LaneState;
@@ -58,17 +61,17 @@ class ForwardingKernel {
   }
   void merge_shard(Shard&& shard) { k_.merge_shard(std::move(shard)); }
 
-  simt::FastForward fast_forward(LaneState* lanes, const std::uint8_t* active,
+  simt::detail::WarpRun run_warp(LaneState* lanes, const std::uint8_t* active,
                                  int warp_size)
-    requires kFastForward
+    requires kRunWarp
   {
-    return count(k_.fast_forward(lanes, active, warp_size));
+    return count(k_.run_warp(lanes, active, warp_size));
   }
-  simt::FastForward fast_forward(LaneState* lanes, const std::uint8_t* active,
+  simt::detail::WarpRun run_warp(LaneState* lanes, const std::uint8_t* active,
                                  int warp_size, Shard& shard)
-    requires kFastForward
+    requires kRunWarp
   {
-    return count(k_.fast_forward(lanes, active, warp_size, shard));
+    return count(k_.run_warp(lanes, active, warp_size, shard));
   }
 
   [[nodiscard]] std::uint64_t covered_lane_steps() const {
@@ -76,9 +79,9 @@ class ForwardingKernel {
   }
 
  private:
-  simt::FastForward count(const simt::FastForward& ff) {
-    covered_.fetch_add(ff.steps * ff.nactive, std::memory_order_relaxed);
-    return ff;
+  simt::detail::WarpRun count(const simt::detail::WarpRun& run) {
+    covered_.fetch_add(run.active_lane_steps, std::memory_order_relaxed);
+    return run;
   }
 
   SelfJoinKernel& k_;
@@ -88,12 +91,11 @@ class ForwardingKernel {
 using PerStepKernel = ForwardingKernel<false>;
 using FastKernel = ForwardingKernel<true>;
 
-static_assert(simt::FastForwardKernel<SelfJoinKernel>);
-static_assert(
-    simt::FastForwardKernel<SelfJoinKernel, SelfJoinKernel::Shard>);
-static_assert(!simt::FastForwardKernel<PerStepKernel>);
+static_assert(simt::WarpRunKernel<SelfJoinKernel>);
+static_assert(simt::WarpRunKernel<SelfJoinKernel, SelfJoinKernel::Shard>);
+static_assert(!simt::WarpRunKernel<PerStepKernel>);
 static_assert(simt::ParallelHostKernel<PerStepKernel>);
-static_assert(simt::FastForwardKernel<FastKernel>);
+static_assert(simt::WarpRunKernel<FastKernel>);
 
 struct Variant {
   const char* name;
@@ -166,7 +168,7 @@ struct Harness {
   ResultSet results;
   simt::KernelStats stats;  ///< merged over launches
   std::uint64_t emitted = 0;
-  std::uint64_t covered = 0;  ///< fast-forwarded lane-steps
+  std::uint64_t covered = 0;  ///< replayed lane-steps
   std::vector<simt::WarpRecord> records;
 
   Harness(const Input& input, const Variant& variant, bool store_pairs,
@@ -210,7 +212,7 @@ struct Harness {
     ks.results_emitted = kernel.results_emitted();
     stats.merge(ks);
     emitted += kernel.results_emitted();
-    if constexpr (simt::FastForwardKernel<Wrapper>) {
+    if constexpr (simt::WarpRunKernel<Wrapper>) {
       covered += wrapped.covered_lane_steps();
     }
   }
@@ -511,6 +513,201 @@ TEST(NextCell, GoldenCountsMatchSlotWalk) {
         EXPECT_EQ(h.stats.active_lane_steps, c.golden[i].active_lane_steps);
         EXPECT_EQ(h.stats.busy_cycles, c.golden[i].busy_cycles);
         EXPECT_EQ(stream_digest(h.results.pairs()), c.golden[i].digest);
+      }
+    }
+  }
+}
+
+/// The first `n` queries of a variant's order: the 6-D edge tests keep
+/// their per-step references short.
+std::vector<PointId> first_queries(const Input& in, const Variant& v,
+                                   std::size_t n) {
+  std::vector<PointId> q = query_order(in, v);
+  q.resize(std::min(q.size(), n));
+  return q;
+}
+
+using ShapeParams = std::tuple<int, int, int>;  // warp size, k, threads
+
+class FastForwardWarpShape : public ::testing::TestWithParam<ShapeParams> {};
+
+TEST_P(FastForwardWarpShape, MatchesPerStepLoop) {
+  // Cooperative groups of k lanes in narrow warps: several groups per
+  // warp, each walking its window once, on the dense 2-D and the
+  // sparse 6-D inputs, with pairs stored and counted.
+  const auto [warp_size, k, threads] = GetParam();
+  const InputCase inputs[] = {{"Self2D", &self_2d},
+                              {"SparseSelf6D", &sparse_self_6d},
+                              {"SparseRxS6D", &sparse_rxs_6d}};
+  for (const InputCase& ic : inputs) {
+    const Input& in = ic.get();
+    for (const std::size_t vi : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{5}}) {  // FULL, UNICOMP, COMBINED
+      Variant v = kVariants[vi];
+      v.k = k;
+      SCOPED_TRACE(std::string(ic.name) + " " + v.name);
+      const std::vector<PointId> queries =
+          first_queries(in, v, in.ds.dims() == 2 ? 1500 : 400);
+      for (const bool store : {true, false}) {
+        Harness<FastKernel> ff(in, v, store, threads, warp_size);
+        Harness<PerStepKernel> ref(in, v, store, threads, warp_size);
+        ff.launch(queries);
+        ref.launch(queries);
+        expect_identical(ff, ref);
+        EXPECT_EQ(ff.covered, ff.stats.active_lane_steps);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NarrowWarps, FastForwardWarpShape,
+    ::testing::Combine(::testing::Values(8, 16), ::testing::Values(2, 4, 8),
+                       ::testing::Values(0, 4)),
+    [](const ::testing::TestParamInfo<ShapeParams>& param) {
+      const ShapeParams& p = param.param;
+      std::string name = "w";
+      name += std::to_string(std::get<0>(p));
+      name += "_k";
+      name += std::to_string(std::get<1>(p));
+      name += "_t";
+      name += std::to_string(std::get<2>(p));
+      return name;
+    });
+
+TEST(FastForward, StepCostFollowsTheDeviceCostOrder) {
+  // Cost tables whose class order matches neither default (2-D: probe >
+  // dist+emit > dist > check+emit > check > retire; 6-D: dist first): a
+  // pattern check dearer than a distance with free emits, and a free
+  // check, cheaper than the retire step. A fixed class order charges
+  // mixed steps the wrong lane's cost.
+  struct Costs {
+    std::uint32_t check, probe, dist_base, dist_per_dim, emit;
+  };
+  constexpr Costs kTables[] = {{100, 3, 5, 1, 0}, {0, 50, 1, 0, 0}};
+  const InputCase inputs[] = {{"Self2D", &self_2d},
+                              {"SparseSelf6D", &sparse_self_6d},
+                              {"SparseRxS6D", &sparse_rxs_6d}};
+  for (const Costs& c : kTables) {
+    for (const InputCase& ic : inputs) {
+      const Input& in = ic.get();
+      for (const std::size_t vi : {std::size_t{0}, std::size_t{2},
+                                   std::size_t{5}}) {  // FULL, LID, COMBINED
+        const Variant& v = kVariants[vi];
+        SCOPED_TRACE(std::string(ic.name) + " " + v.name + " check " +
+                     std::to_string(c.check));
+        const std::vector<PointId> queries =
+            first_queries(in, v, in.ds.dims() == 2 ? 1000 : 300);
+        for (const int threads : {0, 4}) {
+          Harness<FastKernel> ff(in, v, true, threads);
+          Harness<PerStepKernel> ref(in, v, true, threads);
+          for (simt::DeviceConfig* dev : {&ff.dev, &ref.dev}) {
+            dev->cost_pattern_check = c.check;
+            dev->cost_cell_probe = c.probe;
+            dev->cost_dist_base = c.dist_base;
+            dev->cost_dist_per_dim = c.dist_per_dim;
+            dev->cost_emit = c.emit;
+          }
+          ff.launch(queries);
+          ref.launch(queries);
+          expect_identical(ff, ref);
+          EXPECT_EQ(ff.covered, ff.stats.active_lane_steps);
+        }
+      }
+    }
+  }
+}
+
+/// Dense uniform 6-D: 5 cells per dimension and about 0.8 points per
+/// cell, so most slots of a window hold a one-point cell. With k = 2 a
+/// group's lane 1 skips every such cell while lane 0 scans it, so lane
+/// 1 runs far ahead and the group's ring (1024 / 16 groups = 64 cells)
+/// cannot keep every cell lane 0 has yet to pass.
+const Input& dense_self_6d() {
+  static const Input in(gen_uniform(12000, 6, 161, 0.0, 5.0), 1.0);
+  return in;
+}
+
+TEST(FastForward, LaneLeftBehindByItsGroupRingWalksAlone) {
+  const Input& in = dense_self_6d();
+  for (const std::size_t vi : {std::size_t{0}, std::size_t{5}}) {  // FULL, COMBINED
+    Variant v = kVariants[vi];
+    v.k = 2;
+    SCOPED_TRACE(v.name);
+    const std::vector<PointId> queries = first_queries(in, v, 256);
+    for (const bool store : {true, false}) {
+      for (const int threads : {0, 4}) {
+        Harness<FastKernel> ff(in, v, store, threads);
+        Harness<PerStepKernel> ref(in, v, store, threads);
+        ff.launch(queries);
+        ref.launch(queries);
+        expect_identical(ff, ref);
+      }
+    }
+  }
+}
+
+TEST(NextCell, ReplayCoversEveryLaneStep) {
+  // Every warp runs through run_warp: no lane-step is left to the
+  // lockstep loop, NextCell steps included.
+  for (const InputCase& ic : {InputCase{"SparseSelf6D", &sparse_self_6d},
+                              InputCase{"SparseRxS6D", &sparse_rxs_6d}}) {
+    const Input& in = ic.get();
+    for (const Variant& v : kVariants) {
+      SCOPED_TRACE(std::string(ic.name) + " " + v.name);
+      Harness<FastKernel> h(in, v, false, 0);
+      h.launch(query_order(in, v));
+      EXPECT_GT(h.stats.active_lane_steps, 0u);
+      EXPECT_EQ(h.covered, h.stats.active_lane_steps);
+    }
+  }
+}
+
+TEST(NextCell, AcceptedMaskMatchesSlotTests) {
+  // SlotTable::accepted(o, w) against in_bounds && accepts, slot by
+  // slot, for grid cells and for R×S probe centres banded around the
+  // grid.
+  const InputCase inputs[] = {{"SparseRxS6D", &sparse_rxs_6d},
+                              {"Self1D", &self_1d},
+                              {"Self8D", &self_8d},
+                              {"Narrow4D", &narrow_4d}};
+  for (const InputCase& ic : inputs) {
+    const Input& in = ic.get();
+    const GridIndex& g = in.grid;
+    std::vector<CellCoords> origins;
+    for (std::size_t ci = 0; ci < std::min<std::size_t>(g.cells().size(), 300);
+         ++ci) {
+      origins.push_back(g.decode(g.cells()[ci].linear_id));
+    }
+    for (std::size_t q = 0; q < std::min<std::size_t>(in.probe.size(), 300);
+         ++q) {
+      CellCoords oc;
+      for (int d = 0; d < g.dims(); ++d) {
+        oc[d] = g.probe_cell_coord(in.probe.coord(q, d), d);
+      }
+      origins.push_back(oc);
+    }
+    for (const CellPattern pattern :
+         {CellPattern::Full, CellPattern::Unicomp, CellPattern::LidUnicomp}) {
+      SCOPED_TRACE(std::string(ic.name) + " " + to_string(pattern));
+      const SlotTable table(g, pattern);
+      ASSERT_EQ(table.words(), (table.size() + 63) / 64);
+      ASSERT_LE(table.words(), SlotTable::kMaxWords);
+      for (const CellCoords& oc : origins) {
+        const SlotTable::Origin o = table.origin(oc);
+        for (std::uint32_t w = 0; w < table.words(); ++w) {
+          const std::uint64_t m = table.accepted(o, w);
+          for (std::uint32_t b = 0; b < 64; ++b) {
+            const std::uint32_t i = w * 64 + b;
+            const bool want = i < table.size() &&
+                              SlotTable::in_bounds(table[i], o) &&
+                              SlotTable::accepts(table[i], o);
+            ASSERT_EQ(((m >> b) & 1) != 0, want) << "slot " << i;
+            ASSERT_EQ(((table.centre_bit(w) >> b) & 1) != 0,
+                      i == table.centre())
+                << "slot " << i;
+          }
+        }
       }
     }
   }

@@ -139,11 +139,11 @@ INSTANTIATE_TEST_SUITE_P(
     AllVariants, HostParallelEquivalence,
     ::testing::Combine(::testing::Range(0, 6),
                        ::testing::Values(1, 2, max_threads())),
-    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& param) {
       std::string name = kVariants[static_cast<std::size_t>(
-                             std::get<0>(info.param))].name;
+                             std::get<0>(param.param))].name;
       std::replace(name.begin(), name.end(), '-', '_');
-      return name + "_t" + std::to_string(std::get<1>(info.param));
+      return name + "_t" + std::to_string(std::get<1>(param.param));
     });
 
 TEST(HostParallel, OverflowRecoveryBitIdenticalToSequential) {

@@ -79,9 +79,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          CellPattern::Unicomp,
                                          CellPattern::LidUnicomp),
                        ::testing::Values(1, 2, 3, 4)),
-    [](const auto& info) {
-      return pattern_ident(std::get<0>(info.param)) + "_" +
-             std::to_string(std::get<1>(info.param)) + "D";
+    [](const auto& param) {
+      return pattern_ident(std::get<0>(param.param)) + "_" +
+             std::to_string(std::get<1>(param.param)) + "D";
     });
 
 TEST(PatternFanout, Unicomp2DMatchesPaperFigure2) {

@@ -82,9 +82,9 @@ INSTANTIATE_TEST_SUITE_P(
                           "sortbywl", "workqueue", "k8", "unicomp_k4",
                           "wq_lid_k8", "wq_unicomp_k2"),
         ::testing::Values("unif", "expo"), ::testing::Values(2, 3, 6)),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_" + std::get<1>(info.param) + "_" +
-             std::to_string(std::get<2>(info.param)) + "D";
+    [](const auto& param) {
+      return std::get<0>(param.param) + "_" + std::get<1>(param.param) + "_" +
+             std::to_string(std::get<2>(param.param)) + "D";
     });
 
 // ---------------------------------------------------------------------------

@@ -699,6 +699,70 @@ TEST(Service, ResultCacheServesExactRepeatVariantAgnostic) {
   EXPECT_EQ(snap.result_budget_bytes, svc.config().max_result_cache_bytes);
 }
 
+TEST(Service, DroppedDatasetGivesBackItsResultCacheBytes) {
+  // The svc.result_cache.bytes gauge mirrors the service-wide total: a
+  // dataset dropped with an answer still cached takes its bytes out.
+  const Dataset ds = gen_uniform(800, 2, 38, 0.0, 1.0);
+  obs::Registry metrics;
+  ServiceConfig scfg;
+  scfg.obs.metrics = &metrics;
+  JoinService svc(scfg);
+  auto sd = svc.attach(ds);
+  JoinRequest req;
+  req.config = SelfJoinConfig::combined(0.05);
+  req.config.store_pairs = true;
+  const JoinResponse r = svc.submit(sd, req).get();
+  ASSERT_EQ(r.status, JoinStatus::Ok) << r.error;
+  ASSERT_GT(sd->result_cache_bytes(), 0u);
+  EXPECT_EQ(metrics.gauge("svc.result_cache.bytes").value(),
+            static_cast<double>(sd->result_cache_bytes()));
+
+  // The worker that answered may hold the handle a moment longer.
+  const std::weak_ptr<SharedDataset> handle = sd;
+  sd.reset();
+  for (int i = 0; i < 5000 && !handle.expired(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(handle.expired());
+  EXPECT_EQ(svc.snapshot().result_bytes, 0u);
+  EXPECT_EQ(metrics.gauge("svc.result_cache.bytes").value(), 0.0);
+}
+
+TEST(Service, DatasetHandleOutlivesItsServiceAndRegistry) {
+  // A handle with a cached answer dropped after its service and the
+  // service's registry: the bytes go back to the shared total, and no
+  // freed registry or service is touched (the sanitizer builds check).
+  const Dataset ds = gen_uniform(800, 2, 38, 0.0, 1.0);
+  auto metrics = std::make_unique<obs::Registry>();
+  ServiceConfig scfg;
+  scfg.obs.metrics = metrics.get();
+  auto svc = std::make_unique<JoinService>(scfg);
+  auto sd = svc->attach(ds);
+  JoinRequest req;
+  req.config = SelfJoinConfig::combined(0.05);
+  req.config.store_pairs = true;
+  ASSERT_EQ(svc->submit(sd, req).get().status, JoinStatus::Ok);
+  ASSERT_GT(sd->result_cache_bytes(), 0u);
+  svc.reset();
+  metrics.reset();
+  sd.reset();
+}
+
+TEST(Service, PreparedDatasetDroppedAfterItsEngine) {
+  const Dataset ds = gen_uniform(800, 2, 38, 0.0, 1.0);
+  auto metrics = std::make_unique<obs::Registry>();
+  EngineConfig ecfg;
+  ecfg.obs.metrics = metrics.get();
+  auto engine = std::make_unique<JoinEngine>(ecfg);
+  PreparedDataset prep = engine->prepare(ds);
+  SelfJoinConfig cfg = SelfJoinConfig::combined(0.05);
+  cfg.store_pairs = true;
+  EXPECT_GT(engine->run(prep, cfg).results.count(), 0u);
+  engine.reset();
+  metrics.reset();
+  { const PreparedDataset gone = std::move(prep); }
+}
+
 TEST(Service, ResultGateNeverServesARequestAColdRunRejects) {
   const Dataset ds = gen_uniform(600, 2, 36, 0.0, 1.0);
   std::ostringstream dumps;  // Failed responses dump breadcrumbs here

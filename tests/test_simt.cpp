@@ -189,64 +189,64 @@ TEST(Launch, TailIdlePlusBusyEqualsSlotCycles) {
             st.makespan_cycles * static_cast<std::uint64_t>(d.total_slots()));
 }
 
-/// FixedWorkKernel plus a fast_forward hook: while every active lane
-/// has at least two steps left, it skips all but the last one of the
-/// shortest lane, charging `cycles_per_step` per skipped step.
-struct FastForwardWorkKernel : FixedWorkKernel {
+/// FixedWorkKernel plus a run_warp hook that replays the warp in one
+/// pass: lane l takes its remaining steps, so the warp takes the
+/// longest of them, each charged `cycles_per_step`.
+struct RunWarpWorkKernel : FixedWorkKernel {
   std::uint32_t cycles_per_step = 1;
 
-  FastForward fast_forward(LaneState* lanes, const std::uint8_t* active,
+  detail::WarpRun run_warp(LaneState* lanes, const std::uint8_t* active,
                            int warp_size) {
-    std::uint32_t nactive = 0;
-    std::uint32_t min_left = ~std::uint32_t{0};
+    detail::WarpRun run;
     for (int l = 0; l < warp_size; ++l) {
       if (!active[l]) continue;
-      ++nactive;
-      min_left = std::min(min_left, lanes[l].remaining);
+      run.steps = std::max<std::uint64_t>(run.steps, lanes[l].remaining);
+      run.active_lane_steps += lanes[l].remaining;
+      lanes[l].remaining = 0;
     }
-    if (nactive == 0 || min_left < 2) return {};
-    const std::uint32_t steps = min_left - 1;
-    for (int l = 0; l < warp_size; ++l) {
-      if (active[l]) lanes[l].remaining -= steps;
-    }
-    return {steps, std::uint64_t{steps} * cycles_per_step, nactive};
+    run.cycles = run.steps * cycles_per_step;
+    return run;
   }
 };
 
-static_assert(FastForwardKernel<FastForwardWorkKernel>);
-static_assert(!FastForwardKernel<FixedWorkKernel>);
+static_assert(WarpRunKernel<RunWarpWorkKernel>);
+static_assert(!WarpRunKernel<FixedWorkKernel>);
 
-TEST(Launch, FastForwardHookChargesStepsLaneStepsAndCycles) {
-  // One full warp of 10 unit steps per lane: the hook takes 9 steps at
-  // 3 cycles each, then one ordinary step retires every lane.
-  FastForwardWorkKernel k;
+TEST(Launch, RunWarpHookChargesStepsLaneStepsAndCycles) {
+  // One full warp of 10 steps per lane at 3 cycles each: the launch
+  // charges what the hook reports, plus the warp's init cost.
+  RunWarpWorkKernel k;
   k.work.assign(32, 10);
   k.cycles_per_step = 3;
+  DeviceConfig d = tiny_device();
+  d.cost_warp_launch = 7;
   std::vector<WarpRecord> recs;
-  const KernelStats st = launch(tiny_device(), 32, k, [&](const WarpRecord& r) {
-    recs.push_back(r);
-  });
+  const KernelStats st =
+      launch(d, 32, k, [&](const WarpRecord& r) { recs.push_back(r); });
   EXPECT_EQ(st.warp_steps, 10u);
   EXPECT_EQ(st.active_lane_steps, 320u);
-  EXPECT_EQ(st.busy_cycles, 9u * 3u + 1u);
+  EXPECT_EQ(st.busy_cycles, 10u * 3u + 7u);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].steps, 10u);
-  EXPECT_EQ(recs[0].cycles, 28u);
+  EXPECT_EQ(recs[0].active_lane_steps, 320u);
+  EXPECT_EQ(recs[0].cycles, 37u);
 }
 
-TEST(Launch, FastForwardHookMatchesPerStepLoop) {
-  // Uneven lanes and a partial last warp: a hook that charges what the
-  // skipped steps cost must leave every stat and record unchanged.
+TEST(Launch, RunWarpHookMatchesPerStepLoop) {
+  // Uneven lanes and a partial last warp: a hook that reports what the
+  // lockstep loop would charge must leave every stat and record
+  // unchanged.
   std::vector<std::uint32_t> work;
   for (std::uint32_t i = 0; i < 3 * 32 + 5; ++i) work.push_back(1 + (i * 7) % 23);
   FixedWorkKernel plain{work};
-  FastForwardWorkKernel fast;
+  RunWarpWorkKernel fast;
   fast.work = work;
   std::vector<WarpRecord> a, b;
   const KernelStats sa = launch(tiny_device(), work.size(), plain,
                                 [&](const WarpRecord& r) { a.push_back(r); });
   const KernelStats sb = launch(tiny_device(), work.size(), fast,
                                 [&](const WarpRecord& r) { b.push_back(r); });
+  EXPECT_EQ(sa.warps_launched, 4u);
   EXPECT_EQ(sa.warp_steps, sb.warp_steps);
   EXPECT_EQ(sa.active_lane_steps, sb.active_lane_steps);
   EXPECT_EQ(sa.busy_cycles, sb.busy_cycles);

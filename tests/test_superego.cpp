@@ -42,10 +42,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("unif", "expo"),
                        ::testing::Values(2, 3, 6),
                        ::testing::Values(std::size_t{1}, std::size_t{4})),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_" +
-             std::to_string(std::get<1>(info.param)) + "D_t" +
-             std::to_string(std::get<2>(info.param));
+    [](const auto& param) {
+      return std::get<0>(param.param) + "_" +
+             std::to_string(std::get<1>(param.param)) + "D_t" +
+             std::to_string(std::get<2>(param.param));
     });
 
 TEST(SuperEgo, DimensionReorderingPreservesResult) {
