@@ -56,7 +56,7 @@ void BM_NeighborCounts(benchmark::State& state) {
   std::vector<gsj::PointId> sample;
   for (gsj::PointId p = 0; p < ds.size(); p += 100) sample.push_back(p);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gsj::neighbor_counts(g, sample));
+    benchmark::DoNotOptimize(gsj::neighbor_counts(g, ds, sample));
   }
 }
 BENCHMARK(BM_NeighborCounts);

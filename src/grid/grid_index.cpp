@@ -278,23 +278,4 @@ CellCoords GridIndex::decode(std::uint64_t linear_id) const noexcept {
   return cc;
 }
 
-CellCoords GridIndex::cell_coords_of(std::span<const double> coords) const {
-  GSJ_CHECK(static_cast<int>(coords.size()) == dims());
-  CellCoords cc;
-  for (int d = 0; d < dims(); ++d) {
-    const auto c = static_cast<std::int32_t>(std::floor(
-        (coords[static_cast<std::size_t>(d)] - min_[static_cast<std::size_t>(d)]) /
-        epsilon_));
-    cc[d] = std::clamp(c, std::int32_t{0}, cells_per_dim(d) - 1);
-  }
-  return cc;
-}
-
-bool GridIndex::in_bounds(const CellCoords& cc) const noexcept {
-  for (int d = 0; d < dims(); ++d) {
-    if (cc[d] < 0 || cc[d] >= cells_per_dim(d)) return false;
-  }
-  return true;
-}
-
 }  // namespace gsj

@@ -9,9 +9,11 @@
 //   * `point_ids()`  — all point ids grouped by cell (each cell owns a
 //                      contiguous range), giving O(|D|) space,
 //   * per-point back-references (owning cell, rank within grid order).
-// Lookups that come in ascending id order, such as every adjacency
-// walk, use seek_cell's forward-galloping cursor instead of a binary
-// search per lookup.
+// Every window walk (the 3^n adjacency of a cell, the shells around a
+// location, and the ε-range query for_each_in_range built on them) runs
+// one private odometer, walk_window. Its cells come in ascending id
+// order, so it looks them up with seek_cell's forward-galloping cursor
+// instead of a binary search per cell.
 #pragma once
 
 #include <algorithm>
@@ -145,7 +147,7 @@ class GridIndex {
   /// O(log |cells|). Exact as long as no cell before the cursor has an
   /// id >= `linear_id` — guaranteed when the ids passed to one cursor
   /// never decrease (repeats are fine: a hit leaves the cursor on the
-  /// matched cell). The adjacency walks below rely on it: in odometer
+  /// matched cell). The window walks below rely on it: in odometer
   /// order the in-bounds cells of a window have strictly increasing
   /// linear ids.
   [[nodiscard]] std::size_t seek_cell(std::uint32_t& cursor,
@@ -208,14 +210,6 @@ class GridIndex {
     return stride_[static_cast<std::size_t>(d)];
   }
 
-  /// Cell coordinates an arbitrary location falls into, clamped to the
-  /// grid bounds (locations outside the indexed bounding box map to the
-  /// border cells). `coords` must have dims() entries.
-  [[nodiscard]] CellCoords cell_coords_of(std::span<const double> coords) const;
-
-  /// True when `cc` lies inside the grid bounds.
-  [[nodiscard]] bool in_bounds(const CellCoords& cc) const noexcept;
-
   /// Cell coordinate of location `x` in dimension `d` for *probe*
   /// points of an R×S join: unclamped (out-of-bbox probes must not
   /// alias border cells), but banded to [-2, cells_per_dim(d)+1] so the
@@ -230,31 +224,40 @@ class GridIndex {
     return static_cast<std::int32_t>(c);
   }
 
-  /// Invokes `fn(neighbor_cell_index, neighbor_coords, neighbor_linear_id)`
-  /// for every *non-empty* cell adjacent to `origin` (all offsets in
-  /// {-1,0,+1}^dims), including the origin cell itself when
-  /// `include_origin`. Enumeration order is lexicographic in the offset
-  /// vector, matching the nested-loop order of the CUDA kernels.
-  template <typename Fn>
-  void for_each_adjacent(std::size_t origin_cell, bool include_origin,
-                         Fn&& fn) const;
-
-  /// Same enumeration around arbitrary cell coordinates (which need not
-  /// name a non-empty cell). "include_origin" has no meaning here: the
-  /// origin coordinates' own cell is always visited when non-empty.
-  template <typename Fn>
-  void for_each_adjacent_to(const CellCoords& oc, Fn&& fn) const;
-
   /// Invokes `fn(cell_index, cell_coords, linear_id)` for every
-  /// non-empty cell within `shells` cells of the location `coords`
-  /// (dims() entries) in every dimension — the cells a point at that
-  /// location can have ε-neighbors in when shells >= ceil(eps/epsilon()).
-  /// Unlike cell_coords_of, the location is NOT clamped to the grid:
-  /// out-of-bounds locations visit only the in-bounds part of their
-  /// shell (possibly nothing), never a spurious border cell.
+  /// non-empty cell adjacent to the cell coordinates `oc` (all offsets
+  /// in {-1,0,+1}^dims, `oc`'s own cell included), in ascending linear
+  /// id order: lexicographic in the offset vector, the nested-loop order
+  /// of the CUDA kernels. `oc` need not name a non-empty cell or lie in
+  /// the grid (probe coordinates banded by probe_cell_coord): only the
+  /// in-bounds part of the window is visited.
+  template <typename Fn>
+  void for_each_adjacent_to(const CellCoords& oc, Fn&& fn) const {
+    std::array<double, kMaxDims> base{};
+    for (int d = 0; d < dims(); ++d) base[static_cast<std::size_t>(d)] = oc[d];
+    walk_window(base, 1.0, fn);
+  }
+
+  /// The same walk over every non-empty cell within `shells` cells of
+  /// the location `coords` (dims() entries) in every dimension. The
+  /// location is not clamped to the grid: an out-of-bounds location
+  /// visits only the in-bounds part of its window (possibly nothing),
+  /// never a spurious border cell.
   template <typename Fn>
   void for_each_within(std::span<const double> coords, int shells,
-                       Fn&& fn) const;
+                       Fn&& fn) const {
+    walk_window(location_cell(coords), shells, fn);
+  }
+
+  /// The ε-range query: invokes `fn(point_id, dist2)` for every indexed
+  /// point within `eps` of the location `coords` (dims() entries, inside
+  /// the grid or not), in walk order. dist2 sums (coords[d] − x_d)² in
+  /// dimension order, as Dataset::dist2 does, and a point is in range
+  /// iff dist2 <= eps². Walks ceil(eps / epsilon()) shells, the fewest
+  /// that hold every cell a point within `eps` can lie in.
+  template <typename Fn>
+  void for_each_in_range(std::span<const double> coords, double eps,
+                         Fn&& fn) const;
 
   /// Total number of adjacent-cell slots probed (3^dims).
   [[nodiscard]] std::uint64_t adjacency_volume() const noexcept {
@@ -282,6 +285,23 @@ class GridIndex {
   /// the last cell, exactly as at build).
   [[nodiscard]] std::uint64_t clamped_cell_id(
       std::span<const double> coords) const;
+  /// Unclamped cell coordinates of a location, floor((x − min) / ε) per
+  /// dimension, kept in double so far-out locations cannot overflow.
+  [[nodiscard]] std::array<double, kMaxDims> location_cell(
+      std::span<const double> coords) const noexcept {
+    std::array<double, kMaxDims> base{};
+    for (int d = 0; d < dims(); ++d) {
+      const auto sd = static_cast<std::size_t>(d);
+      base[sd] = std::floor((coords[sd] - min_[sd]) / epsilon_);
+    }
+    return base;
+  }
+  /// The one window odometer: `fn(cell_index, cell_coords, linear_id)`
+  /// for every non-empty cell within `shells` cells of `base` in every
+  /// dimension, clipped to the grid, in ascending linear id order.
+  template <typename Fn>
+  void walk_window(const std::array<double, kMaxDims>& base, double shells,
+                   Fn& fn) const;
 
   const Dataset* ds_;
   double epsilon_;
@@ -297,95 +317,78 @@ class GridIndex {
 };
 
 template <typename Fn>
-void GridIndex::for_each_adjacent(std::size_t origin_cell, bool include_origin,
-                                  Fn&& fn) const {
-  const CellCoords oc = decode(cells_[origin_cell].linear_id);
-  if (include_origin) {
-    for_each_adjacent_to(oc, std::forward<Fn>(fn));
-    return;
-  }
-  const std::uint64_t origin_id = cells_[origin_cell].linear_id;
-  for_each_adjacent_to(oc, [&](std::size_t nidx, const CellCoords& nc,
-                               std::uint64_t nid) {
-    if (nid != origin_id) fn(nidx, nc, nid);
-  });
-}
-
-template <typename Fn>
-void GridIndex::for_each_adjacent_to(const CellCoords& oc, Fn&& fn) const {
+void GridIndex::walk_window(const std::array<double, kMaxDims>& base,
+                            double shells, Fn& fn) const {
   const int n = dims();
-  // Odometer over offsets in {-1,0,1}^n, lexicographic: the in-bounds
-  // cells come in ascending id order, so one seek_cell cursor serves
-  // the whole walk.
-  std::uint32_t cursor = 0;
-  std::array<std::int32_t, kMaxDims> off{};
-  for (int d = 0; d < n; ++d) off[static_cast<std::size_t>(d)] = -1;
-  for (;;) {
-    CellCoords nc;
-    bool inb = true;
-    for (int d = 0; d < n; ++d) {
-      const std::int32_t v = oc[d] + off[static_cast<std::size_t>(d)];
-      if (v < 0 || v >= cells_per_dim(d)) {
-        inb = false;
-        break;
-      }
-      nc[d] = v;
-    }
-    if (inb) {
-      const std::uint64_t nid = encode(nc);
-      const std::size_t nidx = seek_cell(cursor, nid);
-      if (nidx != npos) fn(nidx, nc, nid);
-    }
-    // Advance odometer.
-    int d = n - 1;
-    while (d >= 0) {
-      auto& o = off[static_cast<std::size_t>(d)];
-      if (++o <= 1) break;
-      o = -1;
-      --d;
-    }
-    if (d < 0) break;
-  }
-}
-
-template <typename Fn>
-void GridIndex::for_each_within(std::span<const double> coords, int shells,
-                                Fn&& fn) const {
-  const int n = dims();
-  // Base cell deliberately unclamped (int64 absorbs far-out locations)
-  // so the [base±shells] window intersected with the grid bounds is
-  // exact for out-of-bbox query points too.
-  std::array<std::int64_t, kMaxDims> lo{};
-  std::array<std::int64_t, kMaxDims> hi{};
+  const int last = n - 1;
+  CellCoords lo;
+  CellCoords hi;
   for (int d = 0; d < n; ++d) {
     const auto sd = static_cast<std::size_t>(d);
-    const auto base = static_cast<std::int64_t>(
-        std::floor((coords[sd] - min_[sd]) / epsilon_));
-    lo[sd] = std::max<std::int64_t>(base - shells, 0);
-    hi[sd] = std::min<std::int64_t>(base + shells,
-                                    std::int64_t{cells_per_dim(d)} - 1);
-    if (lo[sd] > hi[sd]) return;
+    const double top = static_cast<double>(cells_per_dim(d) - 1);
+    const double l = std::max(base[sd] - shells, 0.0);
+    const double h = std::min(base[sd] + shells, top);
+    if (l > h) return;
+    lo[d] = static_cast<std::int32_t>(l);
+    hi[d] = static_cast<std::int32_t>(h);
   }
-  // Odometer order over the box is ascending id order (seek_cell).
+  // Odometer over the box, last dimension fastest: linear ids ascend,
+  // so one seek_cell cursor serves the whole walk. A row (the last
+  // dimension's run) is one id interval: seek its start once, then
+  // take the cells up to its end.
+  const auto row_span = static_cast<std::uint64_t>(hi[last] - lo[last]);
   std::uint32_t cursor = 0;
-  std::array<std::int64_t, kMaxDims> cur = lo;
+  CellCoords cc = lo;
+  std::uint64_t row = encode(lo);
   for (;;) {
-    CellCoords cc;
-    for (int d = 0; d < n; ++d) {
-      cc[d] = static_cast<std::int32_t>(cur[static_cast<std::size_t>(d)]);
+    (void)seek_cell(cursor, row);
+    for (; cursor < cells_.size() && cells_[cursor].linear_id <= row + row_span;
+         ++cursor) {
+      const std::uint64_t id = cells_[cursor].linear_id;
+      cc[last] = lo[last] + static_cast<std::int32_t>(id - row);
+      fn(std::size_t{cursor}, cc, id);
     }
-    const std::uint64_t id = encode(cc);
-    const std::size_t idx = seek_cell(cursor, id);
-    if (idx != npos) fn(idx, cc, id);
-    int d = n - 1;
-    while (d >= 0) {
-      const auto sd = static_cast<std::size_t>(d);
-      if (++cur[sd] <= hi[sd]) break;
-      cur[sd] = lo[sd];
-      --d;
+    int d = last - 1;
+    for (; d >= 0; --d) {
+      if (cc[d] < hi[d]) {
+        ++cc[d];
+        row += stride(d);
+        break;
+      }
+      row -= static_cast<std::uint64_t>(cc[d] - lo[d]) * stride(d);
+      cc[d] = lo[d];
     }
-    if (d < 0) break;
+    if (d < 0) return;
   }
+}
+
+template <typename Fn>
+void GridIndex::for_each_in_range(std::span<const double> coords, double eps,
+                                  Fn&& fn) const {
+  const int n = dims();
+  const double eps2 = eps * eps;
+  // Query coordinates and column pointers hoisted: the scan reads one
+  // candidate coordinate per dimension and nothing else.
+  std::array<double, kMaxDims> x{};
+  std::array<const double*, kMaxDims> col{};
+  for (int d = 0; d < n; ++d) {
+    x[static_cast<std::size_t>(d)] = coords[static_cast<std::size_t>(d)];
+    col[static_cast<std::size_t>(d)] = ds_->dim(d).data();
+  }
+  auto scan = [&](std::size_t ci, const CellCoords&, std::uint64_t) {
+    const GridCell& c = cells_[ci];
+    for (std::uint32_t pos = c.begin; pos < c.end; ++pos) {
+      const PointId p = point_ids_[pos];
+      double s = 0.0;
+      for (int d = 0; d < n; ++d) {
+        const auto sd = static_cast<std::size_t>(d);
+        const double diff = x[sd] - col[sd][p];
+        s += diff * diff;
+      }
+      if (s <= eps2) fn(p, s);
+    }
+  };
+  walk_window(location_cell(coords), std::ceil(eps / epsilon_), scan);
 }
 
 }  // namespace gsj

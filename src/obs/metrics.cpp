@@ -31,13 +31,6 @@ namespace {
   return c != '{' && c != '}' && c != ',' && c != '"' && c != '\\';
 }
 
-/// Lock-free accumulate for the FixedHistogram observation sum.
-void add_double(std::atomic<double>& a, double v) noexcept {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 bool is_valid_metric_name(std::string_view name) noexcept {
@@ -138,65 +131,6 @@ std::string labeled(
   }
   out += '}';
   return out;
-}
-
-// --- FixedHistogram ---------------------------------------------------------
-
-FixedHistogram::FixedHistogram(double lo, double hi, std::size_t nbuckets)
-    : lo_(lo),
-      hi_(hi),
-      width_((hi - lo) / static_cast<double>(nbuckets)),
-      counts_(nbuckets) {
-  GSJ_CHECK(hi > lo && nbuckets >= 1);
-}
-
-void FixedHistogram::observe(double x) noexcept {
-  add_double(sum_, x);
-  if (x < lo_) {
-    underflow_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (x >= hi_) {
-    overflow_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  auto b = static_cast<std::size_t>((x - lo_) / width_);
-  b = std::min(b, counts_.size() - 1);  // float-edge clamp
-  counts_[b].fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t FixedHistogram::total() const noexcept {
-  std::uint64_t t = underflow() + overflow();
-  for (const auto& c : counts_) t += c.load(std::memory_order_relaxed);
-  return t;
-}
-
-double FixedHistogram::percentile(double q) const noexcept {
-  const std::uint64_t n = total();
-  if (n == 0) return lo_;
-  const double rank = q / 100.0 * static_cast<double>(n);
-  std::uint64_t seen = underflow();
-  if (static_cast<double>(seen) >= rank && seen > 0) return lo_;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const std::uint64_t c = counts_[b].load(std::memory_order_relaxed);
-    if (static_cast<double>(seen + c) >= rank && c > 0) {
-      const double into =
-          (rank - static_cast<double>(seen)) / static_cast<double>(c);
-      return lo_ + width_ * (static_cast<double>(b) + std::clamp(into, 0.0, 1.0));
-    }
-    seen += c;
-  }
-  return hi_;
-}
-
-void FixedHistogram::merge_from(const FixedHistogram& other) noexcept {
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    counts_[b].fetch_add(other.counts_[b].load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  }
-  underflow_.fetch_add(other.underflow(), std::memory_order_relaxed);
-  overflow_.fetch_add(other.overflow(), std::memory_order_relaxed);
-  add_double(sum_, other.sum());
 }
 
 // --- CycleHistogram ---------------------------------------------------------
@@ -327,24 +261,6 @@ Gauge& Registry::gauge(std::string_view name) {
   return *it->second;
 }
 
-FixedHistogram& Registry::histogram(std::string_view name, double lo,
-                                    double hi, std::size_t nbuckets) {
-  const std::string key = normalize_name(name);
-  std::lock_guard lk(mu_);
-  auto it = hists_.find(key);
-  if (it == hists_.end()) {
-    it = hists_
-             .emplace(key, std::make_unique<FixedHistogram>(lo, hi, nbuckets))
-             .first;
-  } else {
-    GSJ_CHECK_MSG(it->second->lo() == lo && it->second->hi() == hi &&
-                      it->second->buckets() == nbuckets,
-                  "histogram '" << name << "' re-registered with a "
-                                << "different shape");
-  }
-  return *it->second;
-}
-
 CycleHistogram& Registry::cycle_histogram(std::string_view name) {
   const std::string key = normalize_name(name);
   std::lock_guard lk(mu_);
@@ -370,7 +286,6 @@ void Registry::merge_from(const Registry& other) {
   // public accessors (this' mutex) — never both at once.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, std::pair<bool, double>>> gauges;
-  std::vector<std::pair<std::string, const FixedHistogram*>> hists;
   std::vector<std::pair<std::string, const CycleHistogram*>> cycles;
   std::vector<std::pair<std::string, const TimeHistogram*>> times;
   {
@@ -379,7 +294,6 @@ void Registry::merge_from(const Registry& other) {
     for (const auto& [k, v] : other.gauges_) {
       gauges.emplace_back(k, std::make_pair(v->is_set(), v->value()));
     }
-    for (const auto& [k, v] : other.hists_) hists.emplace_back(k, v.get());
     for (const auto& [k, v] : other.cycles_) cycles.emplace_back(k, v.get());
     for (const auto& [k, v] : other.times_) times.emplace_back(k, v.get());
   }
@@ -387,17 +301,13 @@ void Registry::merge_from(const Registry& other) {
   for (const auto& [k, sv] : gauges) {
     if (sv.first) gauge(k).set(sv.second);
   }
-  for (const auto& [k, h] : hists) {
-    histogram(k, h->lo(), h->hi(), h->buckets()).merge_from(*h);
-  }
   for (const auto& [k, h] : cycles) cycle_histogram(k).merge_from(*h);
   for (const auto& [k, h] : times) time_histogram(k).merge_from(*h);
 }
 
 std::size_t Registry::size() const {
   std::lock_guard lk(mu_);
-  return counters_.size() + gauges_.size() + hists_.size() + cycles_.size() +
-         times_.size();
+  return counters_.size() + gauges_.size() + cycles_.size() + times_.size();
 }
 
 void Registry::write_json(std::ostream& os) const {
@@ -411,16 +321,6 @@ void Registry::write_json(std::ostream& os) const {
   for (const auto& [k, v] : gauges_) w.key(k).value(v->value());
   w.end_object();
   w.key("histograms").begin_object();
-  for (const auto& [k, h] : hists_) {
-    w.key(k).begin_object();
-    w.key("total").value(h->total());
-    w.key("underflow").value(h->underflow());
-    w.key("overflow").value(h->overflow());
-    w.key("p50").value(h->percentile(50));
-    w.key("p95").value(h->percentile(95));
-    w.key("p99").value(h->percentile(99));
-    w.end_object();
-  }
   for (const auto& [k, h] : cycles_) {
     w.key(k).begin_object();
     w.key("total").value(h->total());
@@ -531,29 +431,6 @@ void Registry::write_openmetrics(std::ostream& os) const {
     type_line(os, last_family, n.family, "gauge");
     os << expo_series(n, "") << ' ' << json::format_double(v->value())
        << '\n';
-  }
-  for (const auto& [k, h] : hists_) {
-    const ExpoName n = expo_name(k);
-    type_line(os, last_family, n.family, "histogram");
-    // Cumulative le buckets. Underflow values are < lo, hence <= every
-    // finite upper bound, so they seed the running count.
-    std::uint64_t cum = h->underflow();
-    for (std::size_t b = 0; b < h->buckets(); ++b) {
-      cum += h->bucket_count(b);
-      const double upper =
-          h->lo() + (h->hi() - h->lo()) *
-                        (static_cast<double>(b + 1) /
-                         static_cast<double>(h->buckets()));
-      std::string le = "le=\"";
-      le += json::format_double(upper);
-      le += '"';
-      os << expo_series(n, "_bucket", le) << ' ' << cum << '\n';
-    }
-    os << expo_series(n, "_bucket", "le=\"+Inf\"") << ' ' << h->total()
-       << '\n';
-    os << expo_series(n, "_sum") << ' ' << json::format_double(h->sum())
-       << '\n';
-    os << expo_series(n, "_count") << ' ' << h->total() << '\n';
   }
   for (const auto& [k, h] : cycles_) {
     const ExpoName n = expo_name(k);

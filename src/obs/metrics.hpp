@@ -16,13 +16,11 @@
 // the shards with `merge_from` at the end of the parallel phase
 // (see superego/super_ego.cpp for the worked example).
 //
-// Two histogram flavours:
-//  * FixedHistogram — equal-width buckets over [lo, hi), for quantities
-//    with a known range (percentages, per-batch WEE);
-//  * CycleHistogram — HDR-style log-linear buckets over the full uint64
-//    range (exact below 64, ≤ ~3.2% relative error above), for
-//    latency/cycle-count distributions with unknown dynamic range.
-//    Percentile queries walk the bucket array.
+// Histograms are CycleHistograms: HDR-style log-linear buckets over
+// the full uint64 range (exact below 64, ≤ ~3.2% relative error
+// above), for latency/cycle-count distributions with unknown dynamic
+// range; TimeHistogram is the same sketch over nanoseconds. Percentile
+// queries walk the bucket array.
 //
 // Naming scheme (see docs/OBSERVABILITY.md): dot-separated lowercase
 // path, optional {key=value,...} label suffix rendered by `labeled`.
@@ -94,47 +92,6 @@ class Gauge {
   friend class Registry;
   std::atomic<double> v_{0.0};
   std::atomic<bool> set_{false};
-};
-
-/// Equal-width buckets over [lo, hi) plus underflow/overflow counters.
-/// observe() is one relaxed atomic increment.
-class FixedHistogram {
- public:
-  FixedHistogram(double lo, double hi, std::size_t nbuckets);
-
-  void observe(double x) noexcept;
-
-  [[nodiscard]] double lo() const noexcept { return lo_; }
-  [[nodiscard]] double hi() const noexcept { return hi_; }
-  [[nodiscard]] std::size_t buckets() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t b) const noexcept {
-    return counts_[b].load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t underflow() const noexcept {
-    return underflow_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t overflow() const noexcept {
-    return overflow_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t total() const noexcept;
-  /// Sum of every observed value (under/overflow included) — the
-  /// OpenMetrics `_sum` series.
-  [[nodiscard]] double sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-
-  /// Linear-interpolated percentile (q in [0,100]) assuming in-bucket
-  /// uniformity; underflow clamps to lo, overflow to hi.
-  [[nodiscard]] double percentile(double q) const noexcept;
-
- private:
-  friend class Registry;
-  void merge_from(const FixedHistogram& other) noexcept;
-
-  double lo_, hi_, width_;
-  std::vector<std::atomic<std::uint64_t>> counts_;
-  std::atomic<std::uint64_t> underflow_{0}, overflow_{0};
-  std::atomic<double> sum_{0.0};  ///< CAS-accumulated observation sum
 };
 
 /// HDR-style log-linear histogram over uint64 values (cycles, counts).
@@ -243,14 +200,11 @@ class Registry {
   // sanitized key.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  FixedHistogram& histogram(std::string_view name, double lo, double hi,
-                            std::size_t nbuckets);
   CycleHistogram& cycle_histogram(std::string_view name);
   TimeHistogram& time_histogram(std::string_view name);
 
   /// Accumulates `other` into this registry: counters and histograms
-  /// sum; a gauge is overwritten when `other`'s was ever set. Histogram
-  /// shapes must agree for same-named fixed histograms.
+  /// sum; a gauge is overwritten when `other`'s was ever set.
   void merge_from(const Registry& other);
 
   /// Flat JSON object: {"counters":{...},"gauges":{...},
@@ -259,9 +213,8 @@ class Registry {
 
   /// OpenMetrics/Prometheus text exposition (docs/OBSERVABILITY.md):
   /// dot-path names mangled to underscores, counters as `_total`
-  /// samples, FixedHistograms as cumulative-`le` histogram families,
-  /// Cycle/TimeHistograms as summaries with p50/p95/p99 quantile
-  /// series, `# EOF` terminator. Deterministically ordered (the name
+  /// samples, Cycle/TimeHistograms as summaries with p50/p95/p99
+  /// quantile series, `# EOF` terminator. Deterministically ordered (the name
   /// maps are sorted), so two exports of the same state are
   /// byte-identical.
   void write_openmetrics(std::ostream& os) const;
@@ -274,7 +227,6 @@ class Registry {
   // addresses across rehash-free growth.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<FixedHistogram>, std::less<>> hists_;
   std::map<std::string, std::unique_ptr<CycleHistogram>, std::less<>> cycles_;
   std::map<std::string, std::unique_ptr<TimeHistogram>, std::less<>> times_;
 };

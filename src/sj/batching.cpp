@@ -51,8 +51,8 @@ std::size_t batch_count(std::uint64_t estimated, const BatchingConfig& cfg,
 std::vector<std::uint64_t> sample_counts(const GridIndex& grid,
                                          const Dataset* probe,
                                          std::span<const PointId> sample) {
-  return probe != nullptr ? probe_neighbor_counts(grid, *probe, sample)
-                          : neighbor_counts(grid, sample);
+  return neighbor_counts(grid, probe != nullptr ? *probe : grid.dataset(),
+                         sample);
 }
 
 }  // namespace

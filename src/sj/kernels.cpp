@@ -101,20 +101,27 @@ simt::InitResult SelfJoinKernel::init_lane(LaneState& s,
     s.q = p_.queue[idx];
   }
 
-  const GridIndex& grid = *p_.grid;
-  CellCoords oc;
-  if (rxs_) {
-    // Probe points have no cell of their own in the grid: anchor the
-    // 3^n window at their banded coordinates (grid/grid_index.hpp).
-    // rank stays at its default — the R×S scan never consults it.
-    for (int d = 0; d < dims_; ++d) {
-      oc[d] = grid.probe_cell_coord(p_.probe->coord(s.q, d), d);
+  // Origin and rank are functions of q alone, and a cooperative
+  // group's k lanes initialize back to back with the same q: only the
+  // first derives them. The modeled cost below stays per lane.
+  if (last_.q != s.q) {
+    const GridIndex& grid = *p_.grid;
+    CellCoords oc;
+    std::uint32_t rank = 0;  // R×S: the scan never consults it
+    if (rxs_) {
+      // Probe points have no cell of their own in the grid: anchor the
+      // 3^n window at their banded coordinates (grid/grid_index.hpp).
+      for (int d = 0; d < dims_; ++d) {
+        oc[d] = grid.probe_cell_coord(p_.probe->coord(s.q, d), d);
+      }
+    } else {
+      rank = grid.grid_rank(s.q);
+      oc = grid.coords_of_point(s.q);
     }
-  } else {
-    s.rank = grid.grid_rank(s.q);
-    oc = grid.coords_of_point(s.q);
+    last_ = {slots_.origin(oc), s.q, rank};
   }
-  s.origin = slots_.origin(oc);
+  s.origin = last_.origin;
+  s.rank = last_.rank;
   s.slot = 0;
   s.cell_cursor = 0;
   s.scanning = false;

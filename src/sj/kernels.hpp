@@ -300,6 +300,12 @@ class SelfJoinKernel {
   std::array<std::uint8_t, kClasses> class_order_{};
   std::uint64_t atomics_ = 0;
   std::uint64_t emitted_ = 0;
+  /// The previous init_lane's q and what it derived from it.
+  struct LastInit {
+    SlotTable::Origin origin{};
+    PointId q = kInvalidPointId;
+    std::uint32_t rank = 0;
+  } last_;
 };
 
 // The per-lane step is defined here, not in kernels.cpp, so that

@@ -1,6 +1,7 @@
 #include "sj/neighbor_table.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/check.hpp"
 
@@ -26,39 +27,19 @@ NeighborTable::NeighborTable(const ResultSet& results, std::size_t n) {
 
 std::vector<PointId> range_query(const GridIndex& grid, PointId q) {
   GSJ_CHECK(q < grid.dataset().size());
-  const Dataset& ds = grid.dataset();
-  const double eps2 = grid.epsilon() * grid.epsilon();
-  std::vector<PointId> out;
-  grid.for_each_adjacent(
-      grid.cell_of_point(q), /*include_origin=*/true,
-      [&](std::size_t nidx, const CellCoords&, std::uint64_t) {
-        for (const PointId c : grid.cell_points(nidx)) {
-          if (ds.dist2(q, c) <= eps2) out.push_back(c);
-        }
-      });
-  std::sort(out.begin(), out.end());
-  return out;
+  std::array<double, kMaxDims> at{};
+  for (int d = 0; d < grid.dims(); ++d) {
+    at[static_cast<std::size_t>(d)] = grid.dataset().coord(q, d);
+  }
+  return range_query(grid, {at.data(), static_cast<std::size_t>(grid.dims())});
 }
 
 std::vector<PointId> range_query(const GridIndex& grid,
                                  std::span<const double> center) {
   GSJ_CHECK(static_cast<int>(center.size()) == grid.dims());
-  const Dataset& ds = grid.dataset();
-  const double eps2 = grid.epsilon() * grid.epsilon();
   std::vector<PointId> out;
-  const CellCoords cc = grid.cell_coords_of(center);
-  grid.for_each_adjacent_to(
-      cc, [&](std::size_t nidx, const CellCoords&, std::uint64_t) {
-        for (const PointId c : grid.cell_points(nidx)) {
-          double s = 0.0;
-          for (int d = 0; d < grid.dims(); ++d) {
-            const double diff =
-                ds.coord(c, d) - center[static_cast<std::size_t>(d)];
-            s += diff * diff;
-          }
-          if (s <= eps2) out.push_back(c);
-        }
-      });
+  grid.for_each_in_range(center, grid.epsilon(),
+                         [&out](PointId c, double) { out.push_back(c); });
   std::sort(out.begin(), out.end());
   return out;
 }

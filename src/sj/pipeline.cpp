@@ -382,7 +382,6 @@ void knn_search(const SelfJoinConfig& cfg, const Dataset& ds,
       src.resolve_grid(eps_r, p);
     }
     const GridIndex& grid = *src.grid();
-    const double eps2 = eps_r * eps_r;
     out.stats.knn_rounds = static_cast<std::uint64_t>(round) + 1;
     out.stats.knn_final_epsilon = eps_r;
     for (std::size_t q = 0; q < nq; ++q) {
@@ -391,19 +390,9 @@ void knn_search(const SelfJoinConfig& cfg, const Dataset& ds,
         qc[static_cast<std::size_t>(d)] = probe.coord(q, d);
       }
       cand.clear();
-      grid.for_each_within(
-          qc, /*shells=*/1,
-          [&](std::size_t nidx, const CellCoords&, std::uint64_t) {
-            for (const PointId c : grid.cell_points(nidx)) {
-              double sum = 0.0;
-              for (int d = 0; d < dims; ++d) {
-                const double diff =
-                    qc[static_cast<std::size_t>(d)] - ds.coord(c, d);
-                sum += diff * diff;
-              }
-              if (sum <= eps2) cand.push_back({sum, c});
-            }
-          });
+      grid.for_each_in_range(qc, eps_r, [&cand](PointId c, double d2) {
+        cand.push_back({d2, c});
+      });
       if (cand.size() >= k_eff) {
         std::sort(cand.begin(), cand.end(), hit_before);
         cand.resize(k_eff);

@@ -1,5 +1,7 @@
 #include "sj/reference.hpp"
 
+#include <array>
+
 #include "common/thread_pool.hpp"
 
 namespace gsj {
@@ -24,8 +26,8 @@ ResultSet cpu_grid_join(const GridIndex& grid, bool store_pairs) {
   const auto cells = grid.cells();
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
     const auto origin_pts = grid.cell_points(ci);
-    grid.for_each_adjacent(
-        ci, /*include_origin=*/true,
+    grid.for_each_adjacent_to(
+        grid.decode(cells[ci].linear_id),
         [&](std::size_t nidx, const CellCoords&, std::uint64_t) {
           const auto cand = grid.cell_points(nidx);
           for (const PointId q : origin_pts) {
@@ -61,8 +63,8 @@ ResultSet cpu_grid_join_parallel(const GridIndex& grid, std::size_t nthreads,
     const std::size_t end = std::min(begin + chunk, cells.size());
     for (std::size_t ci = begin; ci < end; ++ci) {
       const auto origin_pts = grid.cell_points(ci);
-      grid.for_each_adjacent(
-          ci, /*include_origin=*/true,
+      grid.for_each_adjacent_to(
+          grid.decode(cells[ci].linear_id),
           [&](std::size_t nidx, const CellCoords&, std::uint64_t) {
             const auto cand = grid.cell_points(nidx);
             for (const PointId q : origin_pts) {
@@ -89,52 +91,19 @@ ResultSet cpu_grid_join_parallel(const GridIndex& grid, std::size_t nthreads,
   return rs;
 }
 
-std::vector<std::uint64_t> probe_neighbor_counts(
-    const GridIndex& grid, const Dataset& probe,
-    std::span<const PointId> queries) {
-  const Dataset& ds = grid.dataset();
-  const double eps2 = grid.epsilon() * grid.epsilon();
-  const int dims = grid.dims();
-  std::vector<double> qc(static_cast<std::size_t>(dims));
+std::vector<std::uint64_t> neighbor_counts(const GridIndex& grid,
+                                           const Dataset& points,
+                                           std::span<const PointId> queries) {
+  const auto dims = static_cast<std::size_t>(grid.dims());
+  std::array<double, kMaxDims> qc{};
   std::vector<std::uint64_t> out(queries.size(), 0);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const PointId q = queries[i];
-    for (int d = 0; d < dims; ++d) {
-      qc[static_cast<std::size_t>(d)] = probe.coord(q, d);
+    for (std::size_t d = 0; d < dims; ++d) {
+      qc[d] = points.coord(queries[i], static_cast<int>(d));
     }
     std::uint64_t cnt = 0;
-    grid.for_each_within(
-        qc, /*shells=*/1,
-        [&](std::size_t nidx, const CellCoords&, std::uint64_t) {
-          for (const PointId c : grid.cell_points(nidx)) {
-            double sum = 0.0;
-            for (int d = 0; d < dims; ++d) {
-              const double diff = qc[static_cast<std::size_t>(d)] - ds.coord(c, d);
-              sum += diff * diff;
-            }
-            if (sum <= eps2) ++cnt;
-          }
-        });
-    out[i] = cnt;
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> neighbor_counts(const GridIndex& grid,
-                                           std::span<const PointId> queries) {
-  const Dataset& ds = grid.dataset();
-  const double eps2 = grid.epsilon() * grid.epsilon();
-  std::vector<std::uint64_t> out(queries.size(), 0);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const PointId q = queries[i];
-    std::uint64_t cnt = 0;
-    grid.for_each_adjacent(
-        grid.cell_of_point(q), /*include_origin=*/true,
-        [&](std::size_t nidx, const CellCoords&, std::uint64_t) {
-          for (const PointId c : grid.cell_points(nidx)) {
-            if (ds.dist2(q, c) <= eps2) ++cnt;
-          }
-        });
+    grid.for_each_in_range({qc.data(), dims}, grid.epsilon(),
+                           [&cnt](PointId, double) { ++cnt; });
     out[i] = cnt;
   }
   return out;

@@ -21,16 +21,13 @@ namespace gsj {
 [[nodiscard]] ResultSet cpu_grid_join(const GridIndex& grid,
                                       bool store_pairs = true);
 
-/// Exact epsilon-neighborhood size (self included) of each point in
-/// `queries`, computed through the grid. This is the estimator's probe.
+/// For each id in `queries` (indexing `points`), the number of the
+/// grid's points within epsilon of that point, computed through the
+/// grid: the exact ε-neighborhood size (self included) when `points`
+/// is grid.dataset(), the R×S count when it is a probe set. This is
+/// the batch estimator's probe.
 [[nodiscard]] std::vector<std::uint64_t> neighbor_counts(
-    const GridIndex& grid, std::span<const PointId> queries);
-
-/// R×S analogue of neighbor_counts: for each id in `queries` (indexing
-/// `probe`), the number of gridded-dataset points within epsilon of
-/// that probe point. The R×S batch estimator's probe.
-[[nodiscard]] std::vector<std::uint64_t> probe_neighbor_counts(
-    const GridIndex& grid, const Dataset& probe,
+    const GridIndex& grid, const Dataset& points,
     std::span<const PointId> queries);
 
 /// Multithreaded CPU grid join: the host-side analogue of

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
 #include <new>
 #include <optional>
 #include <utility>
@@ -47,13 +46,7 @@ bool churn_misses_result(const Dataset& ds, const GridIndex& grid,
                          const ChurnSummary& churn, double epsilon,
                          const ResultSet& results) {
   const std::span<const ResultPair> pairs = results.pairs();
-  const double eps2 = epsilon * epsilon;
-  const int dims = grid.dims();
-  const auto sdims = static_cast<std::size_t>(dims);
-  // Enough shells that anything within `epsilon` of the probe sits in
-  // a visited cell (cells are grid.epsilon() wide; floor+1 >= ceil).
-  const int shells =
-      static_cast<int>(std::floor(epsilon / grid.epsilon())) + 1;
+  const auto dims = static_cast<std::size_t>(grid.dims());
   std::array<double, kMaxDims> cur{};
   for (const auto& t : churn.touched) {
     const auto lo = std::lower_bound(pairs.begin(), pairs.end(),
@@ -61,28 +54,12 @@ bool churn_misses_result(const Dataset& ds, const GridIndex& grid,
     for (auto it = lo; it != pairs.end() && it->first == t.id; ++it) {
       if (it->second != t.id) return false;  // had an ε-neighbor before
     }
-    for (int d = 0; d < dims; ++d) {
-      cur[static_cast<std::size_t>(d)] = ds.coord(t.id, d);
+    for (std::size_t d = 0; d < dims; ++d) {
+      cur[d] = ds.coord(t.id, static_cast<int>(d));
     }
     bool neighbor = false;
-    grid.for_each_within(
-        {cur.data(), sdims}, shells,
-        [&](std::size_t ci, const CellCoords&, std::uint64_t) {
-          if (neighbor) return;
-          for (const PointId q : grid.cell_points(ci)) {
-            if (q == t.id) continue;
-            double s = 0.0;
-            for (int d = 0; d < dims; ++d) {
-              const double diff =
-                  cur[static_cast<std::size_t>(d)] - ds.coord(q, d);
-              s += diff * diff;
-            }
-            if (s <= eps2) {
-              neighbor = true;
-              return;
-            }
-          }
-        });
+    grid.for_each_in_range({cur.data(), dims}, epsilon,
+                           [&](PointId q, double) { neighbor |= q != t.id; });
     if (neighbor) return false;  // has an ε-neighbor at the new spot
   }
   return true;
@@ -121,8 +98,8 @@ void subsume_filter(const Dataset& ds, std::span<const ResultPair> pairs,
   const double eps2 = epsilon * epsilon;
   // The 2-D specialization reads the two coordinate columns through
   // spans so the distance math in the hot loop is branch-free and
-  // auto-vectorizable; higher dimensions fall back to dist2 (which
-  // early-exits per dimension).
+  // auto-vectorizable; other dimensionalities use Dataset::dist2, which
+  // sums every dimension (no early exit).
   if (ds.dims() == 2) {
     const std::span<const double> x = ds.dim(0);
     const std::span<const double> y = ds.dim(1);

@@ -1,14 +1,15 @@
 // Unit tests: epsilon grid index — cell assignment, linear id
 // encode/decode, non-empty-cell lookup (find_cell and the forward
-// seek_cell), adjacency enumeration against brute-force lookups, point
-// ranks, and the adjacency SlotTable against the bounds check and
-// pattern_accepts.
+// seek_cell), window walks against brute-force lookups, the ε-range
+// query against a brute-force scan, point ranks, and the adjacency
+// SlotTable against the bounds check and pattern_accepts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -31,6 +32,14 @@ Dataset grid_2d_fixture() {
   ds.push_back({{2.5, 2.5}});   // cell (2,2)
   ds.push_back({{2.7, 2.7}});   // cell (2,2)
   return ds;
+}
+
+/// True when `cc` lies inside the grid bounds.
+bool in_grid(const GridIndex& g, const CellCoords& cc) {
+  for (int d = 0; d < g.dims(); ++d) {
+    if (cc[d] < 0 || cc[d] >= g.cells_per_dim(d)) return false;
+  }
+  return true;
 }
 
 TEST(GridIndex, NonEmptyCellsOnly) {
@@ -57,7 +66,7 @@ TEST(GridIndex, EncodeDecodeRoundTrip) {
   for (const auto& cell : g.cells()) {
     const CellCoords cc = g.decode(cell.linear_id);
     EXPECT_EQ(g.encode(cc), cell.linear_id);
-    EXPECT_TRUE(g.in_bounds(cc));
+    EXPECT_TRUE(in_grid(g, cc));
   }
 }
 
@@ -104,21 +113,14 @@ TEST(GridIndex, AdjacencyFindsAllNeighbors) {
   const GridIndex g(ds, 1.0);
   // Around cell (0,0): non-empty adjacent cells are (1,0) and (0,1);
   // with origin included, also (0,0) itself. (1,1) is empty.
-  const std::size_t origin = g.find_cell(0);
-  ASSERT_NE(origin, GridIndex::npos);
+  ASSERT_NE(g.find_cell(0), GridIndex::npos);
   std::set<std::uint64_t> ids;
-  g.for_each_adjacent(origin, /*include_origin=*/true,
-                      [&](std::size_t, const CellCoords&, std::uint64_t id) {
-                        ids.insert(id);
-                      });
-  EXPECT_EQ(ids.size(), 3u);
-  std::set<std::uint64_t> without;
-  g.for_each_adjacent(origin, /*include_origin=*/false,
-                      [&](std::size_t, const CellCoords&, std::uint64_t id) {
-                        without.insert(id);
-                      });
-  EXPECT_EQ(without.size(), 2u);
-  EXPECT_FALSE(without.contains(0));
+  g.for_each_adjacent_to(g.decode(0), [&](std::size_t idx, const CellCoords&,
+                                          std::uint64_t id) {
+    EXPECT_EQ(g.cells()[idx].linear_id, id);
+    ids.insert(id);
+  });
+  EXPECT_EQ(ids, (std::set<std::uint64_t>{0, g.stride(0), g.stride(1)}));
 }
 
 TEST(GridIndex, AdjacencyRespectsBounds) {
@@ -126,11 +128,12 @@ TEST(GridIndex, AdjacencyRespectsBounds) {
   // enumeration not throwing and all coords being valid.
   const Dataset ds = gen_uniform(500, 3, 10);
   const GridIndex g(ds, 25.0);
-  for (std::size_t ci = 0; ci < g.cells().size(); ++ci) {
-    g.for_each_adjacent(ci, true,
-                        [&](std::size_t, const CellCoords& cc, std::uint64_t) {
-                          EXPECT_TRUE(g.in_bounds(cc));
-                        });
+  for (const GridCell& cell : g.cells()) {
+    g.for_each_adjacent_to(
+        g.decode(cell.linear_id),
+        [&](std::size_t, const CellCoords& cc, std::uint64_t) {
+          EXPECT_TRUE(in_grid(g, cc));
+        });
   }
 }
 
@@ -335,6 +338,46 @@ TEST(GridIndex, WithinVisitsWhatFindCellVisits) {
   }
 }
 
+TEST(GridIndex, InRangeMatchesBruteForce) {
+  for (const int dims : {2, 6}) {
+    SCOPED_TRACE(dims);
+    const Dataset ds = gen_uniform(dims == 2 ? 800 : 2000,
+                                   dims, 67, 0.0, 10.0);
+    const double cell = dims == 2 ? 1.0 : 3.0;
+    const GridIndex g(ds, cell);
+    Xoshiro256 rng(71);
+    std::vector<double> loc(static_cast<std::size_t>(dims));
+    std::size_t hits = 0;
+    for (const double ratio : {0.6, 1.0, 2.0, 2.5}) {
+      const double eps = ratio * cell;
+      for (int trial = 0; trial < 60; ++trial) {
+        // Even trials inside the bounding box, odd ones anywhere from
+        // well outside it on either side to inside it.
+        for (double& x : loc) {
+          x = trial % 2 == 0 ? rng.uniform(0.0, 10.0) : rng.uniform(-6.0, 16.0);
+        }
+        std::vector<std::pair<PointId, double>> brute;
+        for (PointId p = 0; p < ds.size(); ++p) {
+          double s = 0.0;
+          for (int d = 0; d < dims; ++d) {
+            const double diff = loc[static_cast<std::size_t>(d)] - ds.coord(p, d);
+            s += diff * diff;
+          }
+          if (s <= eps * eps) brute.emplace_back(p, s);
+        }
+        std::vector<std::pair<PointId, double>> got;
+        g.for_each_in_range(loc, eps, [&](PointId p, double d2) {
+          got.emplace_back(p, d2);
+        });
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, brute) << "eps " << eps << ", trial " << trial;
+        hits += brute.size();
+      }
+    }
+    EXPECT_GT(hits, 0u);
+  }
+}
+
 TEST(SlotTable, MatchesBoundsCheckAndPatternAccepts) {
   for (const std::vector<double>& extent :
        {std::vector<double>{4.5, 3.5, 5.5},
@@ -350,7 +393,7 @@ TEST(SlotTable, MatchesBoundsCheckAndPatternAccepts) {
       // Every in-grid cell, and every banded probe coordinate around
       // the grid (bounds and ids only: R×S ignores the pattern).
       for (const CellCoords& oc : all_coords(g, 2, 2)) {
-        const bool in_grid = g.in_bounds(oc);
+        const bool inside = in_grid(g, oc);
         const SlotTable::Origin o = table.origin(oc);
         for (std::uint32_t i = 0; i < table.size(); ++i) {
           CellCoords nc;
@@ -359,11 +402,11 @@ TEST(SlotTable, MatchesBoundsCheckAndPatternAccepts) {
             nc[d] = oc[d] + static_cast<std::int32_t>(rem % 3) - 1;
             rem /= 3;
           }
-          const bool inb = g.in_bounds(nc);
+          const bool inb = in_grid(g, nc);
           ASSERT_EQ(SlotTable::in_bounds(table[i], o), inb) << "slot " << i;
           if (!inb) continue;
           EXPECT_EQ(o.id + table[i].delta, g.encode(nc)) << "slot " << i;
-          if (in_grid) {
+          if (inside) {
             EXPECT_EQ(SlotTable::accepts(table[i], o),
                       pattern_accepts(pattern, 3, oc, nc, g.encode(oc),
                                       g.encode(nc)))

@@ -48,8 +48,8 @@ TEST(Metrics, CounterAndGauge) {
   EXPECT_DOUBLE_EQ(g.value(), 2.5);
 }
 
-/// Exact nearest-rank percentile on a sorted copy — the oracle both
-/// histogram flavours are checked against.
+/// Exact nearest-rank percentile on a sorted copy — the oracle the
+/// cycle histogram is checked against.
 std::uint64_t oracle_percentile(std::vector<std::uint64_t> xs, double q) {
   std::sort(xs.begin(), xs.end());
   const auto rank = static_cast<std::size_t>(
@@ -95,24 +95,6 @@ TEST(Metrics, CycleHistogramExactBelowSubBucketRange) {
   EXPECT_EQ(h.percentile(100.0), 63u);
 }
 
-TEST(Metrics, FixedHistogramPercentileVsOracle) {
-  obs::FixedHistogram h(0.0, 100.0, 1000);  // bucket width 0.1
-  std::vector<std::uint64_t> xs;
-  Xoshiro256 rng(11);
-  for (int i = 0; i < 5000; ++i) {
-    const auto v = rng.uniform_index(100);
-    xs.push_back(v);
-    h.observe(static_cast<double>(v));
-  }
-  for (const double q : {10.0, 50.0, 90.0, 99.0}) {
-    const auto exact = static_cast<double>(oracle_percentile(xs, q));
-    // Linear interpolation within a 0.1-wide bucket: within one bucket.
-    EXPECT_NEAR(h.percentile(q), exact, 0.1 + 1e-9) << "q=" << q;
-  }
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-}
-
 TEST(Metrics, RegistryMergeAccumulatesShards) {
   obs::Registry a, b, merged;
   a.counter("tasks").add(3);
@@ -121,8 +103,6 @@ TEST(Metrics, RegistryMergeAccumulatesShards) {
   a.gauge("wee").set(95.0);
   a.cycle_histogram("cycles").record(100);
   b.cycle_histogram("cycles").record(200);
-  a.histogram("pct", 0.0, 100.0, 10).observe(50.0);
-  b.histogram("pct", 0.0, 100.0, 10).observe(60.0);
 
   merged.merge_from(a);
   merged.merge_from(b);
@@ -131,7 +111,6 @@ TEST(Metrics, RegistryMergeAccumulatesShards) {
   EXPECT_DOUBLE_EQ(merged.gauge("wee").value(), 95.0);
   EXPECT_EQ(merged.cycle_histogram("cycles").total(), 2u);
   EXPECT_EQ(merged.cycle_histogram("cycles").max(), 200u);
-  EXPECT_EQ(merged.histogram("pct", 0.0, 100.0, 10).total(), 2u);
 }
 
 // ------------------------------------------------- metric-name hygiene
@@ -269,7 +248,7 @@ TEST(Metrics, OpenMetricsResultCacheFamilyGolden) {
 
 /// Minimal conformant OpenMetrics text-format scraper: validates line
 /// grammar, family grouping (all samples of a family contiguous, TYPE
-/// first), metric-name charset, histogram bucket monotonicity and the
+/// first), metric-name charset, summary quantile labels and the
 /// mandatory `# EOF` terminator. Fills `families` with family->type
 /// (void return: ASSERT_* requires it).
 void scrape_openmetrics(const std::string& text,
@@ -277,23 +256,19 @@ void scrape_openmetrics(const std::string& text,
   std::istringstream in(text);
   std::string line, current_family, current_type;
   bool saw_eof = false;
-  std::uint64_t last_bucket_cum = 0;
-  bool in_buckets = false;
   while (std::getline(in, line)) {
     ASSERT_FALSE(saw_eof) << "content after # EOF: " << line;
     if (line.rfind("# TYPE ", 0) == 0) {
       std::istringstream ls(line.substr(7));
       std::string family, type;
       ls >> family >> type;
-      ASSERT_TRUE(type == "counter" || type == "gauge" ||
-                  type == "histogram" || type == "summary")
+      ASSERT_TRUE(type == "counter" || type == "gauge" || type == "summary")
           << line;
       ASSERT_EQ(families.count(family), 0u)
           << "family declared twice: " << family;
       families[family] = type;
       current_family = family;
       current_type = type;
-      in_buckets = false;
       continue;
     }
     if (line == "# EOF") {
@@ -339,21 +314,6 @@ void scrape_openmetrics(const std::string& text,
       ASSERT_EQ(suffix, "_total") << line;
     } else if (current_type == "gauge") {
       ASSERT_EQ(suffix, "") << line;
-    } else if (current_type == "histogram") {
-      ASSERT_TRUE(suffix == "_bucket" || suffix == "_sum" ||
-                  suffix == "_count")
-          << line;
-      if (suffix == "_bucket") {
-        ASSERT_NE(labels.find("le=\""), std::string::npos) << line;
-        const auto cum = static_cast<std::uint64_t>(std::stod(value));
-        if (in_buckets) {
-          ASSERT_GE(cum, last_bucket_cum) << line;
-        }
-        last_bucket_cum = cum;
-        in_buckets = true;
-      } else {
-        in_buckets = false;
-      }
     } else {  // summary
       ASSERT_TRUE(suffix == "" || suffix == "_sum" || suffix == "_count")
           << line;
@@ -370,10 +330,6 @@ TEST(Metrics, OpenMetricsScraperConformance) {
   reg.counter("svc.submitted").add(10);
   reg.counter(obs::labeled("svc.completed", {{"status", "ok"}})).add(9);
   reg.gauge("svc.queue_depth").set(1.0);
-  obs::FixedHistogram& fh = reg.histogram("sj.wee_percent", 0.0, 100.0, 4);
-  fh.observe(12.0);
-  fh.observe(70.0);
-  fh.observe(250.0);  // overflow
   obs::CycleHistogram& ch = reg.cycle_histogram("sj.warp_cycles");
   ch.record(100);
   ch.record(100000);
@@ -386,7 +342,6 @@ TEST(Metrics, OpenMetricsScraperConformance) {
   EXPECT_EQ(families.at("svc_submitted"), "counter");
   EXPECT_EQ(families.at("svc_completed"), "counter");
   EXPECT_EQ(families.at("svc_queue_depth"), "gauge");
-  EXPECT_EQ(families.at("sj_wee_percent"), "histogram");
   EXPECT_EQ(families.at("sj_warp_cycles"), "summary");
   EXPECT_EQ(families.at("svc_service_seconds"), "summary");
 

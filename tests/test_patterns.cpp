@@ -59,9 +59,9 @@ TEST_P(PatternCoverage, EachAdjacentPairCoveredExactlyOnce) {
   for (std::size_t ci = 0; ci < g.cells().size(); ++ci) {
     const CellCoords oc = g.decode(g.cells()[ci].linear_id);
     const std::uint64_t oid = g.cells()[ci].linear_id;
-    g.for_each_adjacent(
-        ci, /*include_origin=*/false,
-        [&](std::size_t nidx, const CellCoords& nc, std::uint64_t nid) {
+    g.for_each_adjacent_to(
+        oc, [&](std::size_t nidx, const CellCoords& nc, std::uint64_t nid) {
+          if (nid == oid) return;  // the origin itself
           const bool fwd = pattern_accepts(pattern, dims, oc, nc, oid, nid);
           const CellCoords oc2 = g.decode(g.cells()[nidx].linear_id);
           const bool bwd = pattern_accepts(pattern, dims, oc2, oc, nid, oid);

@@ -266,7 +266,7 @@ TEST(Reference, NeighborCountsMatchBruteForce) {
   const GridIndex g(ds, eps);
   std::vector<PointId> all(ds.size());
   std::iota(all.begin(), all.end(), PointId{0});
-  const auto counts = neighbor_counts(g, all);
+  const auto counts = neighbor_counts(g, ds, all);
   const ResultSet bf = brute_force_join(ds, eps);
   std::vector<std::uint64_t> truth(ds.size(), 0);
   for (const auto& [a, b] : bf.pairs()) truth[a]++;
