@@ -18,6 +18,15 @@ std::int64_t parse_int(const std::string& text, const std::string& what) {
   return parsed;
 }
 
+std::int64_t parse_int(const std::string& text, const std::string& what,
+                       std::int64_t lo, std::int64_t hi) {
+  const std::int64_t parsed = parse_int(text, what);
+  GSJ_CHECK_MSG(parsed >= lo && parsed <= hi,
+                what << ": expected an integer in [" << lo << ", " << hi
+                     << "], got '" << text << "'");
+  return parsed;
+}
+
 double parse_double(const std::string& text, const std::string& what) {
   char* end = nullptr;
   errno = 0;
@@ -69,6 +78,12 @@ std::string Cli::get(const std::string& name, const std::string& def,
 std::int64_t Cli::get_int(const std::string& name, std::int64_t def,
                           const std::string& help) {
   return parse_int(get(name, std::to_string(def), help), "--" + name);
+}
+
+std::int64_t Cli::get_int(const std::string& name, std::int64_t def,
+                          std::int64_t lo, std::int64_t hi,
+                          const std::string& help) {
+  return parse_int(get(name, std::to_string(def), help), "--" + name, lo, hi);
 }
 
 double Cli::get_double(const std::string& name, double def,

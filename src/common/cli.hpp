@@ -18,6 +18,12 @@ namespace gsj {
 /// `what` names the flag or key the text came from.
 [[nodiscard]] std::int64_t parse_int(const std::string& text,
                                      const std::string& what);
+/// parse_int bounded to [lo, hi]: a value outside throws CheckError
+/// "<what>: expected an integer in [lo, hi], got '<text>'", so a caller
+/// narrowing the result to a smaller type never wraps or truncates.
+[[nodiscard]] std::int64_t parse_int(const std::string& text,
+                                     const std::string& what, std::int64_t lo,
+                                     std::int64_t hi);
 [[nodiscard]] double parse_double(const std::string& text,
                                   const std::string& what);
 
@@ -36,6 +42,11 @@ class Cli {
   /// out-of-range magnitudes throw CheckError naming the flag, instead
   /// of silently yielding 0 or a truncated prefix.
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def,
+                                     const std::string& help = "");
+  /// get_int bounded to [lo, hi] (parse_int's ranged form); `def` must
+  /// lie inside.
+  [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def,
+                                     std::int64_t lo, std::int64_t hi,
                                      const std::string& help = "");
   [[nodiscard]] double get_double(const std::string& name, double def,
                                   const std::string& help = "");

@@ -101,8 +101,9 @@ struct BatchPlan {
 /// cached dataset skips the sampling join. A non-null `probe` estimates
 /// an R×S join (JoinMode::RxS) instead: the sample is drawn from probe
 /// point ids, counted against the gridded dataset
-/// (probe_neighbor_counts) and extrapolated to |probe|; the cache then
-/// also keys on the probe's identity.
+/// (neighbor_counts(grid, *probe, sample), sj/reference.hpp) and
+/// extrapolated to |probe|; the cache then also keys on the probe's
+/// identity.
 [[nodiscard]] std::uint64_t estimate_strided_total(
     const GridIndex& grid, const BatchingConfig& cfg,
     const Dataset* probe = nullptr);

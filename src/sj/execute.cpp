@@ -27,6 +27,11 @@ namespace {
 /// A single-device driver additionally keeps per-slot stats, tracer
 /// warp/batch events and the cycle offset of back-to-back batches; on a
 /// fleet, device-level accounting supersedes them.
+///
+/// A 2-D run's scan columns (scan_columns) are built here, once per
+/// run, and shared by every launch: an overflow-split run may launch
+/// thousands of batches, and the copy is scoped to the run so no cache
+/// keeps it alive between runs.
 class BatchDriver {
  public:
   /// Modeled device time and committed stats of one run() call.
@@ -53,6 +58,7 @@ class BatchDriver {
         // GPU join (or its fault-injection override). The maximum
         // buffer_pairs is ResultSet::kUnlimited: one unbounded batch.
         capacity_(cfg.batching.effective_capacity()),
+        columns_(scan_columns(*in.grid)),
         collect_(cfg.collect_diagnostics || tracer_ != nullptr ||
                  cfg.metrics != nullptr),
         warp_cycle_hist_(cfg.metrics != nullptr
@@ -248,6 +254,7 @@ class BatchDriver {
     params.counter = &counter_;
     params.device = &device;
     params.results = &out_.results;
+    params.columns = columns_;
 
     const std::uint64_t groups = cfg_.work_queue ? queue_len : points.size();
     const std::uint64_t nthreads = groups * static_cast<std::uint64_t>(cfg_.k);
@@ -366,6 +373,7 @@ class BatchDriver {
   obs::Tracer* const tracer_;      ///< single-device run tracer, else null
   obs::Tracer* const req_tracer_;  ///< request channel, null off-request
   const std::uint64_t capacity_;
+  const std::vector<double> columns_;  ///< scan_columns(*in.grid)
   const bool collect_;
   obs::CycleHistogram* const warp_cycle_hist_;
   simt::WarpObserver observer_;

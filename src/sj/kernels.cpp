@@ -13,6 +13,19 @@ std::string to_string(Assignment a) {
   return a == Assignment::Static ? "STATIC" : "WORKQUEUE";
 }
 
+std::vector<double> scan_columns(const GridIndex& grid) {
+  if (grid.dims() != 2) return {};
+  const std::span<const PointId> ids = grid.point_ids();
+  const std::size_t n = ids.size();
+  const Dataset& ds = grid.dataset();
+  std::vector<double> columns(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    columns[i] = ds.coord(ids[i], 0);
+    columns[n + i] = ds.coord(ids[i], 1);
+  }
+  return columns;
+}
+
 namespace {
 
 /// The launch's grid, checked before the member initializers use it.
@@ -21,7 +34,46 @@ const GridIndex& grid_of(const KernelParams& p) {
   return *p.grid;
 }
 
+// Two doubles and two 64-bit masks: GCC/Clang vector extensions, one
+// SSE2 register on x86-64 and one NEON register on AArch64. A compare
+// of two f64x2 yields all-ones or zero per lane.
+using f64x2 = double __attribute__((vector_size(16)));
+using u64x2 = std::uint64_t __attribute__((vector_size(16)));
+
 }  // namespace
+
+std::uint64_t SelfJoinKernel::hit_mask(PointId q, std::uint32_t pos,
+                                       std::uint32_t len) const noexcept {
+  const auto k = static_cast<std::uint32_t>(p_.k);
+  if (dims_ != 2) {
+    std::uint64_t mask = 0;
+    for (std::uint32_t i = 0; i < len; ++i, pos += k) {
+      mask |= std::uint64_t{within_eps(q, point_ids_[pos])} << i;
+    }
+    return mask;
+  }
+  // Candidates i and i + 1 at once: lane j of `bit` holds bit i + j, so
+  // each compare ORs its hits into `hits` in place. The sum is
+  // dx·dx + dy·dy, which equals scan()'s 0 + dx·dx + dy·dy bit for bit.
+  const double qx = qcoords_[0][q];
+  const double qy = qcoords_[1][q];
+  u64x2 hits = {0, 0};
+  u64x2 bit = {1, 2};
+  std::uint32_t i = 0;
+  for (; i + 1 < len; i += 2, pos += 2 * k) {
+    const f64x2 dx = qx - f64x2{col_x_[pos], col_x_[pos + k]};
+    const f64x2 dy = qy - f64x2{col_y_[pos], col_y_[pos + k]};
+    hits |= (u64x2)(dx * dx + dy * dy <= eps2_) & bit;
+    bit <<= 2;
+  }
+  std::uint64_t mask = hits[0] | hits[1];
+  if (i < len) {  // an odd last candidate
+    const double dx = qx - col_x_[pos];
+    const double dy = qy - col_y_[pos];
+    mask |= std::uint64_t{dx * dx + dy * dy <= eps2_} << i;
+  }
+  return mask;
+}
 
 SelfJoinKernel::SelfJoinKernel(const KernelParams& p)
     : p_(p),
@@ -44,6 +96,15 @@ SelfJoinKernel::SelfJoinKernel(const KernelParams& p)
   dims_ = grid.dims();
   for (int d = 0; d < dims_; ++d) {
     coords_[static_cast<std::size_t>(d)] = grid.dataset().dim(d).data();
+  }
+  if (dims_ == 2) {
+    const std::size_t n = grid.point_ids().size();
+    GSJ_CHECK_MSG(p.columns.size() == 2 * n,
+                  "2-D launch needs scan_columns(grid): got "
+                      << p.columns.size() << " doubles for " << n
+                      << " points");
+    col_x_ = p.columns.data();
+    col_y_ = col_x_ + n;
   }
   rxs_ = p.probe != nullptr;
   if (rxs_) {

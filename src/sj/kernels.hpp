@@ -37,6 +37,10 @@
 // lane's steps become 64-step bitmasks per cost class, and the warp
 // reduces them to each step's max cost in the device's cost order. The
 // modeled steps, cycles and emissions are exactly the per-step ones.
+// In 2-D the replay's hit tests read the candidates' coordinates from
+// the run's scan columns (scan_columns: x and y copied into grid order),
+// two candidates per vector compare, instead of gathering them through
+// point_ids (docs/PERFORMANCE.md, "Contiguous 2-D scan").
 //
 // Result-pair semantics match reference.hpp: all ordered pairs with
 // self pairs. FULL evaluates both directions and emits one pair per
@@ -57,6 +61,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "grid/cell_access.hpp"
 #include "grid/grid_index.hpp"
@@ -97,7 +102,17 @@ struct KernelParams {
   simt::DeviceCounter* counter = nullptr;
   const simt::DeviceConfig* device = nullptr;
   ResultSet* results = nullptr;
+  /// scan_columns(*grid): required, 2·n long, when the grid is 2-D;
+  /// ignored otherwise. Must outlive the kernel.
+  std::span<const double> columns;
 };
+
+/// The 2-D replay's scan columns: the gridded points' x coordinates,
+/// then their y coordinates, each in grid order (position i holds point
+/// grid.point_ids()[i]), so a cell's candidates are one contiguous range
+/// of each column. Empty when the grid is not 2-D. A run builds them
+/// once and hands them to every launch through KernelParams::columns.
+[[nodiscard]] std::vector<double> scan_columns(const GridIndex& grid);
 
 class SelfJoinKernel {
  public:
@@ -217,38 +232,11 @@ class SelfJoinKernel {
   bool find_cell(const LaneState& s, const std::uint64_t* walked, Walk& w,
                  std::uint32_t limit, WindowCell& out) const;
   /// Bit i set iff candidate point_ids_[pos + i·k] is within ε of `q`,
-  /// for i < len <= 64: scan()'s test over a run of candidates. In 2-D
-  /// the query is loaded once for the run.
+  /// for i < len <= 64: scan()'s test over a run of candidates. Outside
+  /// 2-D it is within_eps itself; in 2-D it reads the scan columns, two
+  /// candidates per vector compare, with scan()'s sum and bound.
   [[nodiscard]] std::uint64_t hit_mask(PointId q, std::uint32_t pos,
-                                       std::uint32_t len) const noexcept {
-    std::uint64_t mask = 0;
-    const auto k = static_cast<std::uint32_t>(p_.k);
-    if (dims_ == 2) {
-      const double qx = qcoords_[0][q];
-      const double qy = qcoords_[1][q];
-      for (std::uint32_t i = 0; i < len; ++i, pos += k) {
-        mask |= std::uint64_t{dist2_2d(qx, qy, point_ids_[pos]) <= eps2_} << i;
-      }
-      return mask;
-    }
-    for (std::uint32_t i = 0; i < len; ++i, pos += k) {
-      mask |= std::uint64_t{within_eps(q, point_ids_[pos])} << i;
-    }
-    return mask;
-  }
-
-  /// dist2 for dims == 2 with the query's coordinates passed in: the
-  /// same summation order, so scan() (through within_eps) and hit_mask
-  /// share one 2-D distance routine.
-  [[nodiscard]] double dist2_2d(double qx, double qy,
-                                PointId b) const noexcept {
-    double sum = 0.0;
-    const double dx = qx - coords_[0][b];
-    sum += dx * dx;
-    const double dy = qy - coords_[1][b];
-    sum += dy * dy;
-    return sum;
-  }
+                                       std::uint32_t len) const noexcept;
 
   /// Query `a` (probe dataset in R×S mode, gridded dataset otherwise)
   /// against candidate `b` (always the gridded dataset). qcoords_
@@ -270,8 +258,7 @@ class SelfJoinKernel {
   /// The hit test of scan() and, outside 2-D, of the replay's
   /// hit_mask, so the two paths cannot disagree on a pair.
   [[nodiscard]] bool within_eps(PointId a, PointId b) const noexcept {
-    if (dims_ == 2) return dist2_2d(qcoords_[0][a], qcoords_[1][a], b) <= eps2_;
-    if (dims_ < 2) return dist2(a, b) <= eps2_;
+    if (dims_ <= 2) return dist2(a, b) <= eps2_;
     double sum = 0.0;
     for (int d = 0; d < dims_; ++d) {
       const double diff = qcoords_[static_cast<std::size_t>(d)][a] -
@@ -289,6 +276,9 @@ class SelfJoinKernel {
   const PointId* point_ids_ = nullptr;
   std::array<const double*, kMaxDims> coords_{};   ///< gridded dataset
   std::array<const double*, kMaxDims> qcoords_{};  ///< query side (== coords_ for Self)
+  /// 2-D: the scan columns' x and y halves, indexed by grid position.
+  const double* col_x_ = nullptr;
+  const double* col_y_ = nullptr;
   int dims_ = 0;
   double eps2_ = 0.0;
   bool unidirectional_ = false;

@@ -189,6 +189,28 @@ TEST(Cli, AcceptsWellFormedNumericValues) {
   EXPECT_DOUBLE_EQ(cli.get_double("absent2", 0.25), 0.25);
 }
 
+TEST(Cli, RangedGetIntRejectsValuesOutsideItsBounds) {
+  // A flag narrowed to int or size_t once wrapped: "--workers -1" became
+  // SIZE_MAX and "--host-threads 4294967297" ran with 1 thread.
+  const char* argv[] = {"prog", "--workers", "-1", "--threads", "4294967297",
+                        "--k", "8"};
+  Cli cli(7, argv);
+  EXPECT_EQ(cli.get_int("k", 1, 1, 32), 8);
+  EXPECT_EQ(cli.get_int("absent", 4, 1, 32), 4);
+  EXPECT_THROW((void)cli.get_int("threads", 0, 0, 1024), CheckError);
+  try {
+    (void)cli.get_int("workers", 4, 1, 1024);
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "--workers: expected an integer in [1, 1024], got '-1'"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(parse_int("7", "key", 0, 7), 7);
+  EXPECT_THROW((void)parse_int("8", "key", 0, 7), CheckError);
+}
+
 TEST(Cli, StrictParseNamesTheSourceAndValue) {
   // The tools' own CSV and request-file tokens once went through
   // std::stoi/std::stod, which stop at the first bad character:

@@ -3,16 +3,17 @@
 // launch exactly as the per-step lockstep loop leaves it — every
 // KernelStats field, the raw emission stream (order and batch-capacity
 // clamp included), results_emitted and the WarpObserver records — for
-// the six paper variants on self-join 2-D / 6-D and R×S 2-D inputs,
-// with pairs stored or only counted, on the sequential and the parallel
-// host path. A golden test pins the modeled counts and a digest of the
-// emission stream to the values the per-step simulator produced; a
-// second pins them for NextCell-bound inputs (sparse 6-D, R×S with
-// out-of-bbox probes, 1-D, 8-D and one- or two-cell dimensions), whose
-// lane-steps are almost all adjacency-slot steps. The edge tests cover
-// narrow warps with cooperative groups, cost tables whose class order
-// matches neither default, a lane its group's ring leaves behind, and
-// the accepted-slot masks the window walks read.
+// the six paper variants on self-join 2-D / 6-D and R×S 2-D inputs and
+// a 2-D lattice full of exact-ε ties, with pairs stored or only
+// counted, on the sequential and the parallel host path. A golden test
+// pins the modeled counts and a digest of the emission stream to the
+// values the per-step simulator produced; a second pins them for
+// NextCell-bound inputs (sparse 6-D, R×S with out-of-bbox probes, 1-D,
+// 8-D and one- or two-cell dimensions), whose lane-steps are almost all
+// adjacency-slot steps. The edge tests cover narrow warps with
+// cooperative groups, cost tables whose class order matches neither
+// default, a lane its group's ring leaves behind, and the accepted-slot
+// masks the window walks read.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -115,15 +116,20 @@ constexpr Variant kVariants[] = {
     {"COMBINED", CellPattern::LidUnicomp, false, true, 8},
 };
 
-/// A gridded dataset and, for R×S, the probe side (empty: self-join).
-/// Never moved once built: the grid points into `ds`.
+/// A gridded dataset, its scan columns and, for R×S, the probe side
+/// (empty: self-join). Never moved once built: the grid points into
+/// `ds`.
 struct Input {
   Dataset ds;
   Dataset probe;
   GridIndex grid;
+  std::vector<double> columns;  ///< as the batch driver builds them
 
   Input(Dataset d, double eps, Dataset p = Dataset())
-      : ds(std::move(d)), probe(std::move(p)), grid(ds, eps) {}
+      : ds(std::move(d)),
+        probe(std::move(p)),
+        grid(ds, eps),
+        columns(scan_columns(grid)) {}
   [[nodiscard]] bool rxs() const { return probe.size() > 0; }
 };
 
@@ -138,6 +144,32 @@ const Input& self_6d() {
 const Input& rxs_2d() {
   static const Input in(gen_exponential(2500, 2, 121), 0.04,
                         gen_exponential(1500, 2, 122));
+  return in;
+}
+
+/// Exact-ε ties: a 20 × 20 lattice of spacing ε/2 with ε = 0.25, so
+/// every coordinate, difference and square is exact in binary and each
+/// site two steps away along an axis lies at exactly ε. Sites are
+/// stacked 5 to 7 deep, interleaved: a cell holds 20 to 28 candidates,
+/// more than two per lane of a k = 8 group, in runs of odd and even
+/// length, and many of the 2-D hit test's candidate pairs straddle or
+/// sit on the boundary.
+const Input& tie_2d() {
+  static const Input in(
+      [] {
+        Dataset ds(2);
+        for (int copy = 0; copy < 7; ++copy) {
+          for (int i = 0; i < 20; ++i) {
+            for (int j = 0; j < 20; ++j) {
+              if (copy < 5 + (3 * i + j) % 3) {
+                ds.push_back(std::vector<double>{i * 0.125, j * 0.125});
+              }
+            }
+          }
+        }
+        return ds;
+      }(),
+      0.25);
   return in;
 }
 
@@ -195,6 +227,7 @@ struct Harness {
     p.counter = &counter;
     p.device = &dev;
     p.results = &results;
+    p.columns = in.columns;
     results.begin_batch(capacity);
     SelfJoinKernel kernel(p);
     Wrapper wrapped(kernel);
@@ -276,8 +309,10 @@ struct InputCase {
   const Input& (*get)();
 };
 
-constexpr InputCase kInputs[] = {
-    {"Self2D", &self_2d}, {"Self6D", &self_6d}, {"RxS2D", &rxs_2d}};
+constexpr InputCase kInputs[] = {{"Self2D", &self_2d},
+                                  {"Self6D", &self_6d},
+                                  {"RxS2D", &rxs_2d},
+                                  {"Tie2D", &tie_2d}};
 
 using Params = std::tuple<int, int, bool, int>;  // input, variant, store, threads
 
@@ -302,7 +337,7 @@ TEST_P(FastForwardEquivalence, MatchesPerStepLoop) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllVariants, FastForwardEquivalence,
-    ::testing::Combine(::testing::Range(0, 3), ::testing::Range(0, 6),
+    ::testing::Combine(::testing::Range(0, 4), ::testing::Range(0, 6),
                        ::testing::Bool(), ::testing::Values(0, 4)),
     [](const ::testing::TestParamInfo<Params>& param) {
       // std::get, not a structured binding: its commas would split the

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "common/check.hpp"
 #include "data/generators.hpp"
@@ -19,9 +21,12 @@ struct Fixture {
   ResultSet results{true};
   simt::DeviceCounter counter;
   std::vector<PointId> ids;
+  std::vector<double> columns;
 
   explicit Fixture(std::size_t n = 200, double eps = 0.6)
-      : ds(gen_uniform(n, 2, 61, 0.0, 5.0)), grid(ds, eps) {
+      : ds(gen_uniform(n, 2, 61, 0.0, 5.0)),
+        grid(ds, eps),
+        columns(scan_columns(grid)) {
     ids.resize(n);
     std::iota(ids.begin(), ids.end(), PointId{0});
   }
@@ -37,6 +42,7 @@ struct Fixture {
     p.counter = &counter;
     p.device = &device;
     p.results = &results;
+    p.columns = columns;
     return p;
   }
 };
@@ -50,6 +56,14 @@ TEST(Kernel, ValidatesParams) {
   EXPECT_THROW(SelfJoinKernel{p}, CheckError);
   p = fx.params(CellPattern::Full, Assignment::WorkQueue, 1);
   p.counter = nullptr;
+  EXPECT_THROW(SelfJoinKernel{p}, CheckError);
+  // A 2-D launch reads its candidates from the run's scan columns: x
+  // then y, 2·n doubles.
+  p = fx.params(CellPattern::Full, Assignment::Static, 1);
+  ASSERT_EQ(p.columns.size(), 2 * fx.ds.size());
+  p.columns = {};
+  EXPECT_THROW(SelfJoinKernel{p}, CheckError);
+  p.columns = std::span<const double>(fx.columns).first(2 * fx.ds.size() - 1);
   EXPECT_THROW(SelfJoinKernel{p}, CheckError);
 }
 

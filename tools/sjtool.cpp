@@ -36,6 +36,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <random>
 #include <sstream>
@@ -64,6 +65,32 @@
 #include "superego/super_ego.hpp"
 
 namespace {
+
+// Integer flag bounds, checked while flags are parsed and so before any
+// thread starts: every narrowing cast of a flag below is of a value
+// already inside its target type.
+constexpr std::int64_t kMaxThreads = 1024;  ///< every thread-count flag
+constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr std::int64_t kMaxI64 = std::numeric_limits<std::int64_t>::max();
+/// --n and --probe-n: point ids are 32-bit.
+constexpr std::int64_t kMaxPoints = std::numeric_limits<gsj::PointId>::max();
+
+/// --host-threads, read by every subcommand that launches kernels.
+int host_threads_flag(gsj::Cli& cli) {
+  return static_cast<int>(cli.get_int("host-threads", 0, 0, kMaxThreads,
+                                      "host worker threads (0 = sequential)"));
+}
+
+/// --seed of an in-process generated dataset.
+std::uint64_t seed_flag(gsj::Cli& cli) {
+  return static_cast<std::uint64_t>(cli.get_int("seed", 1, 0, kMaxI64, ""));
+}
+
+/// --n of an in-process generated dataset.
+std::size_t n_flag(gsj::Cli& cli, std::int64_t def) {
+  return static_cast<std::size_t>(cli.get_int("n", def, 0, kMaxPoints,
+                                              "points (0 = spec default)"));
+}
 
 int usage() {
   std::cout <<
@@ -165,18 +192,19 @@ int usage() {
 /// path (docs/ROBUSTNESS.md).
 void apply_batching_flags(gsj::Cli& cli, gsj::BatchingConfig& b) {
   b.buffer_pairs = static_cast<std::uint64_t>(cli.get_int(
-      "buffer-pairs", static_cast<std::int64_t>(b.buffer_pairs),
+      "buffer-pairs", static_cast<std::int64_t>(b.buffer_pairs), 1, kMaxI64,
       "per-batch result buffer capacity (pairs)"));
   b.safety = cli.get_double("safety", b.safety, "batch-count safety factor");
   b.max_overflow_retries = static_cast<std::uint64_t>(cli.get_int(
       "max-overflow-retries",
-      static_cast<std::int64_t>(b.max_overflow_retries),
+      static_cast<std::int64_t>(b.max_overflow_retries), 0, kMaxI64,
       "failed-launch budget before the join gives up"));
   b.inject_estimator_skew = cli.get_double(
       "inject-estimator-skew", b.inject_estimator_skew,
       "fault injection: multiply result-size estimates (<1 = undershoot)");
   b.inject_capacity = static_cast<std::uint64_t>(cli.get_int(
-      "inject-capacity", static_cast<std::int64_t>(b.inject_capacity),
+      "inject-capacity", static_cast<std::int64_t>(b.inject_capacity), 0,
+      kMaxI64,
       "fault injection: override overflow-detection capacity (0 = off)"));
 }
 
@@ -201,10 +229,11 @@ std::vector<std::string> split_csv(const std::string& s) {
 gsj::simt::FleetConfig parse_fleet_flags(gsj::Cli& cli,
                                          const gsj::simt::DeviceConfig& base) {
   gsj::simt::FleetConfig fc;
-  fc.num_devices = static_cast<int>(cli.get_int(
-      "devices", 1, "modeled devices (1 = classic single-device path)"));
+  fc.num_devices = static_cast<int>(
+      cli.get_int("devices", 1, 1, kMaxInt,
+                  "modeled devices (1 = classic single-device path)"));
   fc.grains_per_device = static_cast<int>(
-      cli.get_int("grains-per-device", fc.grains_per_device,
+      cli.get_int("grains-per-device", fc.grains_per_device, 1, kMaxInt,
                   "work grains per device (adaptive sharding granularity)"));
   fc.adaptive = !cli.get_bool(
       "fleet-static", false,
@@ -214,8 +243,7 @@ gsj::simt::FleetConfig parse_fleet_flags(gsj::Cli& cli,
   const std::string clock_csv =
       cli.get("device-clock", "", "per-device clocks in GHz, CSV");
   if (!sms_csv.empty() || !clock_csv.empty()) {
-    fc.devices.assign(static_cast<std::size_t>(std::max(fc.num_devices, 1)),
-                      base);
+    fc.devices.assign(static_cast<std::size_t>(fc.num_devices), base);
     const auto apply = [&](const std::string& csv, auto&& set) {
       if (csv.empty()) return;
       const std::vector<std::string> vals = split_csv(csv);
@@ -227,7 +255,8 @@ gsj::simt::FleetConfig parse_fleet_flags(gsj::Cli& cli,
       }
     };
     apply(sms_csv, [](gsj::simt::DeviceConfig& d, const std::string& v) {
-      d.num_sms = static_cast<int>(gsj::parse_int(v, "--device-sms"));
+      d.num_sms =
+          static_cast<int>(gsj::parse_int(v, "--device-sms", 1, kMaxInt));
     });
     apply(clock_csv, [](gsj::simt::DeviceConfig& d, const std::string& v) {
       d.clock_ghz = gsj::parse_double(v, "--device-clock");
@@ -290,9 +319,8 @@ bool make_gpu_config(const std::string& variant, double eps,
 int cmd_generate(gsj::Cli& cli) {
   const std::string name =
       cli.get("dataset", "Unif2D2M", "Table I dataset name");
-  const auto n = static_cast<std::size_t>(
-      cli.get_int("n", 0, "points (0 = spec default)"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1, ""));
+  const std::size_t n = n_flag(cli, 0);
+  const std::uint64_t seed = seed_flag(cli);
   const std::string out = cli.get("out", "dataset.bin", "output path");
   reject_unknown_flags(cli);
   const gsj::Dataset ds = gsj::make_dataset(name, n, seed);
@@ -337,7 +365,7 @@ int cmd_join(gsj::Cli& cli) {
     gsj::SuperEgoConfig cfg;
     cfg.epsilon = eps;
     cfg.nthreads = static_cast<std::size_t>(
-        cli.get_int("threads", 0, "SUPER-EGO threads"));
+        cli.get_int("threads", 0, 0, kMaxThreads, "SUPER-EGO threads"));
     cfg.store_pairs = !pairs_out.empty();
     reject_unknown_flags(cli);
     const auto out = gsj::super_ego_join(ds, cfg);
@@ -359,11 +387,11 @@ int cmd_join(gsj::Cli& cli) {
     std::cerr << "unknown variant: " << variant << "\n";
     return usage();
   }
-  cfg.k = static_cast<int>(cli.get_int("k", cfg.k, "threads per point"));
-  cfg.device.num_sms =
-      static_cast<int>(cli.get_int("sms", cfg.device.num_sms, "modeled SMs"));
-  cfg.device.host.num_threads = static_cast<int>(
-      cli.get_int("host-threads", 0, "host worker threads (0 = sequential)"));
+  cfg.k = static_cast<int>(
+      cli.get_int("k", cfg.k, 1, kMaxInt, "threads per point"));
+  cfg.device.num_sms = static_cast<int>(
+      cli.get_int("sms", cfg.device.num_sms, 1, kMaxInt, "modeled SMs"));
+  cfg.device.host.num_threads = host_threads_flag(cli);
   apply_batching_flags(cli, cfg.batching);
   cfg.fleet = parse_fleet_flags(cli, cfg.device);
   cfg.store_pairs = !pairs_out.empty();
@@ -398,7 +426,8 @@ int cmd_join(gsj::Cli& cli) {
 
 int cmd_knn(gsj::Cli& cli) {
   const gsj::Dataset ds = load_input(cli);
-  const int k = static_cast<int>(cli.get_int("k", 0, "neighbors per query"));
+  const int k = static_cast<int>(
+      cli.get_int("k", 0, 0, kMaxInt, "neighbors per query"));
   GSJ_CHECK_MSG(k > 0, "--k is required and must be > 0");
   const std::string queries_path = cli.get(
       "queries", "", "query dataset (.bin); default: the input itself");
@@ -406,10 +435,9 @@ int cmd_knn(gsj::Cli& cli) {
       cli.get("pairs-out", "", "write (query,neighbor) pairs to CSV");
 
   gsj::SelfJoinConfig cfg;
-  cfg.device.num_sms =
-      static_cast<int>(cli.get_int("sms", cfg.device.num_sms, "modeled SMs"));
-  cfg.device.host.num_threads = static_cast<int>(
-      cli.get_int("host-threads", 0, "host worker threads (0 = sequential)"));
+  cfg.device.num_sms = static_cast<int>(
+      cli.get_int("sms", cfg.device.num_sms, 1, kMaxInt, "modeled SMs"));
+  cfg.device.host.num_threads = host_threads_flag(cli);
   apply_batching_flags(cli, cfg.batching);
   cfg.knn_growth = cli.get_double("growth", cfg.knn_growth,
                                   "eps-widening growth factor (> 1)");
@@ -448,10 +476,10 @@ int cmd_dbscan(gsj::Cli& cli) {
   gsj::DbscanConfig cfg;
   cfg.epsilon = cli.get_double("epsilon", 0.0, "DBSCAN epsilon");
   GSJ_CHECK_MSG(cfg.epsilon > 0.0, "--epsilon is required and must be > 0");
-  cfg.min_pts = static_cast<std::uint32_t>(
-      cli.get_int("minpts", 4, "DBSCAN minPts"));
-  cfg.join.device.host.num_threads = static_cast<int>(
-      cli.get_int("host-threads", 0, "host worker threads (0 = sequential)"));
+  cfg.min_pts = static_cast<std::uint32_t>(cli.get_int(
+      "minpts", 4, 1, std::numeric_limits<std::uint32_t>::max(),
+      "DBSCAN minPts"));
+  cfg.join.device.host.num_threads = host_threads_flag(cli);
   apply_batching_flags(cli, cfg.join.batching);
   const std::string labels_out =
       cli.get("labels-out", "", "write per-point labels to CSV");
@@ -479,10 +507,8 @@ int cmd_profile(gsj::Cli& cli) {
     if (!input.empty()) return gsj::load_binary(input);
     const std::string name =
         cli.get("dataset", "Expo2D2M", "Table I dataset to generate");
-    const auto n = static_cast<std::size_t>(
-        cli.get_int("n", 20000, "points (0 = spec default)"));
-    const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1, ""));
-    return gsj::make_dataset(name, n, seed);
+    const std::size_t n = n_flag(cli, 20000);
+    return gsj::make_dataset(name, n, seed_flag(cli));
   }();
 
   const double eps = cli.get_double("epsilon", 0.0, "join radius");
@@ -504,7 +530,7 @@ int cmd_profile(gsj::Cli& cli) {
     gsj::SuperEgoConfig cfg;
     cfg.epsilon = eps;
     cfg.nthreads = static_cast<std::size_t>(
-        cli.get_int("threads", 0, "SUPER-EGO threads"));
+        cli.get_int("threads", 0, 0, kMaxThreads, "SUPER-EGO threads"));
     cfg.tracer = &tracer;
     cfg.metrics = &metrics;
     reject_unknown_flags(cli);
@@ -517,11 +543,11 @@ int cmd_profile(gsj::Cli& cli) {
       std::cerr << "unknown variant: " << variant << "\n";
       return usage();
     }
-    cfg.k = static_cast<int>(cli.get_int("k", cfg.k, "threads per point"));
-    cfg.device.num_sms =
-        static_cast<int>(cli.get_int("sms", cfg.device.num_sms, "modeled SMs"));
-    cfg.device.host.num_threads = static_cast<int>(
-        cli.get_int("host-threads", 0, "host worker threads (0 = sequential)"));
+    cfg.k = static_cast<int>(
+        cli.get_int("k", cfg.k, 1, kMaxInt, "threads per point"));
+    cfg.device.num_sms = static_cast<int>(
+        cli.get_int("sms", cfg.device.num_sms, 1, kMaxInt, "modeled SMs"));
+    cfg.device.host.num_threads = host_threads_flag(cli);
     apply_batching_flags(cli, cfg.batching);
     cfg.tracer = &tracer;
     cfg.metrics = &metrics;
@@ -583,10 +609,8 @@ int cmd_sweep(gsj::Cli& cli) {
     if (!input.empty()) return gsj::load_binary(input);
     const std::string name =
         cli.get("dataset", "Expo2D2M", "Table I dataset to generate");
-    const auto n = static_cast<std::size_t>(
-        cli.get_int("n", 20000, "points (0 = spec default)"));
-    const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1, ""));
-    return gsj::make_dataset(name, n, seed);
+    const std::size_t n = n_flag(cli, 20000);
+    return gsj::make_dataset(name, n, seed_flag(cli));
   }();
 
   const std::string eps_flag =
@@ -599,9 +623,9 @@ int cmd_sweep(gsj::Cli& cli) {
   const std::vector<std::string> variants = split_csv(cli.get(
       "variants", "gpucalcglobal,unicomp,lidunicomp,sortbywl,workqueue,combined",
       "comma-separated GPU variants"));
-  const int sms = static_cast<int>(cli.get_int("sms", 0, "modeled SMs (0 = default)"));
-  const int host_threads = static_cast<int>(
-      cli.get_int("host-threads", 0, "host worker threads (0 = sequential)"));
+  const int sms = static_cast<int>(
+      cli.get_int("sms", 0, 0, kMaxInt, "modeled SMs (0 = default)"));
+  const int host_threads = host_threads_flag(cli);
   gsj::BatchingConfig batching;
   apply_batching_flags(cli, batching);
   const bool per_call = cli.get_bool(
@@ -768,7 +792,8 @@ ServeRequest parse_request_line(const std::string& line) {
     const std::string val = tok.substr(eq + 1);
     const std::string what = "request key '" + key + "'";
     const auto as_int = [&] {
-      return static_cast<int>(gsj::parse_int(val, what));
+      return static_cast<int>(gsj::parse_int(
+          val, what, std::numeric_limits<int>::min(), kMaxInt));
     };
     if (key == "epsilon") {
       r.epsilon = gsj::parse_double(val, what);
@@ -803,30 +828,28 @@ ServeRequest parse_request_line(const std::string& line) {
 int cmd_serve(gsj::Cli& cli) {
   // Dataset: an existing .bin, or generated in-process.
   const std::string input = cli.get("input", "", "input dataset (.bin)");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1, ""));
+  const std::uint64_t seed = seed_flag(cli);
   gsj::Dataset ds = [&] {
     if (!input.empty()) return gsj::load_binary(input);
     const std::string name =
         cli.get("dataset", "Expo2D2M", "Table I dataset to generate");
-    const auto n = static_cast<std::size_t>(
-        cli.get_int("n", 20000, "points (0 = spec default)"));
-    return gsj::make_dataset(name, n, seed);
+    return gsj::make_dataset(name, n_flag(cli, 20000), seed);
   }();
 
   const std::string requests_path =
       cli.get("requests", "", "requests file (key=value lines)");
-  const int stress = static_cast<int>(cli.get_int(
-      "stress", 0, "generate N seeded random requests instead of a file"));
+  const int stress = static_cast<int>(
+      cli.get_int("stress", 0, 0, kMaxInt,
+                  "generate N seeded random requests instead of a file"));
   GSJ_CHECK_MSG(!requests_path.empty() || stress > 0,
                 "--requests or --stress is required");
   const auto workers = static_cast<std::size_t>(
-      cli.get_int("workers", 4, "service worker threads"));
+      cli.get_int("workers", 4, 1, kMaxThreads, "service worker threads"));
   const auto queue_depth = static_cast<std::size_t>(
-      cli.get_int("queue-depth", 256, "admission queue bound"));
+      cli.get_int("queue-depth", 256, 0, kMaxI64, "admission queue bound"));
   const int sms = static_cast<int>(
-      cli.get_int("sms", 0, "modeled SMs (0 = default)"));
-  const int host_threads = static_cast<int>(
-      cli.get_int("host-threads", 0, "host worker threads (0 = sequential)"));
+      cli.get_int("sms", 0, 0, kMaxInt, "modeled SMs (0 = default)"));
+  const int host_threads = host_threads_flag(cli);
   const bool verify = cli.get_bool(
       "verify", false,
       "replay completed requests serially on a cold engine and compare");
@@ -847,10 +870,11 @@ int cmd_serve(gsj::Cli& cli) {
   GSJ_CHECK_MSG(rxs_fraction >= 0.0 && knn_fraction >= 0.0 &&
                     rxs_fraction + knn_fraction <= 1.0,
                 "--rxs-fraction/--knn-fraction must be >= 0 and sum <= 1");
-  const auto probe_n = static_cast<std::size_t>(cli.get_int(
-      "probe-n", 0, "probe dataset size for rxs/knn requests (0 = n/8)"));
+  const auto probe_n = static_cast<std::size_t>(
+      cli.get_int("probe-n", 0, 0, kMaxPoints,
+                  "probe dataset size for rxs/knn requests (0 = n/8)"));
   const auto max_cached_grids = static_cast<std::size_t>(cli.get_int(
-      "max-cached-grids", 64,
+      "max-cached-grids", 64, 0, kMaxI64,
       "per-dataset grid LRU bound; a KNN widening schedule only re-hits "
       "the cache if the whole schedule stays resident"));
   const double churn_rate = cli.get_double(
@@ -859,8 +883,7 @@ int cmd_serve(gsj::Cli& cli) {
   GSJ_CHECK_MSG(churn_rate >= 0.0 && churn_rate <= 1.0,
                 "--churn-rate must be in [0, 1]");
   const int churn_epochs = static_cast<int>(cli.get_int(
-      "churn-epochs", 8, "request waves when --churn-rate > 0"));
-  GSJ_CHECK_MSG(churn_epochs > 0, "--churn-epochs must be > 0");
+      "churn-epochs", 8, 1, kMaxInt, "request waves when --churn-rate > 0"));
   const std::string out_path = cli.get("out", "", "JSON report path");
   gsj::BatchingConfig batching;
   apply_batching_flags(cli, batching);
@@ -1451,27 +1474,24 @@ int cmd_serve(gsj::Cli& cli) {
 int cmd_top(gsj::Cli& cli) {
   // Dataset: an existing .bin, or generated in-process.
   const std::string input = cli.get("input", "", "input dataset (.bin)");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1, ""));
+  const std::uint64_t seed = seed_flag(cli);
   gsj::Dataset ds = [&] {
     if (!input.empty()) return gsj::load_binary(input);
     const std::string name =
         cli.get("dataset", "Expo2D2M", "Table I dataset to generate");
-    const auto n = static_cast<std::size_t>(
-        cli.get_int("n", 20000, "points (0 = spec default)"));
-    return gsj::make_dataset(name, n, seed);
+    return gsj::make_dataset(name, n_flag(cli, 20000), seed);
   }();
 
-  const int stress = static_cast<int>(cli.get_int(
-      "stress", 48, "seeded random requests to drive the service with"));
-  GSJ_CHECK_MSG(stress > 0, "--stress must be > 0");
+  const int stress = static_cast<int>(
+      cli.get_int("stress", 48, 1, kMaxInt,
+                  "seeded random requests to drive the service with"));
   const auto workers = static_cast<std::size_t>(
-      cli.get_int("workers", 4, "service worker threads"));
+      cli.get_int("workers", 4, 1, kMaxThreads, "service worker threads"));
   const int interval_ms = static_cast<int>(
-      cli.get_int("interval-ms", 100, "snapshot interval"));
+      cli.get_int("interval-ms", 100, 1, kMaxInt, "snapshot interval"));
   const int sms = static_cast<int>(
-      cli.get_int("sms", 0, "modeled SMs (0 = default)"));
-  const int host_threads = static_cast<int>(
-      cli.get_int("host-threads", 0, "host worker threads (0 = sequential)"));
+      cli.get_int("sms", 0, 0, kMaxInt, "modeled SMs (0 = default)"));
+  const int host_threads = host_threads_flag(cli);
   gsj::simt::DeviceConfig base_device;
   if (sms > 0) base_device.num_sms = sms;
   base_device.host.num_threads = host_threads;
@@ -1577,14 +1597,12 @@ int cmd_top(gsj::Cli& cli) {
 int cmd_explain(gsj::Cli& cli) {
   // Dataset: an existing .bin, or generated in-process.
   const std::string input = cli.get("input", "", "input dataset (.bin)");
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1, ""));
+  const std::uint64_t seed = seed_flag(cli);
   gsj::Dataset ds = [&] {
     if (!input.empty()) return gsj::load_binary(input);
     const std::string name =
         cli.get("dataset", "Expo2D2M", "Table I dataset to generate");
-    const auto n = static_cast<std::size_t>(
-        cli.get_int("n", 20000, "points (0 = spec default)"));
-    return gsj::make_dataset(name, n, seed);
+    return gsj::make_dataset(name, n_flag(cli, 20000), seed);
   }();
 
   const double eps = cli.get_double("epsilon", 0.0, "join radius");
@@ -1601,12 +1619,12 @@ int cmd_explain(gsj::Cli& cli) {
     std::cerr << "unknown variant: " << variant << "\n";
     return usage();
   }
-  cfg.k = static_cast<int>(cli.get_int("k", cfg.k, "threads per point"));
+  cfg.k = static_cast<int>(
+      cli.get_int("k", cfg.k, 1, kMaxInt, "threads per point"));
   const int sms = static_cast<int>(
-      cli.get_int("sms", 0, "modeled SMs (0 = default)"));
+      cli.get_int("sms", 0, 0, kMaxInt, "modeled SMs (0 = default)"));
   if (sms > 0) cfg.device.num_sms = sms;
-  cfg.device.host.num_threads = static_cast<int>(
-      cli.get_int("host-threads", 0, "host worker threads (0 = sequential)"));
+  cfg.device.host.num_threads = host_threads_flag(cli);
   apply_batching_flags(cli, cfg.batching);
   cfg.store_pairs = false;
   reject_unknown_flags(cli);

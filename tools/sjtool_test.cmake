@@ -38,6 +38,14 @@ run_fails("--device-sms: expected an integer, got '56x'"
 run_fails("--device-clock: expected a number, got '1.3GHz'"
           ${SJTOOL} join --input ds.bin --epsilon 0.02 --variant combined
           --devices 2 --device-clock 1.3GHz,1.0)
+# Integer flags are range-checked while they are parsed, before any
+# thread starts: -1 workers once became SIZE_MAX, and 2^32 + 1 host
+# threads silently ran with one.
+run_fails("--workers: expected an integer in [1, 1024], got '-1'"
+          ${SJTOOL} serve --input ds.bin --stress 2 --workers -1)
+run_fails("--host-threads: expected an integer in [0, 1024], got '4294967297'"
+          ${SJTOOL} join --input ds.bin --epsilon 0.02 --variant combined
+          --host-threads 4294967297)
 # A misspelled flag fails the subcommand before it runs, naming the flag.
 run_fails("unknown flag(s): --varient"
           ${SJTOOL} join --input ds.bin --epsilon 0.02 --varient unicomp)
