@@ -30,9 +30,10 @@
 // SlotTable precomputes a grid's 3^n adjacency window once, so a walk
 // over it (the kernels' NextCell step) decides each slot with a table
 // read and two mask tests, equal to the bounds check plus
-// pattern_accepts, and looks the cell up with GridIndex::seek_cell.
+// pattern_accepts, and looks the cell up with GridIndex::occupancy.
 // Whole-window walks skip the rejected slots 64 at a time through the
-// per-origin accepted-slot bitmask (SlotTable::accepted).
+// per-origin accepted-slot bitmask (SlotTable::accepted), and find the
+// cells of the rest a row of three slots per occupancy read.
 #pragma once
 
 #include <array>
@@ -74,8 +75,11 @@ enum class CellPattern {
 /// dimension fastest, the order of GridIndex::for_each_adjacent_to), so
 /// the centre is slot (3^dims - 1) / 2. Linear ids are lexicographic in
 /// coordinates, hence the in-bounds slots of any origin name strictly
-/// increasing ids in slot order: one GridIndex::seek_cell cursor looks
-/// up a whole walk.
+/// increasing ids in slot order. A row, the slots 3r, 3r + 1, 3r + 2,
+/// differs only in the last dimension's offset (−1, 0, +1): around any
+/// origin it names three consecutive ids, so one GridIndex::occupancy
+/// read of three ids from o.id + delta(3r) tells which of the row's
+/// slots hold a cell (the centre is the middle of its row).
 ///
 /// Per origin, Origin holds which dimensions each offset class would
 /// carry outside the grid; a slot is in bounds iff none of its
@@ -174,6 +178,19 @@ class SlotTable {
     return w == centre() / 64 ? std::uint64_t{1} << (centre() % 64) : 0;
   }
 
+  /// The first slot at or after `from` that the slot mask `mask` holds,
+  /// or size() when none does.
+  [[nodiscard]] std::uint32_t next_in(const std::uint64_t* mask,
+                                      std::uint32_t from) const noexcept {
+    std::uint32_t w = from / 64;
+    if (w >= words_) return size();
+    for (std::uint64_t m = mask[w] & (~std::uint64_t{0} << (from % 64));;
+         m = mask[w]) {
+      if (m != 0) return w * 64 + static_cast<std::uint32_t>(std::countr_zero(m));
+      if (++w == words_) return size();
+    }
+  }
+
  private:
   /// Offset into masks_ of the slots whose Slot::gate has bit `b`
   /// (FULL and LID-UNICOMP: b = 0).
@@ -195,6 +212,19 @@ class SlotTable {
   /// kMaxDims gate masks, then 3·kMaxDims offset masks, words_ each.
   std::vector<std::uint64_t> masks_;
 };
+
+/// Bit i set iff bit first + i of the slot mask `words` is, for
+/// i < n <= 64. Reads only the words that hold slots first .. first +
+/// n − 1.
+[[nodiscard]] inline std::uint64_t mask_run(const std::uint64_t* words,
+                                            std::uint32_t first,
+                                            std::uint32_t n) noexcept {
+  const std::uint32_t w = first / 64;
+  const std::uint32_t b = first % 64;
+  std::uint64_t m = words[w] >> b;
+  if (b + n > 64) m |= words[w + 1] << (64 - b);
+  return n == 64 ? m : m & ((std::uint64_t{1} << n) - 1);
+}
 
 /// Number of adjacent (non-origin) cell slots the pattern would accept
 /// for an inner cell at coordinates `oc` — grid-boundary and emptiness

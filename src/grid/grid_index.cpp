@@ -96,6 +96,28 @@ GridIndex::GridIndex(const Dataset& ds, double epsilon, ThreadPool* pool)
 
   generation_ = ds.generation();
   recompute_content_key();
+  build_occupancy();
+}
+
+void GridIndex::build_occupancy() {
+  // The blocks that hold a cell, in id order: cells_ is sorted by id.
+  std::vector<OccupancyBlock> blocks;
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    const std::uint64_t id = cells_[i].linear_id;
+    if (blocks.empty() || blocks.back().block != id / 64) {
+      blocks.push_back({id / 64, 0, static_cast<std::uint32_t>(i)});
+    }
+    blocks.back().word |= std::uint64_t{1} << (id % 64);
+  }
+  // At most half the slots are taken, and at least one is empty.
+  const std::size_t slots = std::bit_ceil(2 * blocks.size());
+  occupancy_.assign(slots, OccupancyBlock{});
+  occupancy_shift_ = 64 - std::countr_zero(slots);
+  for (const OccupancyBlock& b : blocks) {
+    std::size_t h = block_hash(b.block);
+    while (occupancy_[h].word != 0) h = (h + 1) & (slots - 1);
+    occupancy_[h] = b;
+  }
 }
 
 void GridIndex::recompute_content_key() {
@@ -244,6 +266,7 @@ GridRepairOutcome GridIndex::repair(ThreadPool* pool) {
   point_ids_ = std::move(new_point_ids);
   generation_ = ds.generation();
   recompute_content_key();
+  build_occupancy();
 
   out.repaired = true;
   out.dirty_cell_ids = std::move(dirty);

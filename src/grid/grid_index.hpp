@@ -9,15 +9,24 @@
 //   * `point_ids()`  — all point ids grouped by cell (each cell owns a
 //                      contiguous range), giving O(|D|) space,
 //   * per-point back-references (owning cell, rank within grid order).
+//   * an occupancy table — for every 64-id block of the linear id space
+//                      that holds a non-empty cell, its occupancy word and
+//                      the cells() index of its first cell, hashed by block
+//                      number, so occupancy() answers "which of these ≤ 64
+//                      consecutive ids are non-empty cells, and which
+//                      cells" with one or two hash probes and a popcount.
+//                      O(non-empty cells) space, whatever the grid's id
+//                      space.
 // Every window walk (the 3^n adjacency of a cell, the shells around a
 // location, and the ε-range query for_each_in_range built on them) runs
-// one private odometer, walk_window. Its cells come in ascending id
-// order, so it looks them up with seek_cell's forward-galloping cursor
-// instead of a binary search per cell.
+// one private odometer, walk_window, which reads each row of its box
+// (a run of ids) from the occupancy table; the kernels' walks and
+// workload quantification read the same table.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -138,42 +147,46 @@ class GridIndex {
   /// maps to an empty cell.
   [[nodiscard]] std::size_t find_cell(std::uint64_t linear_id) const noexcept;
 
-  /// find_cell for ascending id sequences. `cursor` is an index into
-  /// cells() (start it at 0) that only moves forward: the call gallops
-  /// it (1, 2, 4, ... cells, then a binary search over the last jump)
-  /// to the first cell whose linear id is >= `linear_id`, and returns
-  /// that cell's index when its id matches, npos otherwise. A lookup
-  /// therefore costs O(log gap) in the number of cells skipped, not
-  /// O(log |cells|). Exact as long as no cell before the cursor has an
-  /// id >= `linear_id` — guaranteed when the ids passed to one cursor
-  /// never decrease (repeats are fine: a hit leaves the cursor on the
-  /// matched cell). The window walks below rely on it: in odometer
-  /// order the in-bounds cells of a window have strictly increasing
-  /// linear ids.
-  [[nodiscard]] std::size_t seek_cell(std::uint32_t& cursor,
-                                      std::uint64_t linear_id) const noexcept {
-    const GridCell* const first = cells_.data();
-    const GridCell* const last = first + cells_.size();
-    const GridCell* lo = first + cursor;
-    if (lo != last && lo->linear_id < linear_id) {
-      // Invariant: lo->linear_id < linear_id. Gallop until the jump
-      // target reaches the id (or the end), then search the jump.
-      std::size_t jump = 1;
-      while (static_cast<std::size_t>(last - lo) > jump &&
-             lo[jump].linear_id < linear_id) {
-        lo += jump;
-        jump *= 2;
-      }
-      const GridCell* hi =
-          static_cast<std::size_t>(last - lo) > jump ? lo + jump : last;
-      lo = std::lower_bound(
-          lo + 1, hi, linear_id,
-          [](const GridCell& c, std::uint64_t id) { return c.linear_id < id; });
+  /// One entry of the occupancy table: a 64-id block that holds a
+  /// non-empty cell. An empty table slot has word 0.
+  struct OccupancyBlock {
+    std::uint64_t block = 0;  ///< linear id / 64
+    std::uint64_t word = 0;   ///< bit i: id 64·block + i is non-empty
+    std::uint32_t first = 0;  ///< cells() index of its first cell
+  };
+
+  /// Which of the `n` consecutive linear ids first, first + 1, ...,
+  /// first + n − 1 (1 <= n <= 64, modulo 2^64) name non-empty cells:
+  /// bit i of `bits` is set iff id first + i does. The cells of the set
+  /// bits are consecutive in cells(), in bit order, from index `cell`;
+  /// so the cell of set bit i is cell + popcount(bits below i). `cell`
+  /// is meaningless when `bits` is 0. One hash probe of the occupancy
+  /// table, two when the run crosses a 64-id block.
+  struct Occupancy {
+    std::uint64_t bits = 0;
+    std::uint32_t cell = 0;
+  };
+  [[nodiscard]] Occupancy occupancy(std::uint64_t first,
+                                    std::uint32_t n) const noexcept {
+    const std::uint64_t block = first / 64;
+    const auto off = static_cast<std::uint32_t>(first % 64);
+    const OccupancyBlock& lo = block_at(block);
+    const std::uint64_t low = lo.word >> off;
+    Occupancy r{low, 0};
+    const OccupancyBlock* hi = &lo;
+    if (off + n > 64) {
+      // The next block; past id 2^64 − 1 the run wraps to block 0.
+      hi = &block_at((block + 1) % (std::uint64_t{1} << 58));
+      r.bits |= hi->word << (64 - off);
     }
-    cursor = static_cast<std::uint32_t>(lo - first);
-    return lo != last && lo->linear_id == linear_id
-               ? static_cast<std::size_t>(lo - first)
-               : npos;
+    r.bits &= ~std::uint64_t{0} >> (64 - n);
+    if (r.bits == 0) return r;
+    // The first set bit is lo's when lo has one at or past `off` (all of
+    // them lie in the run when it crosses into hi), else hi's first.
+    r.cell = low != 0 ? lo.first + static_cast<std::uint32_t>(std::popcount(
+                                       lo.word & ((std::uint64_t{1} << off) - 1)))
+                      : hi->first;
+    return r;
   }
 
   /// Index (into cells()) of the cell owning point `p`.
@@ -266,13 +279,14 @@ class GridIndex {
     return v;
   }
 
-  /// Approximate heap footprint of the index (cell array + the three
-  /// per-point vectors); feeds JoinService cache accounting.
+  /// Heap footprint of the index: the cell array, the three per-point
+  /// arrays and the occupancy table; feeds JoinService cache accounting.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return cells_.capacity() * sizeof(GridCell) +
-           point_ids_.capacity() * sizeof(PointId) +
-           point_cell_.capacity() * sizeof(std::uint32_t) +
-           point_rank_.capacity() * sizeof(std::uint32_t);
+    return cells_.size() * sizeof(GridCell) +
+           point_ids_.size() * sizeof(PointId) +
+           point_cell_.size() * sizeof(std::uint32_t) +
+           point_rank_.size() * sizeof(std::uint32_t) +
+           occupancy_.size() * sizeof(OccupancyBlock);
   }
 
  private:
@@ -281,6 +295,24 @@ class GridIndex {
   /// shared by the constructor and repair() so digest equality between
   /// a repaired index and a from-scratch rebuild proves bit-identity.
   void recompute_content_key();
+  /// Rebuilds the occupancy table from cells_ (constructor and repair):
+  /// 2^⌈log2(2·blocks)⌉ slots, linear probing, so a probe that misses
+  /// stops at an empty slot after about two reads.
+  void build_occupancy();
+  /// The table entry of block `block`, or an empty slot (word 0) when no
+  /// non-empty cell lies in it.
+  [[nodiscard]] const OccupancyBlock& block_at(
+      std::uint64_t block) const noexcept {
+    const std::size_t mask = occupancy_.size() - 1;
+    for (std::size_t h = block_hash(block);; h = (h + 1) & mask) {
+      const OccupancyBlock& b = occupancy_[h];
+      if (b.block == block || b.word == 0) return b;
+    }
+  }
+  [[nodiscard]] std::size_t block_hash(std::uint64_t block) const noexcept {
+    return static_cast<std::size_t>((block * 0x9E3779B97F4A7C15ull) >>
+                                    occupancy_shift_);
+  }
   /// Linear cell id of a location (max-boundary coordinates fold into
   /// the last cell, exactly as at build).
   [[nodiscard]] std::uint64_t clamped_cell_id(
@@ -314,6 +346,8 @@ class GridIndex {
   std::vector<PointId> point_ids_;
   std::vector<std::uint32_t> point_cell_;  ///< point id -> cells_ index
   std::vector<std::uint32_t> point_rank_;  ///< point id -> point_ids_ position
+  std::vector<OccupancyBlock> occupancy_;  ///< hashed by block_hash
+  int occupancy_shift_ = 63;  ///< 64 − log2(occupancy_.size())
 };
 
 template <typename Fn>
@@ -332,21 +366,21 @@ void GridIndex::walk_window(const std::array<double, kMaxDims>& base,
     lo[d] = static_cast<std::int32_t>(l);
     hi[d] = static_cast<std::int32_t>(h);
   }
-  // Odometer over the box, last dimension fastest: linear ids ascend,
-  // so one seek_cell cursor serves the whole walk. A row (the last
-  // dimension's run) is one id interval: seek its start once, then
-  // take the cells up to its end.
-  const auto row_span = static_cast<std::uint64_t>(hi[last] - lo[last]);
-  std::uint32_t cursor = 0;
+  // Odometer over the box, last dimension fastest: linear ids ascend.
+  // A row (the last dimension's run) is one id interval, read from the
+  // occupancy table up to 64 ids at a time.
+  const auto row_len = static_cast<std::uint32_t>(hi[last] - lo[last]) + 1;
   CellCoords cc = lo;
   std::uint64_t row = encode(lo);
   for (;;) {
-    (void)seek_cell(cursor, row);
-    for (; cursor < cells_.size() && cells_[cursor].linear_id <= row + row_span;
-         ++cursor) {
-      const std::uint64_t id = cells_[cursor].linear_id;
-      cc[last] = lo[last] + static_cast<std::int32_t>(id - row);
-      fn(std::size_t{cursor}, cc, id);
+    for (std::uint32_t at = 0; at < row_len; at += 64) {
+      const Occupancy occ = occupancy(row + at, std::min(64u, row_len - at));
+      std::size_t ci = occ.cell;
+      for (std::uint64_t m = occ.bits; m != 0; m &= m - 1, ++ci) {
+        const auto b = at + static_cast<std::uint32_t>(std::countr_zero(m));
+        cc[last] = lo[last] + static_cast<std::int32_t>(b);
+        fn(ci, cc, row + b);
+      }
     }
     int d = last - 1;
     for (; d >= 0; --d) {

@@ -1,6 +1,7 @@
 #include "grid/workload.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <numeric>
 
@@ -20,14 +21,20 @@ std::uint64_t accepted_neighbor_points(const GridIndex& grid,
   const auto cells = grid.cells();
   const SlotTable::Origin o =
       slots.origin(grid.decode(cells[cell_idx].linear_id));
-  std::uint64_t total = 0;
-  std::uint32_t cursor = 0;
+  std::array<std::uint64_t, SlotTable::kMaxWords> accepted;
   for (std::uint32_t w = 0; w < slots.words(); ++w) {
-    for (std::uint64_t m = slots.accepted(o, w) & ~slots.centre_bit(w); m != 0;
-         m &= m - 1) {
-      const auto i = w * 64 + static_cast<std::uint32_t>(std::countr_zero(m));
-      const std::size_t nidx = grid.seek_cell(cursor, o.id + slots[i].delta);
-      if (nidx != GridIndex::npos) total += cells[nidx].size();
+    accepted[w] = slots.accepted(o, w) & ~slots.centre_bit(w);
+  }
+  // A row of three slots (three consecutive ids) per occupancy read.
+  std::uint64_t total = 0;
+  for (std::uint32_t i = slots.next_in(accepted.data(), 0); i < slots.size();
+       i = slots.next_in(accepted.data(), i - i % 3 + 3)) {
+    const std::uint32_t row = i - i % 3;
+    const GridIndex::Occupancy occ = grid.occupancy(o.id + slots[row].delta, 3);
+    const std::uint64_t m = mask_run(accepted.data(), row, 3);
+    std::size_t ci = occ.cell;
+    for (std::uint64_t b = occ.bits; b != 0; b &= b - 1, ++ci) {
+      if (((m >> std::countr_zero(b)) & 1) != 0) total += cells[ci].size();
     }
   }
   return total;

@@ -184,58 +184,43 @@ simt::InitResult SelfJoinKernel::init_lane(LaneState& s,
   s.origin = last_.origin;
   s.rank = last_.rank;
   s.slot = 0;
-  s.cell_cursor = 0;
   s.scanning = false;
   cost += 4;  // point load + cell decode
   return {true, cost};
 }
 
-namespace {
-
-/// Bit i set iff bit first + i of the slot mask `words` is, for
-/// i < n <= 64 (bits past the mask's last slot read as 0).
-std::uint64_t mask_run(const std::uint64_t* words, std::uint32_t first,
-                       std::uint32_t n) noexcept {
-  const std::uint32_t w = first / 64;
-  const std::uint32_t b = first % 64;
-  std::uint64_t m = words[w] >> b;
-  if (b + n > 64) m |= words[w + 1] << (64 - b);
-  return n == 64 ? m : m & ((std::uint64_t{1} << n) - 1);
-}
-
-}  // namespace
-
 bool SelfJoinKernel::find_cell(const LaneState& s, const std::uint64_t* walked,
-                               Walk& w, std::uint32_t limit,
+                               std::uint32_t& from, std::uint32_t limit,
                                WindowCell& out) const {
-  // next_cell()'s lookups, for the walked slots only: the rejected ones
-  // are skipped a mask word at a time.
-  while (w.slot < limit) {
-    const std::uint32_t word = w.slot / 64;
-    std::uint64_t m = walked[word] & (~std::uint64_t{0} << (w.slot % 64));
-    for (; m != 0; m &= m - 1) {
-      const auto i = word * 64 + static_cast<std::uint32_t>(std::countr_zero(m));
-      if (i >= limit) break;
-      w.slot = i + 1;
-      if (!rxs_ && i == slots_.centre()) {
-        // q's own cell: FULL scans all of it, the unidirectional
-        // patterns only the points after q (the rank rule).
-        const std::size_t own = p_.grid->cell_of_point(s.q);
-        w.cursor = static_cast<std::uint32_t>(own);
-        const GridCell& cell = cells_[own];
-        out = {i, p_.pattern == CellPattern::Full ? cell.begin : s.rank + 1,
-               cell.end};
-        return true;
-      }
-      const std::size_t nidx =
-          p_.grid->seek_cell(w.cursor, s.origin.id + slots_[i].delta);
-      if (nidx != GridIndex::npos) {
-        out = {i, cells_[nidx].begin, cells_[nidx].end};
-        return true;
-      }
+  // next_cell()'s lookups for the walked slots only: the rejected ones
+  // are skipped a mask word at a time, and a row of three slots (three
+  // consecutive ids) is one occupancy read.
+  for (std::uint32_t i = slots_.next_in(walked, from); i < limit;
+       i = slots_.next_in(walked, from)) {
+    const std::uint32_t row = i - i % 3;
+    const GridIndex::Occupancy occ =
+        p_.grid->occupancy(s.origin.id + slots_[row].delta, 3);
+    const std::uint64_t found =
+        occ.bits & mask_run(walked, row, 3) & (~std::uint64_t{0} << (i - row));
+    if (found == 0) {
+      from = row + 3;
+      continue;
     }
-    w.slot = std::min(limit, (word + 1) * 64);
+    const auto b = static_cast<std::uint32_t>(std::countr_zero(found));
+    if (row + b >= limit) break;
+    from = row + b + 1;
+    // The row's cells before slot row + b: a popcount of at most 2 bits.
+    const std::uint64_t before = occ.bits & ((std::uint64_t{1} << b) - 1);
+    const GridCell& cell = cells_[occ.cell + (before & 1) + (before >> 1)];
+    // q's own cell: FULL scans all of it, the unidirectional patterns
+    // only the points after q (the rank rule).
+    const bool own = !rxs_ && row + b == slots_.centre();
+    out = {row + b,
+           own && p_.pattern != CellPattern::Full ? s.rank + 1 : cell.begin,
+           cell.end};
+    return true;
   }
+  from = std::max(from, limit);
   return false;
 }
 
@@ -281,9 +266,9 @@ simt::detail::WarpRun SelfJoinKernel::replay(LaneState* lanes,
                               (rxs_ ? 0 : slots_.centre_bit(w));
     }
   }
-  std::array<Walk, 32> group_walk{};
+  std::array<std::uint32_t, 32> group_walk{};
   std::array<std::uint32_t, 32> group_found{};
-  std::array<Walk, 32> own{};               // per live lane
+  std::array<std::uint32_t, 32> own{};      // per live lane
   std::array<std::uint32_t, 32> passed{};   // per live lane: cells passed
   // Passes the cells of the lane at live[a] up to its next scanning
   // cell below `limit`; false if there is none.
@@ -303,7 +288,7 @@ simt::detail::WarpRun SelfJoinKernel::replay(LaneState* lanes,
         if (!find_cell(s, slots, group_walk[g], limit, c)) return false;
         cells[group_found[g]++ & (ring_size - 1)] = c;
       }
-      own[a].slot = c.slot + 1;
+      own[a] = c.slot + 1;
       if (c.begin + s.group_rank < c.end) {
         ++i;
         return true;

@@ -27,13 +27,13 @@
 // The model charges the GPU's work; the host takes shortcuts with the
 // same outcome. step() is the per-step reference: a NextCell step is
 // one read of the kernel's SlotTable (grid/cell_access.hpp), two mask
-// tests against the lane's origin, and a GridIndex::seek_cell from the
-// lane's cell cursor (in-bounds slots come in ascending id order), so a
-// slot costs O(1) host work while cost_cell_probe still models the
-// binary search (docs/PERFORMANCE.md, "NextCell window walk").
-// simt::launch instead calls run_warp once per warp, which replays the
-// whole warp (docs/PERFORMANCE.md, "Warp replay"): each cooperative
-// group walks its window once through the accepted-slot mask, each
+// tests against the lane's origin, and a one-id GridIndex::occupancy
+// read, so a slot costs O(1) host work while cost_cell_probe still
+// models the binary search (docs/PERFORMANCE.md, "NextCell window walk"
+// and "Occupancy words"). simt::launch instead calls run_warp once per
+// warp, which replays the whole warp (docs/PERFORMANCE.md, "Warp
+// replay"): each cooperative group walks its window once, ANDing its
+// accepted-slot mask with the window's occupancy a row at a time, each
 // lane's steps become 64-step bitmasks per cost class, and the warp
 // reduces them to each step's max cost in the device's cost order. The
 // modeled steps, cycles and emissions are exactly the per-step ones.
@@ -126,7 +126,6 @@ class SelfJoinKernel {
     std::uint32_t rank = 0;         ///< grid rank of q (own-cell rule)
     std::uint32_t group_rank = 0;   ///< 0..k-1 within the cooperative group
     std::uint32_t slot = 0;         ///< odometer over the 3^n slots
-    std::uint32_t cell_cursor = 0;  ///< GridIndex::seek_cell cursor
     std::uint32_t cand_pos = 0;     ///< current candidate (into point_ids)
     std::uint32_t cand_end = 0;
     bool scanning = false;
@@ -207,12 +206,6 @@ class SelfJoinKernel {
   struct WindowCell {
     std::uint32_t slot, begin, end;
   };
-  /// A resumable walk over a window's cells: the next slot to look at
-  /// and the GridIndex::seek_cell cursor.
-  struct Walk {
-    std::uint32_t slot = 0;
-    std::uint32_t cursor = 0;
-  };
   /// Window cells one warp's replay keeps, shared out evenly among its
   /// groups' rings.
   static constexpr std::uint32_t kRingCells = 1024;
@@ -226,11 +219,13 @@ class SelfJoinKernel {
   simt::detail::WarpRun replay(LaneState* lanes, const std::uint8_t* active,
                                int warp_size, ResultSet& out,
                                std::uint64_t& emitted) const;
-  /// The first cell of `s`'s window at a slot in [w.slot, limit) that
-  /// the slot mask `walked` names, moving `w` past it, or false (with
-  /// `w` at `limit`) if none.
-  bool find_cell(const LaneState& s, const std::uint64_t* walked, Walk& w,
-                 std::uint32_t limit, WindowCell& out) const;
+  /// The first cell of `s`'s window at a slot in [from, limit) that the
+  /// slot mask `walked` names, moving `from` past it; or false, with
+  /// `from` past every such slot, if none. A resumable walk is its
+  /// `from`.
+  bool find_cell(const LaneState& s, const std::uint64_t* walked,
+                 std::uint32_t& from, std::uint32_t limit,
+                 WindowCell& out) const;
   /// Bit i set iff candidate point_ids_[pos + i·k] is within ε of `q`,
   /// for i < len <= 64: scan()'s test over a run of candidates. Outside
   /// 2-D it is within_eps itself; in 2-D it reads the scan columns, two
@@ -333,10 +328,8 @@ inline simt::StepResult SelfJoinKernel::next_cell(
   std::uint32_t cost = p_.device->cost_pattern_check;
 
   if (!rxs_ && cur == slots_.centre()) {
-    // The origin cell itself: q's own, so the seek hits.
-    const std::size_t own = p_.grid->seek_cell(s.cell_cursor, s.origin.id);
-    GSJ_DCHECK(own != GridIndex::npos);
-    const GridCell& cell = cells_[own];
+    // The origin cell itself: q's own.
+    const GridCell& cell = cells_[p_.grid->cell_of_point(s.q)];
     std::uint32_t begin, end = cell.end;
     if (p_.pattern == CellPattern::Full) {
       begin = cell.begin;  // every own-cell point, q included (self pair)
@@ -366,11 +359,11 @@ inline simt::StepResult SelfJoinKernel::next_cell(
     return {true, cost};
   }
   cost += p_.device->cost_cell_probe;
-  const std::size_t nidx =
-      p_.grid->seek_cell(s.cell_cursor, s.origin.id + slot.delta);
-  if (nidx == GridIndex::npos) return {true, cost};
+  const GridIndex::Occupancy occ =
+      p_.grid->occupancy(s.origin.id + slot.delta, 1);
+  if (occ.bits == 0) return {true, cost};
 
-  const GridCell& cell = cells_[nidx];
+  const GridCell& cell = cells_[occ.cell];
   const std::uint32_t begin = cell.begin + s.group_rank;
   if (begin < cell.end) {
     s.cand_pos = begin;

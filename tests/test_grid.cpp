@@ -1,11 +1,14 @@
 // Unit tests: epsilon grid index — cell assignment, linear id
-// encode/decode, non-empty-cell lookup (find_cell and the forward
-// seek_cell), window walks against brute-force lookups, the ε-range
-// query against a brute-force scan, point ranks, and the adjacency
-// SlotTable against the bounds check and pattern_accepts.
+// encode/decode, non-empty-cell lookup (find_cell, and the occupancy
+// table against it, after repair too), memory accounting, window walks
+// against brute-force lookups, the ε-range query against a brute-force
+// scan, point ranks, and the adjacency SlotTable against the bounds
+// check and pattern_accepts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <tuple>
@@ -214,55 +217,174 @@ Visit visit(const GridIndex& g, std::size_t idx, const CellCoords& cc,
           id};
 }
 
-TEST(GridIndex, SeekCellMatchesFindCellOnAscendingIds) {
-  const Dataset ds = gen_uniform(3000, 3, 41, 0.0, 20.0);
-  const GridIndex g(ds, 1.0);  // 20^3 cells, ~30% non-empty
-  const auto cells = g.cells();
-  const std::uint64_t first = cells.front().linear_id;
-  const std::uint64_t last = cells.back().linear_id;
-  Xoshiro256 rng(43);
-  for (int trial = 0; trial < 200; ++trial) {
-    SCOPED_TRACE(trial);
-    // Ids from below the first cell to above the last, half of them
-    // non-empty cells, with repeats.
-    std::vector<std::uint64_t> ids;
-    const std::size_t len = 1 + rng.uniform_index(300);
-    for (std::size_t i = 0; i < len; ++i) {
-      if (rng.uniform_index(2) == 0) {
-        ids.push_back(cells[rng.uniform_index(cells.size())].linear_id);
-      } else {
-        ids.push_back(rng.uniform_index(last + 20));
-      }
-      if (rng.uniform_index(8) == 0) ids.push_back(ids.back());
-    }
-    if (trial % 4 == 0) ids.push_back(first > 0 ? first - 1 : 0);
-    if (trial % 4 == 1) ids.push_back(last + 1 + rng.uniform_index(100));
-    std::sort(ids.begin(), ids.end());
-    std::uint32_t cursor = 0;
-    for (const std::uint64_t id : ids) {
-      const std::uint32_t before = cursor;
-      EXPECT_EQ(g.seek_cell(cursor, id), g.find_cell(id)) << "id " << id;
-      EXPECT_GE(cursor, before) << "cursor moved backwards";
-      // The cursor rests on the first cell with an id >= the target.
-      ASSERT_LE(cursor, cells.size());
-      if (cursor < cells.size()) {
-        EXPECT_GE(cells[cursor].linear_id, id);
-      }
-      if (cursor > 0) {
-        EXPECT_LT(cells[cursor - 1].linear_id, id);
+/// occupancy(first, n) against find_cell, bit by bit and cell by cell,
+/// for n = 1 .. 64 when `all_lengths` and otherwise for the one-id and
+/// three-id (row) reads the walks make.
+void expect_occupancy_matches(const GridIndex& g, std::uint64_t first,
+                              bool all_lengths) {
+  const std::uint32_t span = all_lengths ? 64 : 3;
+  std::array<std::size_t, 64> idx{};
+  for (std::uint32_t i = 0; i < span; ++i) idx[i] = g.find_cell(first + i);
+  for (std::uint32_t n = 1; n <= span; ++n) {
+    if (!all_lengths && n == 2) continue;
+    const GridIndex::Occupancy occ = g.occupancy(first, n);
+    std::uint32_t rank = 0;
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      const bool hit = i < n && idx[i] != GridIndex::npos;
+      ASSERT_EQ((occ.bits >> i) & 1, hit ? 1u : 0u)
+          << "first " << first << ", n " << n << ", bit " << i;
+      if (hit) {
+        ASSERT_EQ(occ.cell + rank, idx[i])
+            << "first " << first << ", n " << n << ", bit " << i;
+        ++rank;
       }
     }
   }
-  // A cursor already at the end stays there and finds nothing.
-  std::uint32_t at_end = static_cast<std::uint32_t>(cells.size());
-  EXPECT_EQ(g.seek_cell(at_end, last + 1), GridIndex::npos);
-  EXPECT_EQ(g.seek_cell(at_end, last + 1000), GridIndex::npos);
-  EXPECT_EQ(at_end, cells.size());
-  // Every cell, in order, from one cursor; then the same id again.
-  std::uint32_t cursor = 0;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EXPECT_EQ(g.seek_cell(cursor, cells[i].linear_id), i);
-    EXPECT_EQ(g.seek_cell(cursor, cells[i].linear_id), i);
+}
+
+/// Every read of `g`'s occupancy that a walk can make, against
+/// find_cell: one- and three-id reads from every id of the grid and the
+/// block past it, reads of every length from block offsets 0 and 61–63,
+/// and reads that wrap past id 2^64 − 1 to block 0.
+void expect_occupancy_matches_everywhere(const GridIndex& g) {
+  std::uint64_t ids = 1;
+  for (int d = 0; d < g.dims(); ++d) {
+    ids *= static_cast<std::uint64_t>(g.cells_per_dim(d));
+  }
+  std::vector<std::uint64_t> firsts;
+  if (ids <= (std::uint64_t{1} << 20)) {
+    for (std::uint64_t id = 0; id < ids + 64; ++id) firsts.push_back(id);
+  } else {
+    // Too many ids to visit: every id of each non-empty cell's block and
+    // of the blocks on either side of it.
+    for (const GridCell& c : g.cells()) {
+      const std::uint64_t b = c.linear_id / 64;
+      for (std::uint64_t id = (b == 0 ? 0 : b - 1) * 64; id < (b + 2) * 64; ++id) {
+        firsts.push_back(id);
+      }
+    }
+    std::sort(firsts.begin(), firsts.end());
+    firsts.erase(std::unique(firsts.begin(), firsts.end()), firsts.end());
+  }
+  for (std::uint64_t off = 0; off < 64; ++off) firsts.push_back(-64 + off);
+  for (const std::uint64_t first : firsts) {
+    const std::uint64_t off = first % 64;
+    expect_occupancy_matches(g, first, off == 0 || off >= 61);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(GridIndex, OccupancyMatchesFindCell) {
+  // 1-D, about 40% of 1,000 cells non-empty.
+  expect_occupancy_matches_everywhere(
+      GridIndex(gen_uniform(500, 1, 7, 0.0, 1000.0), 1.0));
+  // 20^3 cells, about 30% non-empty.
+  expect_occupancy_matches_everywhere(
+      GridIndex(gen_uniform(3000, 3, 41, 0.0, 20.0), 1.0));
+  // 6 cells per dimension: the sparse-6d shape.
+  const Dataset six = box_dataset(std::vector<double>(6, 5.5), 10000, 43);
+  const GridIndex g6(six, 1.0);
+  ASSERT_EQ(g6.cells_per_dim(0), 6);
+  expect_occupancy_matches_everywhere(g6);
+  // 8-D, 4 cells per dimension.
+  expect_occupancy_matches_everywhere(
+      GridIndex(box_dataset(std::vector<double>(8, 3.5), 3000, 47), 1.0));
+  // 200 consecutive non-empty ids: every read inside the run crosses
+  // full blocks.
+  Dataset run(1);
+  for (int i = 0; i < 200; ++i) {
+    const double x = i + 0.5;
+    run.push_back({&x, 1});
+  }
+  const GridIndex grun(run, 1.0);
+  ASSERT_EQ(grun.cells().size(), 200u);
+  EXPECT_EQ(grun.occupancy(64, 64).bits, ~std::uint64_t{0});
+  EXPECT_EQ(grun.occupancy(61, 64).cell, 61u);
+  expect_occupancy_matches_everywhere(grun);
+  // 50^6 ≈ 1.6·10^10 ids, a few hundred cells: block numbers past 2^32.
+  const Dataset sparse = box_dataset(std::vector<double>(6, 49.5), 300, 53);
+  const GridIndex gs(sparse, 1.0);
+  ASSERT_GT(gs.cells().back().linear_id, std::uint64_t{1} << 32);
+  expect_occupancy_matches_everywhere(gs);
+}
+
+TEST(GridIndex, RepairedOccupancyMatchesRebuild) {
+  // 1-D, 300 cells (blocks 0..4); the corner points keep the shape.
+  Dataset ds(1);
+  for (const double x : {0.5, 299.5, 3.5, 4.5, 70.5, 200.5, 201.5, 250.5}) {
+    ds.push_back({&x, 1});
+  }
+  GridIndex g(ds, 1.0);
+  // Empty block 3 (ids 192..255) and fill block 2 (128..191).
+  const double to[] = {130.5, 140.5, 191.5};
+  ds.move_point(5, {&to[0], 1});
+  ds.move_point(6, {&to[1], 1});
+  ds.erase(7);
+  (void)ds.insert({&to[2], 1});
+  ASSERT_TRUE(g.repair().repaired);
+  const GridIndex fresh(ds, 1.0);
+  ASSERT_EQ(g.content_key(), fresh.content_key());
+  EXPECT_EQ(g.occupancy(192, 64).bits, 0u);
+  EXPECT_NE(g.occupancy(128, 64).bits, 0u);
+  for (std::uint64_t id = 0; id < 320; ++id) {
+    for (const std::uint32_t n : {1u, 3u, 64u}) {
+      const GridIndex::Occupancy a = g.occupancy(id, n);
+      const GridIndex::Occupancy b = fresh.occupancy(id, n);
+      ASSERT_EQ(a.bits, b.bits) << "id " << id << ", n " << n;
+      if (a.bits != 0) {
+        ASSERT_EQ(a.cell, b.cell) << "id " << id << ", n " << n;
+      }
+    }
+  }
+  expect_occupancy_matches_everywhere(g);
+
+  // Churn windows of moves, erases and inserts on the sparse 6-D
+  // shape: every repair's lookups equal a rebuild's.
+  Dataset six = box_dataset(std::vector<double>(6, 5.5), 400, 59);
+  GridIndex g6(six, 1.0);
+  Xoshiro256 rng(61);
+  std::vector<double> p(6);
+  for (int window = 0; window < 6; ++window) {
+    SCOPED_TRACE(window);
+    for (int m = 0; m < 40; ++m) {
+      // Points 0 and 1 are the box's corners: churn leaves them be.
+      const auto victim = static_cast<PointId>(2 + rng.uniform_index(six.size() - 2));
+      for (double& x : p) x = rng.uniform(0.0, 5.5);
+      switch (rng.uniform_index(3)) {
+        case 0: six.move_point(victim, p); break;
+        case 1: if (six.size() > 50) six.erase(victim); break;
+        default: (void)six.insert(p); break;
+      }
+    }
+    ASSERT_TRUE(g6.repair().repaired);
+    const GridIndex rebuilt(six, 1.0);
+    ASSERT_EQ(g6.content_key(), rebuilt.content_key());
+    EXPECT_EQ(g6.memory_bytes(), rebuilt.memory_bytes());
+    for (std::uint64_t id = 0; id < 46656 + 64; ++id) {
+      const GridIndex::Occupancy a = g6.occupancy(id, 3);
+      const GridIndex::Occupancy b = rebuilt.occupancy(id, 3);
+      ASSERT_EQ(a.bits, b.bits) << "id " << id;
+      if (a.bits != 0) {
+        ASSERT_EQ(a.cell, b.cell) << "id " << id;
+      }
+    }
+  }
+}
+
+TEST(GridIndex, MemoryBytesCountsEveryArrayAndTheTable) {
+  for (const auto& [ds, eps] :
+       {std::pair{gen_uniform(3000, 3, 41, 0.0, 20.0), 1.0},
+        std::pair{box_dataset(std::vector<double>(6, 49.5), 300, 53), 1.0},
+        std::pair{gen_exponential(5000, 2, 3), 0.01}}) {
+    const GridIndex g(ds, eps);
+    std::set<std::uint64_t> blocks;
+    for (const GridCell& c : g.cells()) blocks.insert(c.linear_id / 64);
+    // The table keeps at most half its slots taken: O(non-empty cells).
+    const std::size_t table = std::bit_ceil(2 * blocks.size());
+    EXPECT_EQ(g.memory_bytes(),
+              g.cells().size() * sizeof(GridCell) +
+                  ds.size() * (sizeof(PointId) + 2 * sizeof(std::uint32_t)) +
+                  table * sizeof(GridIndex::OccupancyBlock));
   }
 }
 

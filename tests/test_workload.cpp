@@ -6,6 +6,7 @@
 
 #include "common/stats.hpp"
 #include "data/generators.hpp"
+#include "grid/cell_access.hpp"
 #include "grid/workload.hpp"
 
 namespace gsj {
@@ -22,6 +23,57 @@ TEST(Workload, CellWorkloadCountsCandidates) {
   const auto wl = cell_workloads(g, CellPattern::Full);
   EXPECT_EQ(wl[0], 5u);  // 3 own + 2 neighbor
   EXPECT_EQ(wl[1], 5u);  // 2 own + 3 neighbor
+}
+
+TEST(Workload, CellWorkloadsMatchBruteForce) {
+  // Each cell's own size plus the sizes of the non-empty cells of its
+  // 3^n window that pattern_accepts, found by binary search.
+  struct Case {
+    const char* name;
+    Dataset ds;
+    double eps;
+  };
+  const Case cases[] = {
+      {"6-D, 6 cells per dimension", gen_uniform(3000, 6, 5, 0.0, 6.0), 1.0},
+      {"Expo2D", gen_exponential(4000, 2, 9), 0.01},
+      {"1-D", gen_uniform(300, 1, 3, 0.0, 100.0), 1.0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const GridIndex g(c.ds, c.eps);
+    const int n = g.dims();
+    ASSERT_GT(g.cells().size(), 1u);
+    for (const CellPattern pattern :
+         {CellPattern::Full, CellPattern::Unicomp, CellPattern::LidUnicomp}) {
+      SCOPED_TRACE(to_string(pattern));
+      const auto wl = cell_workloads(g, pattern);
+      ASSERT_EQ(wl.size(), g.cells().size());
+      for (std::size_t ci = 0; ci < g.cells().size(); ++ci) {
+        const std::uint64_t oid = g.cells()[ci].linear_id;
+        const CellCoords oc = g.decode(oid);
+        std::uint64_t expect = g.cells()[ci].size();
+        const auto slots = static_cast<std::uint32_t>(g.adjacency_volume());
+        for (std::uint32_t slot = 0; slot < slots; ++slot) {
+          CellCoords nc;
+          bool inside = true;
+          std::uint32_t rem = slot;
+          for (int d = n - 1; d >= 0; --d) {
+            nc[d] = oc[d] + static_cast<std::int32_t>(rem % 3) - 1;
+            rem /= 3;
+            inside = inside && nc[d] >= 0 && nc[d] < g.cells_per_dim(d);
+          }
+          if (!inside) continue;
+          const std::uint64_t nid = g.encode(nc);
+          const std::size_t idx = g.find_cell(nid);
+          if (nid == oid || idx == GridIndex::npos) continue;
+          if (pattern_accepts(pattern, n, oc, nc, oid, nid)) {
+            expect += g.cells()[idx].size();
+          }
+        }
+        ASSERT_EQ(wl[ci], expect) << "cell " << ci;
+      }
+    }
+  }
 }
 
 TEST(Workload, PointWorkloadMatchesOwningCell) {

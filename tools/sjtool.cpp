@@ -92,6 +92,34 @@ std::size_t n_flag(gsj::Cli& cli, std::int64_t def) {
                                               "points (0 = spec default)"));
 }
 
+/// Where a subcommand's dataset comes from: --input names an existing
+/// .bin; otherwise --dataset, --n and --seed generate one in-process.
+/// dataset_flags only reads the flags, so a subcommand reads and checks
+/// all of its flags, and rejects unknown ones, before load() does any
+/// dataset work.
+struct DatasetFlags {
+  std::string input;
+  std::string name;
+  std::size_t n = 0;
+  std::uint64_t seed = 0;
+
+  [[nodiscard]] gsj::Dataset load() const {
+    return input.empty() ? gsj::make_dataset(name, n, seed)
+                         : gsj::load_binary(input);
+  }
+};
+
+DatasetFlags dataset_flags(gsj::Cli& cli) {
+  DatasetFlags f;
+  f.input = cli.get("input", "", "input dataset (.bin)");
+  if (f.input.empty()) {
+    f.name = cli.get("dataset", "Expo2D2M", "Table I dataset to generate");
+    f.n = n_flag(cli, 20000);
+    f.seed = seed_flag(cli);
+  }
+  return f;
+}
+
 int usage() {
   std::cout <<
       "usage: sjtool <generate|info|join|knn|dbscan|profile|sweep|serve"
@@ -289,10 +317,12 @@ void reject_unknown_flags(const gsj::Cli& cli) {
   }
 }
 
-gsj::Dataset load_input(gsj::Cli& cli) {
-  const std::string path = cli.get("input", "", "input dataset (.bin)");
-  GSJ_CHECK_MSG(!path.empty(), "--input is required");
-  return gsj::load_binary(path);
+/// --input of a subcommand that takes only an existing .bin.
+DatasetFlags input_flag(gsj::Cli& cli) {
+  DatasetFlags f;
+  f.input = cli.get("input", "", "input dataset (.bin)");
+  GSJ_CHECK_MSG(!f.input.empty(), "--input is required");
+  return f;
 }
 
 /// Resolves a GPU variant name to its configuration; false if unknown.
@@ -330,8 +360,9 @@ int cmd_generate(gsj::Cli& cli) {
 }
 
 int cmd_info(gsj::Cli& cli) {
-  const gsj::Dataset ds = load_input(cli);
+  const DatasetFlags data = input_flag(cli);
   reject_unknown_flags(cli);
+  const gsj::Dataset ds = data.load();
   std::cout << ds.describe() << "\n";
   for (int d = 0; d < ds.dims(); ++d) {
     const gsj::Summary s = gsj::summarize(ds.dim(d));
@@ -343,7 +374,7 @@ int cmd_info(gsj::Cli& cli) {
 }
 
 int cmd_join(gsj::Cli& cli) {
-  const gsj::Dataset ds = load_input(cli);
+  const DatasetFlags data = input_flag(cli);
   const double eps = cli.get_double("epsilon", 0.0, "join radius");
   GSJ_CHECK_MSG(eps > 0.0, "--epsilon is required and must be > 0");
   const std::string variant =
@@ -368,6 +399,7 @@ int cmd_join(gsj::Cli& cli) {
         cli.get_int("threads", 0, 0, kMaxThreads, "SUPER-EGO threads"));
     cfg.store_pairs = !pairs_out.empty();
     reject_unknown_flags(cli);
+    const gsj::Dataset ds = data.load();
     const auto out = gsj::super_ego_join(ds, cfg);
     std::cout << "SUPER-EGO: " << out.stats.result_pairs << " pairs in "
               << out.stats.sort_seconds + out.stats.seconds << " s ("
@@ -396,6 +428,7 @@ int cmd_join(gsj::Cli& cli) {
   cfg.fleet = parse_fleet_flags(cli, cfg.device);
   cfg.store_pairs = !pairs_out.empty();
   reject_unknown_flags(cli);
+  const gsj::Dataset ds = data.load();
 
   const gsj::SelfJoinOutput out = [&] {
     if (mode == "rxs") {
@@ -425,7 +458,7 @@ int cmd_join(gsj::Cli& cli) {
 }
 
 int cmd_knn(gsj::Cli& cli) {
-  const gsj::Dataset ds = load_input(cli);
+  const DatasetFlags data = input_flag(cli);
   const int k = static_cast<int>(
       cli.get_int("k", 0, 0, kMaxInt, "neighbors per query"));
   GSJ_CHECK_MSG(k > 0, "--k is required and must be > 0");
@@ -445,6 +478,7 @@ int cmd_knn(gsj::Cli& cli) {
       "initial-epsilon", 0.0, "explicit eps0 (0 = density-derived seed)");
   cfg.store_pairs = !pairs_out.empty();
   reject_unknown_flags(cli);
+  const gsj::Dataset ds = data.load();
 
   // Self-kNN (no --queries) probes the dataset with itself; each point
   // then counts itself as its own nearest neighbor (distance 0) — the
@@ -472,7 +506,7 @@ int cmd_knn(gsj::Cli& cli) {
 }
 
 int cmd_dbscan(gsj::Cli& cli) {
-  const gsj::Dataset ds = load_input(cli);
+  const DatasetFlags data = input_flag(cli);
   gsj::DbscanConfig cfg;
   cfg.epsilon = cli.get_double("epsilon", 0.0, "DBSCAN epsilon");
   GSJ_CHECK_MSG(cfg.epsilon > 0.0, "--epsilon is required and must be > 0");
@@ -484,6 +518,7 @@ int cmd_dbscan(gsj::Cli& cli) {
   const std::string labels_out =
       cli.get("labels-out", "", "write per-point labels to CSV");
   reject_unknown_flags(cli);
+  const gsj::Dataset ds = data.load();
 
   const auto res = gsj::dbscan(ds, cfg);
   std::cout << "dbscan: " << res.num_clusters << " clusters, "
@@ -501,15 +536,7 @@ int cmd_dbscan(gsj::Cli& cli) {
 }
 
 int cmd_profile(gsj::Cli& cli) {
-  // Dataset: an existing .bin, or generated in-process.
-  const std::string input = cli.get("input", "", "input dataset (.bin)");
-  gsj::Dataset ds = [&] {
-    if (!input.empty()) return gsj::load_binary(input);
-    const std::string name =
-        cli.get("dataset", "Expo2D2M", "Table I dataset to generate");
-    const std::size_t n = n_flag(cli, 20000);
-    return gsj::make_dataset(name, n, seed_flag(cli));
-  }();
+  const DatasetFlags data = dataset_flags(cli);
 
   const double eps = cli.get_double("epsilon", 0.0, "join radius");
   GSJ_CHECK_MSG(eps > 0.0, "--epsilon is required and must be > 0");
@@ -534,6 +561,7 @@ int cmd_profile(gsj::Cli& cli) {
     cfg.tracer = &tracer;
     cfg.metrics = &metrics;
     reject_unknown_flags(cli);
+    const gsj::Dataset ds = data.load();
     const auto out = gsj::super_ego_join(ds, cfg);
     std::cout << "SUPER-EGO: " << out.stats.result_pairs << " pairs in "
               << out.stats.sort_seconds + out.stats.seconds << " s\n";
@@ -552,6 +580,7 @@ int cmd_profile(gsj::Cli& cli) {
     cfg.tracer = &tracer;
     cfg.metrics = &metrics;
     reject_unknown_flags(cli);
+    const gsj::Dataset ds = data.load();
 
     const auto out = gsj::self_join(ds, cfg);
     std::cout << cfg.name() << ": " << out.stats.result_pairs << " pairs, "
@@ -603,15 +632,7 @@ int cmd_profile(gsj::Cli& cli) {
 }
 
 int cmd_sweep(gsj::Cli& cli) {
-  // Dataset: an existing .bin, or generated in-process.
-  const std::string input = cli.get("input", "", "input dataset (.bin)");
-  gsj::Dataset ds = [&] {
-    if (!input.empty()) return gsj::load_binary(input);
-    const std::string name =
-        cli.get("dataset", "Expo2D2M", "Table I dataset to generate");
-    const std::size_t n = n_flag(cli, 20000);
-    return gsj::make_dataset(name, n, seed_flag(cli));
-  }();
+  const DatasetFlags data = dataset_flags(cli);
 
   const std::string eps_flag =
       cli.get("epsilons", "", "comma-separated join radii");
@@ -633,6 +654,7 @@ int cmd_sweep(gsj::Cli& cli) {
       "also run every cell through the one-shot self_join for comparison");
   const std::string out_path = cli.get("out", "sweep.json", "JSON report path");
   reject_unknown_flags(cli);
+  const gsj::Dataset ds = data.load();
 
   gsj::obs::Registry svc_metrics;
   gsj::ServiceConfig scfg;
@@ -826,15 +848,8 @@ ServeRequest parse_request_line(const std::string& line) {
 }
 
 int cmd_serve(gsj::Cli& cli) {
-  // Dataset: an existing .bin, or generated in-process.
-  const std::string input = cli.get("input", "", "input dataset (.bin)");
+  const DatasetFlags data = dataset_flags(cli);
   const std::uint64_t seed = seed_flag(cli);
-  gsj::Dataset ds = [&] {
-    if (!input.empty()) return gsj::load_binary(input);
-    const std::string name =
-        cli.get("dataset", "Expo2D2M", "Table I dataset to generate");
-    return gsj::make_dataset(name, n_flag(cli, 20000), seed);
-  }();
 
   const std::string requests_path =
       cli.get("requests", "", "requests file (key=value lines)");
@@ -892,6 +907,7 @@ int cmd_serve(gsj::Cli& cli) {
   base_device.host.num_threads = host_threads;
   const gsj::simt::FleetConfig fleet = parse_fleet_flags(cli, base_device);
   reject_unknown_flags(cli);
+  gsj::Dataset ds = data.load();
 
   // --- assemble the request list ---
   std::vector<ServeRequest> reqs;
@@ -1472,15 +1488,8 @@ int cmd_serve(gsj::Cli& cli) {
 }
 
 int cmd_top(gsj::Cli& cli) {
-  // Dataset: an existing .bin, or generated in-process.
-  const std::string input = cli.get("input", "", "input dataset (.bin)");
+  const DatasetFlags data = dataset_flags(cli);
   const std::uint64_t seed = seed_flag(cli);
-  gsj::Dataset ds = [&] {
-    if (!input.empty()) return gsj::load_binary(input);
-    const std::string name =
-        cli.get("dataset", "Expo2D2M", "Table I dataset to generate");
-    return gsj::make_dataset(name, n_flag(cli, 20000), seed);
-  }();
 
   const int stress = static_cast<int>(
       cli.get_int("stress", 48, 1, kMaxInt,
@@ -1497,6 +1506,7 @@ int cmd_top(gsj::Cli& cli) {
   base_device.host.num_threads = host_threads;
   const gsj::simt::FleetConfig fleet = parse_fleet_flags(cli, base_device);
   reject_unknown_flags(cli);
+  gsj::Dataset ds = data.load();
 
   // The serve --stress mix (without scheduled cancellations): every
   // variant, a few epsilons, three priority classes.
@@ -1595,15 +1605,7 @@ int cmd_top(gsj::Cli& cli) {
 }
 
 int cmd_explain(gsj::Cli& cli) {
-  // Dataset: an existing .bin, or generated in-process.
-  const std::string input = cli.get("input", "", "input dataset (.bin)");
-  const std::uint64_t seed = seed_flag(cli);
-  gsj::Dataset ds = [&] {
-    if (!input.empty()) return gsj::load_binary(input);
-    const std::string name =
-        cli.get("dataset", "Expo2D2M", "Table I dataset to generate");
-    return gsj::make_dataset(name, n_flag(cli, 20000), seed);
-  }();
+  const DatasetFlags data = dataset_flags(cli);
 
   const double eps = cli.get_double("epsilon", 0.0, "join radius");
   GSJ_CHECK_MSG(eps > 0.0, "--epsilon is required and must be > 0");
@@ -1628,6 +1630,7 @@ int cmd_explain(gsj::Cli& cli) {
   apply_batching_flags(cli, cfg.batching);
   cfg.store_pairs = false;
   reject_unknown_flags(cli);
+  gsj::Dataset ds = data.load();
 
   gsj::obs::Tracer tracer(logical ? gsj::obs::TimeMode::Logical
                                   : gsj::obs::TimeMode::Wall);

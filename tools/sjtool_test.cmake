@@ -46,6 +46,12 @@ run_fails("--workers: expected an integer in [1, 1024], got '-1'"
 run_fails("--host-threads: expected an integer in [0, 1024], got '4294967297'"
           ${SJTOOL} join --input ds.bin --epsilon 0.02 --variant combined
           --host-threads 4294967297)
+# Flags are checked before any dataset work: with --input naming a
+# missing file, the flag error is still the one reported.
+run_fails("--workers: expected an integer in [1, 1024], got '-1'"
+          ${SJTOOL} serve --input missing.bin --stress 2 --workers -1)
+run_fails("unknown flag(s): --varient"
+          ${SJTOOL} join --input missing.bin --epsilon 0.02 --varient unicomp)
 # A misspelled flag fails the subcommand before it runs, naming the flag.
 run_fails("unknown flag(s): --varient"
           ${SJTOOL} join --input ds.bin --epsilon 0.02 --varient unicomp)
