@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace gsj {
 
@@ -67,7 +68,18 @@ void ThreadPool::parallel_for_chunks(
     const std::size_t end = std::min(begin + chunk, n);
     futs.push_back(submit([&fn, begin, end] { fn(begin, end); }));
   }
-  for (auto& f : futs) f.get();  // propagate exceptions
+  // Every chunk must finish before `fn` (in the caller's frame) goes out
+  // of scope: wait on all of them, then rethrow the first exception in
+  // chunk order.
+  std::exception_ptr first;
+  for (auto& f : futs) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace gsj

@@ -51,11 +51,14 @@ class ThreadPool {
   }
 
   /// Runs `fn(i)` for i in [0, n), chunked across the pool, and blocks
-  /// until all chunks finish. `fn` must be safe to call concurrently.
+  /// until all chunks finish, even when one throws; then rethrows the
+  /// first exception in chunk order. `fn` must be safe to call
+  /// concurrently.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Runs `fn(begin, end)` over contiguous chunks of [0, n). Lower
-  /// dispatch overhead than the per-index overload.
+  /// Runs `fn(begin, end)` over contiguous chunks of [0, n), with
+  /// parallel_for's wait and rethrow. Lower dispatch overhead than the
+  /// per-index overload.
   void parallel_for_chunks(
       std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn);
 

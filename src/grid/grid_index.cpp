@@ -12,6 +12,20 @@
 
 namespace gsj {
 
+template <typename X>
+std::uint64_t GridIndex::clamped_id(X&& x) const {
+  std::uint64_t id = 0;
+  for (int d = 0; d < dims(); ++d) {
+    const auto sd = static_cast<std::size_t>(d);
+    auto c =
+        static_cast<std::int32_t>(std::floor((x(d) - min_[sd]) / epsilon_));
+    // Points exactly on the max boundary fold into the last cell.
+    c = std::clamp(c, std::int32_t{0}, cells_per_dim_[sd] - 1);
+    id += static_cast<std::uint64_t>(c) * stride_[sd];
+  }
+  return id;
+}
+
 GridIndex::GridIndex(const Dataset& ds, double epsilon, ThreadPool* pool)
     : ds_(&ds), epsilon_(epsilon) {
   GSJ_CHECK_MSG(epsilon > 0.0, "epsilon must be positive");
@@ -48,17 +62,7 @@ GridIndex::GridIndex(const Dataset& ds, double epsilon, ThreadPool* pool)
   std::vector<std::uint64_t> ids(npts);
   const auto compute_ids = [&](std::size_t first, std::size_t last) {
     for (std::size_t i = first; i < last; ++i) {
-      std::uint64_t id = 0;
-      for (int d = 0; d < n; ++d) {
-        auto c = static_cast<std::int32_t>(
-            std::floor((ds.coord(i, d) - min_[static_cast<std::size_t>(d)]) /
-                       epsilon));
-        // Points exactly on the max boundary fold into the last cell.
-        c = std::clamp(c, std::int32_t{0},
-                       cells_per_dim_[static_cast<std::size_t>(d)] - 1);
-        id += static_cast<std::uint64_t>(c) * stride_[static_cast<std::size_t>(d)];
-      }
-      ids[i] = id;
+      ids[i] = clamped_id([&](int d) { return ds.coord(i, d); });
     }
   };
   if (pool != nullptr && pool->size() > 1) {
@@ -79,13 +83,28 @@ GridIndex::GridIndex(const Dataset& ds, double epsilon, ThreadPool* pool)
       },
       pool);
 
-  // Materialize non-empty cells over the sorted order.
-  point_cell_.resize(npts);
-  point_rank_.resize(npts);
-  for (std::size_t pos = 0; pos < npts; ++pos) {
-    const PointId p = point_ids_[pos];
+  // Materialize over the sorted order (each position's write rewrites
+  // the point id just read from it).
+  std::size_t next = 0;
+  materialize(npts, [&] {
+    const PointId p = point_ids_[next++];
+    return std::pair{ids[p], p};
+  });
+}
+
+template <typename Entry>
+void GridIndex::materialize(std::size_t n, Entry&& entry) {
+  cells_.clear();
+  // Grow to exactly n, as a rebuild would: resize() alone doubles the
+  // capacity of an array that churn grew by a single point.
+  point_ids_.reserve(n);
+  point_ids_.resize(n);
+  point_cell_.assign(n, 0);
+  point_rank_.assign(n, 0);
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const auto [id, p] = entry();
+    point_ids_[pos] = p;
     point_rank_[p] = static_cast<std::uint32_t>(pos);
-    const std::uint64_t id = ids[p];
     if (cells_.empty() || cells_.back().linear_id != id) {
       cells_.push_back({id, static_cast<std::uint32_t>(pos),
                         static_cast<std::uint32_t>(pos)});
@@ -93,8 +112,7 @@ GridIndex::GridIndex(const Dataset& ds, double epsilon, ThreadPool* pool)
     cells_.back().end = static_cast<std::uint32_t>(pos + 1);
     point_cell_[p] = static_cast<std::uint32_t>(cells_.size() - 1);
   }
-
-  generation_ = ds.generation();
+  generation_ = ds_->generation();
   recompute_content_key();
   build_occupancy();
 }
@@ -145,18 +163,6 @@ void GridIndex::recompute_content_key() {
   content_key_ = h;
 }
 
-std::uint64_t GridIndex::clamped_cell_id(std::span<const double> coords) const {
-  std::uint64_t id = 0;
-  for (int d = 0; d < dims(); ++d) {
-    const auto sd = static_cast<std::size_t>(d);
-    auto c = static_cast<std::int32_t>(
-        std::floor((coords[sd] - min_[sd]) / epsilon_));
-    c = std::clamp(c, std::int32_t{0}, cells_per_dim(d) - 1);
-    id += static_cast<std::uint64_t>(c) * stride_[sd];
-  }
-  return id;
-}
-
 GridRepairOutcome GridIndex::repair(ThreadPool* pool) {
   GridRepairOutcome out;
   const Dataset& ds = *ds_;
@@ -197,7 +203,6 @@ GridRepairOutcome GridIndex::repair(ThreadPool* pool) {
   out.pure_moves = churn.pure_moves;
 
   const std::size_t new_n = ds.size();
-  const auto sdims = static_cast<std::size_t>(dims());
   std::vector<std::uint8_t> touched(new_n, 0);
   for (const auto& t : churn.touched) touched[t.id] = 1;
 
@@ -207,21 +212,19 @@ GridRepairOutcome GridIndex::repair(ThreadPool* pool) {
   fresh.reserve(churn.touched.size());
   std::vector<std::uint64_t> dirty;
   dirty.reserve(2 * churn.touched.size() + churn.removed.size());
-  std::array<double, Mutation::kCoordCap> buf{};
+  const auto old_id = [this](const auto& churned) {
+    return clamped_id([&churned](int d) {
+      return churned.old_coords[static_cast<std::size_t>(d)];
+    });
+  };
   for (const auto& t : churn.touched) {
-    for (int d = 0; d < dims(); ++d) {
-      buf[static_cast<std::size_t>(d)] = ds.coord(t.id, d);
-    }
-    const std::uint64_t nid = clamped_cell_id({buf.data(), sdims});
+    const std::uint64_t nid =
+        clamped_id([&](int d) { return ds.coord(t.id, d); });
     fresh.emplace_back(nid, t.id);
     dirty.push_back(nid);
-    if (t.existed_before) {
-      dirty.push_back(clamped_cell_id({t.old_coords.data(), sdims}));
-    }
+    if (t.existed_before) dirty.push_back(old_id(t));
   }
-  for (const auto& r : churn.removed) {
-    dirty.push_back(clamped_cell_id({r.old_coords.data(), sdims}));
-  }
+  for (const auto& r : churn.removed) dirty.push_back(old_id(r));
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   std::sort(fresh.begin(), fresh.end());
@@ -240,33 +243,15 @@ GridRepairOutcome GridIndex::repair(ThreadPool* pool) {
   GSJ_CHECK(kept.size() + fresh.size() == new_n);
 
   // Merge the two sorted runs under the build's strict (cell, id)
-  // total order and re-materialize — the result cannot differ from a
-  // from-scratch sort of the same entries.
-  std::vector<GridCell> new_cells;
-  new_cells.reserve(cells_.size() + fresh.size());
-  std::vector<PointId> new_point_ids(new_n);
-  point_cell_.assign(new_n, 0);
-  point_rank_.assign(new_n, 0);
+  // total order and materialize them as the constructor does — the
+  // result cannot differ from a from-scratch sort of the same entries.
   std::size_t a = 0;
   std::size_t b = 0;
-  for (std::size_t pos = 0; pos < new_n; ++pos) {
+  materialize(new_n, [&] {
     const bool take_kept =
         b >= fresh.size() || (a < kept.size() && kept[a] < fresh[b]);
-    const auto [cell_id, p] = take_kept ? kept[a++] : fresh[b++];
-    new_point_ids[pos] = p;
-    point_rank_[p] = static_cast<std::uint32_t>(pos);
-    if (new_cells.empty() || new_cells.back().linear_id != cell_id) {
-      new_cells.push_back({cell_id, static_cast<std::uint32_t>(pos),
-                           static_cast<std::uint32_t>(pos)});
-    }
-    new_cells.back().end = static_cast<std::uint32_t>(pos + 1);
-    point_cell_[p] = static_cast<std::uint32_t>(new_cells.size() - 1);
-  }
-  cells_ = std::move(new_cells);
-  point_ids_ = std::move(new_point_ids);
-  generation_ = ds.generation();
-  recompute_content_key();
-  build_occupancy();
+    return take_kept ? kept[a++] : fresh[b++];
+  });
 
   out.repaired = true;
   out.dirty_cell_ids = std::move(dirty);

@@ -313,10 +313,17 @@ class GridIndex {
     return static_cast<std::size_t>((block * 0x9E3779B97F4A7C15ull) >>
                                     occupancy_shift_);
   }
-  /// Linear cell id of a location (max-boundary coordinates fold into
-  /// the last cell, exactly as at build).
-  [[nodiscard]] std::uint64_t clamped_cell_id(
-      std::span<const double> coords) const;
+  /// Fills cells_, point_ids_, point_cell_ and point_rank_ from the n
+  /// (cell id, point id) pairs that successive `entry()` calls yield in
+  /// (cell, id) order, then stamps the generation and rebuilds the
+  /// content key and occupancy table. The constructor and repair() both
+  /// build through it, so a repaired index equals a rebuild.
+  template <typename Entry>
+  void materialize(std::size_t n, Entry&& entry);
+  /// Linear cell id of the location whose coordinate in dimension d is
+  /// x(d) (max-boundary coordinates fold into the last cell).
+  template <typename X>
+  [[nodiscard]] std::uint64_t clamped_id(X&& x) const;
   /// Unclamped cell coordinates of a location, floor((x − min) / ε) per
   /// dimension, kept in double so far-out locations cannot overflow.
   [[nodiscard]] std::array<double, kMaxDims> location_cell(

@@ -19,26 +19,28 @@
 // serialize within a warp; the slight overcharge for the non-atomic
 // part of init is a documented simplification).
 //
-// Parallel host execution. With cfg.host.num_threads > 0 and a kernel
-// that additionally provides the shard API
+// Host execution. Warps run in blocks, each in three passes
+// (docs/PERFORMANCE.md, "The three-pass design"):
+//   1. dispatch — run init_lane in dispatch order, the RNG window picks
+//      drawn once per launch (work-queue counter grabs happen in the
+//      order the device makes them);
+//   2. step — each warp's step loop, which depends only on its own
+//      lanes' state;
+//   3. retire — replay the slot min-heap with the computed cycle costs
+//      and fire the WarpObserver, in dispatch order.
+// A sequential launch runs blocks of one warp and steps each in place.
+// With cfg.host.num_threads > 0, more than one warp and a kernel that
+// additionally provides the shard API
 //
 //   auto K::make_shard()                   // per-warp side-effect sink
 //   simt::StepResult K::step(LaneState&, Shard&);
 //   void K::merge_shard(Shard&&);          // sequential, dispatch order
 //
-// the launch runs in three passes (docs/PERFORMANCE.md):
-//   1. sequential dispatch — draw the RNG window picks and run
-//      init_lane in dispatch order (work-queue counter grabs happen
-//      exactly as in the sequential path);
-//   2. parallel step loops — each warp's lockstep loop depends only on
-//      its own lanes' state, so warps execute concurrently on a
-//      ThreadPool, emitting into private shards;
-//   3. sequential replay — the slot min-heap is replayed with the
-//      computed cycle costs, shards merge and the WarpObserver fires in
-//      dispatch order.
-// Every modeled quantity (cycles, stats, results, observer stream) is
-// bit-identical to the sequential path; kernels lacking the shard API
-// silently keep the sequential path.
+// the launch is threaded: blocks of detail::kWarpBlock warps, pass 2 on
+// a ThreadPool into private shards, which pass 3 merges in dispatch
+// order. Every modeled quantity (cycles, stats, results, observer
+// stream) is the same on both paths; kernels lacking the shard API
+// always run sequentially.
 //
 // Warp replay. A kernel may additionally provide
 //
@@ -46,28 +48,28 @@
 //                                     const std::uint8_t* active,
 //                                     int warp_size);
 //   simt::detail::WarpRun K::run_warp(LaneState*, const std::uint8_t*,
-//                                     int, Shard&);  // parallel path
+//                                     int, Shard&);  // threaded path
 //
-// The launch calls it once per warp, right after init_lane, in place
-// of the lockstep loop: it must leave the side effects (in order) that
+// The launch calls it once per warp in pass 2, in place of the
+// lockstep loop: it must leave the side effects (in order) that
 // the loop over step() would leave, and return that loop's steps,
 // active lane-steps and cycles, init cost excluded (the launch adds
 // it). Lanes with active[l] == 0 take no step. A kernel's lanes never
 // read each other, so the hook can replay each lane's trace on its own
 // and reduce the warp afterwards (sj/kernels.hpp). Kernels without the
-// hook (or, on the parallel path, without its shard overload) run the
+// hook (or, on the threaded path, without its shard overload) run the
 // generic lockstep loop.
 //
-// Abortable launch. An optional `should_abort` hook is polled every
-// detail::kWarpBlock warps — at the *same* warp-count boundaries on the
-// sequential and parallel paths (the parallel path's block merges), so
-// an abort decision driven by merged side effects (e.g. the result
-// count crossing the batch buffer capacity) stops both paths after the
-// exact same set of executed warps, keeping them bit-identical. On
-// abort the remaining warps never run, warps_launched reports only the
-// executed ones and stats.aborted_launches is 1. This models a host
-// that cancels the remaining grid once the device-side result counter
-// passes the pinned-buffer capacity (overflow recovery, sj/selfjoin).
+// Abortable launch. An optional `should_abort` hook is polled in one
+// place: before every detail::kWarpBlock-th warp, never before the first
+// warp or after the last. Both host paths have retired and merged the
+// same warps there, so an abort decision driven by merged side effects
+// (e.g. the result count crossing the batch buffer capacity) stops both
+// after the exact same set of executed warps. On abort the remaining
+// warps never run, warps_launched reports only the executed ones and
+// stats.aborted_launches is 1. This models a host that cancels the
+// remaining grid once the device-side result counter passes the
+// pinned-buffer capacity (overflow recovery, sj/execute.cpp).
 #pragma once
 
 #include <algorithm>
@@ -141,10 +143,20 @@ struct WarpRun {
   std::uint64_t active_lane_steps = 0;
 };
 
+/// The shard type of a ParallelHostKernel; an empty stand-in otherwise.
+template <typename K>
+struct ShardOf {
+  struct type {};
+};
+template <ParallelHostKernel K>
+struct ShardOf<K> {
+  using type = decltype(std::declval<K&>().make_shard());
+};
+
 }  // namespace detail
 
 /// Kernels that replay a whole warp at once (see header comment).
-/// WarpRunKernel<K, Shard> asks for the parallel path's overload, which
+/// WarpRunKernel<K, Shard> asks for the threaded path's overload, which
 /// emits into a shard.
 template <typename K, typename... Shard>
 concept WarpRunKernel =
@@ -155,15 +167,15 @@ concept WarpRunKernel =
       } -> std::same_as<detail::WarpRun>;
     };
 
-/// Launch abort hook: polled between warp blocks; returning true stops
-/// the launch before the next block (see header comment).
+/// Launch abort hook: polled before every kWarpBlock-th warp; returning
+/// true stops the launch there (see header comment).
 using LaunchAbort = std::function<bool()>;
 
 namespace detail {
 
-/// Warps per execution block: the parallel host path's shard window and
-/// the abort-hook polling interval (both paths poll at multiples of
-/// this count, which is what keeps aborts bit-identical across them).
+/// Warps per threaded block (the shard window) and the abort-hook
+/// polling interval: both host paths poll at multiples of this count,
+/// which is what keeps aborts bit-identical across them.
 constexpr std::uint64_t kWarpBlock = 4096;
 
 /// Warp ids in dispatch order: uniform picks from a bounded window at
@@ -348,86 +360,69 @@ KernelStats launch(const DeviceConfig& cfg, std::uint64_t num_threads, K& k,
     }
   };
 
-  bool done = false;
+  // The one warp loop (see header comment): a threaded launch has a
+  // pool and blocks of kWarpBlock warps, a sequential one blocks of one.
+  ThreadPool* pool = nullptr;
+  std::optional<ThreadPool> owned;
   if constexpr (ParallelHostKernel<K>) {
     if (cfg.host.num_threads > 0 && num_warps > 1) {
-      using Shard = decltype(k.make_shard());
-      std::optional<ThreadPool> owned;
-      ThreadPool* pool = cfg.host.pool;
+      pool = cfg.host.pool;
       if (pool == nullptr) {
         owned.emplace(static_cast<std::size_t>(cfg.host.num_threads));
         pool = &*owned;
       }
-
-      // Blocked execution bounds the saved lane states / shards to a
-      // window of warps while leaving plenty of parallel slack.
-      const std::uint64_t block = std::min(num_warps, detail::kWarpBlock);
-      std::vector<typename K::LaneState> lanes(
-          static_cast<std::size_t>(block * ws));
-      std::vector<std::uint8_t> active(static_cast<std::size_t>(block * ws));
-      std::vector<std::uint64_t> init_costs(static_cast<std::size_t>(block));
-      std::vector<detail::WarpRun> runs(static_cast<std::size_t>(block));
-      std::vector<Shard> shards;
-      shards.reserve(static_cast<std::size_t>(block));
-      WarpScratch scratch{};
-
-      for (std::uint64_t base = 0; base < num_warps; base += block) {
-        const std::uint64_t bsize = std::min(block, num_warps - base);
-        // Pass 1 — sequential dispatch: init_lane in dispatch order
-        // (work-queue counter grabs serialize exactly as sequentially).
-        shards.clear();
-        for (std::uint64_t i = 0; i < bsize; ++i) {
-          const auto off = static_cast<std::size_t>(i * ws);
-          init_costs[static_cast<std::size_t>(i)] = detail::init_warp(
-              cfg, num_threads, k, order[static_cast<std::size_t>(base + i)],
-              lanes.data() + off, active.data() + off, scratch);
-          shards.push_back(k.make_shard());
-        }
-        // Pass 2 — parallel step loops into per-warp shards.
-        pool->parallel_for(static_cast<std::size_t>(bsize), [&](std::size_t i) {
-          const std::size_t off = i * static_cast<std::size_t>(ws);
-          runs[i] = detail::run_warp(k, cfg.warp_size, lanes.data() + off,
-                                     active.data() + off, init_costs[i],
-                                     shards[i]);
-        });
-        // Pass 3 — sequential replay: slot heap, stats, observer and
-        // shard merge in dispatch order.
-        for (std::uint64_t i = 0; i < bsize; ++i) {
-          const auto ii = static_cast<std::size_t>(i);
-          retire(order[static_cast<std::size_t>(base + i)], base + i, runs[ii]);
-          k.merge_shard(std::move(shards[ii]));
-        }
-        // Abort poll at the block boundary — the merged side effects
-        // here equal the sequential path's at the same warp count.
-        if (should_abort && base + bsize < num_warps && should_abort()) {
-          stats.aborted_launches = 1;
-          stats.warps_launched = base + bsize;
-          break;
-        }
-      }
-      done = true;
     }
   }
+  const std::uint64_t block =
+      pool != nullptr ? std::min(num_warps, detail::kWarpBlock) : 1;
+  std::vector<typename K::LaneState> lanes(
+      static_cast<std::size_t>(block * ws));
+  std::vector<std::uint8_t> active(static_cast<std::size_t>(block * ws));
+  std::vector<std::uint64_t> init_costs(static_cast<std::size_t>(block));
+  std::vector<detail::WarpRun> runs(static_cast<std::size_t>(block));
+  std::vector<typename detail::ShardOf<K>::type> shards;
+  if (pool != nullptr) shards.reserve(static_cast<std::size_t>(block));
+  WarpScratch scratch{};
 
-  if (!done) {
-    std::vector<typename K::LaneState> lanes(
-        static_cast<std::size_t>(cfg.warp_size));
-    std::array<std::uint8_t, 32> active{};
-    WarpScratch scratch{};
-    for (std::uint64_t seq = 0; seq < num_warps; ++seq) {
-      // Same polling boundaries as the parallel path's block merges.
-      if (should_abort && seq > 0 && seq % detail::kWarpBlock == 0 &&
-          should_abort()) {
-        stats.aborted_launches = 1;
-        stats.warps_launched = seq;
-        break;
+  for (std::uint64_t base = 0; base < num_warps; base += block) {
+    // The abort poll: both paths have merged the same warps here.
+    if (base > 0 && base % detail::kWarpBlock == 0 && should_abort &&
+        should_abort()) {
+      stats.aborted_launches = 1;
+      stats.warps_launched = base;
+      break;
+    }
+    const auto bsize =
+        static_cast<std::size_t>(std::min(block, num_warps - base));
+    // Pass 1 — dispatch: init_lane in dispatch order (work-queue
+    // counter grabs serialize exactly as on the device).
+    for (std::size_t i = 0; i < bsize; ++i) {
+      const std::size_t off = i * static_cast<std::size_t>(ws);
+      init_costs[i] = detail::init_warp(
+          cfg, num_threads, k, order[static_cast<std::size_t>(base) + i],
+          lanes.data() + off, active.data() + off, scratch);
+    }
+    // Pass 2 — the step loops: in place, or on the pool into shards.
+    if (pool == nullptr) {
+      runs[0] = detail::run_warp(k, cfg.warp_size, lanes.data(),
+                                 active.data(), init_costs[0]);
+    } else if constexpr (ParallelHostKernel<K>) {
+      shards.clear();
+      for (std::size_t i = 0; i < bsize; ++i) shards.push_back(k.make_shard());
+      pool->parallel_for(bsize, [&](std::size_t i) {
+        const std::size_t off = i * static_cast<std::size_t>(ws);
+        runs[i] = detail::run_warp(k, cfg.warp_size, lanes.data() + off,
+                                   active.data() + off, init_costs[i],
+                                   shards[i]);
+      });
+    }
+    // Pass 3 — retire: slot heap, stats, observer and shard merge in
+    // dispatch order.
+    for (std::size_t i = 0; i < bsize; ++i) {
+      retire(order[static_cast<std::size_t>(base) + i], base + i, runs[i]);
+      if constexpr (ParallelHostKernel<K>) {
+        if (pool != nullptr) k.merge_shard(std::move(shards[i]));
       }
-      const std::uint64_t w = order[static_cast<std::size_t>(seq)];
-      const std::uint64_t init_cost = detail::init_warp(
-          cfg, num_threads, k, w, lanes.data(), active.data(), scratch);
-      const detail::WarpRun run = detail::run_warp(
-          k, cfg.warp_size, lanes.data(), active.data(), init_cost);
-      retire(w, seq, run);
     }
   }
 

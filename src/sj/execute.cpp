@@ -9,7 +9,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "simt/counter.hpp"
 #include "simt/fleet.hpp"
 
 namespace gsj::detail {
@@ -22,7 +21,8 @@ namespace {
 /// and committed BatchStats. execute_self_join calls run() once;
 /// execute_fleet calls it once per grain. State that spans the whole
 /// join (result buffer, batch list, warp-cycle collection, retry
-/// budget) lives here, so recovery and numbering continue across grains.
+/// budget, abort hook) lives here, so recovery and numbering continue
+/// across grains.
 ///
 /// A single-device driver additionally keeps per-slot stats, tracer
 /// warp/batch events and the cycle offset of back-to-back batches; on a
@@ -95,66 +95,54 @@ class BatchDriver {
         records.push_back(r);
       };
     }
+    // One abort hook per run: none when the buffer is unbounded and
+    // nothing can cancel; otherwise it checks for both (batch_overflowed
+    // never holds under kUnlimited).
+    if (capacity_ != ResultSet::kUnlimited || in.cancel != nullptr) {
+      abort_hook_ = [&results = out.results, cancel = in.cancel] {
+        return results.batch_overflowed() ||
+               (cancel != nullptr && cancel->load(std::memory_order_relaxed));
+      };
+    }
   }
 
-  /// Executes `plan` on `device` (fleet index `device_id`), consuming
-  /// its batch lists; `queue` is the D' slice its queue ranges index.
-  /// Appends every launch's modeled kernel/transfer seconds to the
-  /// device's timeline.
-  Totals run(BatchPlan& plan, const simt::DeviceConfig& device, int device_id,
-             std::span<const PointId> queue, std::vector<double>& kernel_secs,
-             std::vector<double>& xfer_secs) {
+  /// Executes `plan` on `device` (fleet index `device_id`); `queue` is
+  /// the D' slice its queue ranges index. Appends every launch's modeled
+  /// kernel/transfer seconds to the device's timeline.
+  Totals run(const BatchPlan& plan, const simt::DeviceConfig& device,
+             int device_id, std::span<const PointId> queue,
+             std::vector<double>& kernel_secs, std::vector<double>& xfer_secs) {
     device_ = &device;
     device_id_ = device_id;
-    queue_ = queue;
     kernel_secs_ = &kernel_secs;
     xfer_secs_ = &xfer_secs;
     totals_ = Totals{};
-    if (cfg_.work_queue) {
-      // LIFO stack of [begin, end) chunks over D'; a failed chunk is
-      // halved and both halves re-executed (first half next, preserving
-      // the workload-sorted consumption order).
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> work(
-          plan.queue_ranges.rbegin(), plan.queue_ranges.rend());
-      while (!work.empty()) {
-        throw_if_cancelled();
-        const auto [begin, end] = work.back();
-        work.pop_back();
-        if (begin == end) continue;
-        counter_.reset(begin);
-        if (attempt({}, end - begin)) continue;
-        const auto sp = obs::span(tracer_, "overflow_retry");
-        const auto rsp =
-            obs::span(req_tracer_, "overflow_retry", in_.channel_ctx);
-        check_recoverable(end - begin);
-        const std::uint64_t mid = begin + (end - begin) / 2;
-        work.emplace_back(mid, end);
-        work.emplace_back(begin, mid);
-      }
-    } else {
-      // LIFO stack over the planned batch lists; a failed batch is split
-      // in half (halves keep their SORTBYWL order — a contiguous slice
-      // of a sorted list stays sorted). The plan's lists are moved, not
-      // copied — the plan is consumed.
-      std::vector<std::vector<PointId>> work(
-          std::make_move_iterator(plan.batches.rbegin()),
-          std::make_move_iterator(plan.batches.rend()));
-      while (!work.empty()) {
-        throw_if_cancelled();
-        std::vector<PointId> batch = std::move(work.back());
-        work.pop_back();
-        if (batch.empty()) continue;
-        if (attempt(batch, 0)) continue;
-        const auto sp = obs::span(tracer_, "overflow_retry");
-        const auto rsp =
-            obs::span(req_tracer_, "overflow_retry", in_.channel_ctx);
-        check_recoverable(batch.size());
-        const std::size_t mid = batch.size() / 2;
-        work.emplace_back(batch.begin() + static_cast<std::ptrdiff_t>(mid),
-                          batch.end());
-        batch.resize(mid);
-        work.push_back(std::move(batch));
-      }
+    // One LIFO stack of batches, each a span of query points: the plan's
+    // strided lists, or its chunks of `queue` (a plan carries one kind).
+    // A failed batch is halved and both halves re-run, first half next:
+    // a slice of a SORTBYWL list stays sorted, and chunks keep D''s
+    // workload-sorted consumption order.
+    std::vector<std::span<const PointId>> work;
+    work.reserve(plan.batches.size() + plan.queue_ranges.size());
+    for (auto r = plan.queue_ranges.rbegin(); r != plan.queue_ranges.rend();
+         ++r) {
+      work.push_back(queue.subspan(r->first, r->second - r->first));
+    }
+    for (auto b = plan.batches.rbegin(); b != plan.batches.rend(); ++b) {
+      work.emplace_back(*b);
+    }
+    while (!work.empty()) {
+      throw_if_cancelled();
+      const std::span<const PointId> batch = work.back();
+      work.pop_back();
+      if (batch.empty() || attempt(batch)) continue;
+      const auto sp = obs::span(tracer_, "overflow_retry");
+      const auto rsp =
+          obs::span(req_tracer_, "overflow_retry", in_.channel_ctx);
+      check_recoverable(batch.size());
+      const std::size_t mid = batch.size() / 2;
+      work.push_back(batch.subspan(mid));
+      work.push_back(batch.first(mid));
     }
     return totals_;
   }
@@ -233,7 +221,7 @@ class BatchDriver {
   // back, and the wasted device time accounted; returns false so the
   // caller can split and re-plan. `overflow_pairs_` keeps the count at
   // detection (a lower bound when the launch aborted early).
-  bool attempt(std::span<const PointId> points, std::uint64_t queue_len) {
+  bool attempt(std::span<const PointId> points) {
     SelfJoinStats& st = out_.stats;
     const auto index = static_cast<std::uint32_t>(st.batches.size());
     auto batch_span = obs::span(
@@ -250,36 +238,18 @@ class BatchDriver {
         cfg_.work_queue ? Assignment::WorkQueue : Assignment::Static;
     params.k = cfg_.k;
     params.points = points;
-    params.queue = queue_;
-    params.counter = &counter_;
     params.device = &device;
     params.results = &out_.results;
     params.columns = columns_;
 
-    const std::uint64_t groups = cfg_.work_queue ? queue_len : points.size();
-    const std::uint64_t nthreads = groups * static_cast<std::uint64_t>(cfg_.k);
+    const std::uint64_t nthreads =
+        points.size() * static_cast<std::uint64_t>(cfg_.k);
 
     out_.results.begin_batch(capacity_);
     SelfJoinKernel kernel(params);
     arena_.launch_records.clear();
-    const std::atomic<bool>* cancel = in_.cancel;
-    simt::LaunchAbort abort_hook;
-    if (capacity_ != ResultSet::kUnlimited && cancel != nullptr) {
-      abort_hook = [&results = out_.results, cancel] {
-        return results.batch_overflowed() ||
-               cancel->load(std::memory_order_relaxed);
-      };
-    } else if (capacity_ != ResultSet::kUnlimited) {
-      abort_hook = [&results = out_.results] {
-        return results.batch_overflowed();
-      };
-    } else if (cancel != nullptr) {
-      abort_hook = [cancel] {
-        return cancel->load(std::memory_order_relaxed);
-      };
-    }
     simt::KernelStats ks =
-        simt::launch(device, nthreads, kernel, observer_, abort_hook);
+        simt::launch(device, nthreads, kernel, observer_, abort_hook_);
     ks.atomics_executed = kernel.atomics_executed();
     ks.results_emitted = kernel.results_emitted();
 
@@ -312,7 +282,7 @@ class BatchDriver {
 
     BatchStats bs;
     bs.device = device_id_;
-    bs.query_points = groups;
+    bs.query_points = points.size();
     bs.result_pairs = batch_pairs;
     bs.warps = ks.warps_launched;
     bs.makespan_cycles = ks.makespan_cycles;
@@ -377,14 +347,13 @@ class BatchDriver {
   const bool collect_;
   obs::CycleHistogram* const warp_cycle_hist_;
   simt::WarpObserver observer_;
-  simt::DeviceCounter counter_;
+  simt::LaunchAbort abort_hook_;
   std::vector<obs::SlotStats> slots_;  ///< single-device + collect only
   std::uint64_t cycle_offset_ = 0;     ///< batches execute back-to-back
   std::uint64_t overflow_pairs_ = 0;
   // --- the current run() ---
   const simt::DeviceConfig* device_ = nullptr;
   int device_id_ = 0;
-  std::span<const PointId> queue_;
   std::vector<double>* kernel_secs_ = nullptr;
   std::vector<double>* xfer_secs_ = nullptr;
   Totals totals_;
@@ -392,7 +361,7 @@ class BatchDriver {
 
 }  // namespace
 
-void execute_self_join(const SelfJoinConfig& cfg, ExecutionInputs& in,
+void execute_self_join(const SelfJoinConfig& cfg, const ExecutionInputs& in,
                        ScratchArena& arena, SelfJoinOutput& out) {
   BatchDriver driver(cfg, in, arena, out, /*single_device=*/true);
   arena.kernel_secs.clear();
@@ -409,7 +378,7 @@ void execute_self_join(const SelfJoinConfig& cfg, ExecutionInputs& in,
   driver.finish();
 }
 
-void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
+void execute_fleet(const SelfJoinConfig& cfg, const ExecutionInputs& in,
                    ScratchArena& arena, SelfJoinOutput& out) {
   const GridIndex& grid = *in.grid;
   const simt::FleetConfig& fc = cfg.fleet;
@@ -446,41 +415,24 @@ void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
   for (const WorkGrain& g : grains) total_weight += g.workload;
 
   // Bucket D' into per-grain queues in one stable pass: each grain's
-  // queue preserves the global workload-sorted consumption order. For
-  // the self-join a point's grain is found through its cell; probe
-  // points have no cell in the gridded index, but probe grains are
-  // contiguous id ranges so the id→grain table is direct.
+  // queue preserves the global workload-sorted consumption order. A
+  // grain owns a run of query positions (grid positions in point_ids()
+  // for the self-join, probe ids for R×S), so one position→grain table
+  // serves both modes.
   std::vector<std::vector<PointId>> grain_queues;
   if (cfg.work_queue) {
-    std::vector<std::uint32_t> point_grain;
-    if (probe != nullptr) {
-      point_grain.assign(probe->size(), 0);
-      for (std::size_t g = 0; g < num_grains; ++g) {
-        for (std::uint32_t p = grains[g].point_begin;
-             p < grains[g].point_end; ++p) {
-          point_grain[p] = static_cast<std::uint32_t>(g);
-        }
-      }
-    }
-    std::vector<std::uint32_t> cell_grain;
-    if (probe == nullptr) {
-      cell_grain.assign(grid.cells().size(), 0);
-      for (std::size_t g = 0; g < num_grains; ++g) {
-        for (std::size_t c = grains[g].cell_begin; c < grains[g].cell_end;
-             ++c) {
-          cell_grain[c] = static_cast<std::uint32_t>(g);
-        }
-      }
-    }
+    std::vector<std::uint32_t> grain_at(
+        probe != nullptr ? probe->size() : grid.point_ids().size());
     grain_queues.resize(num_grains);
     for (std::size_t g = 0; g < num_grains; ++g) {
+      std::fill(grain_at.begin() + grains[g].point_begin,
+                grain_at.begin() + grains[g].point_end,
+                static_cast<std::uint32_t>(g));
       grain_queues[g].reserve(grains[g].points());
     }
     for (const PointId p : in.queue_order) {
-      const std::uint32_t g = probe != nullptr
-                                  ? point_grain[p]
-                                  : cell_grain[grid.cell_of_point(p)];
-      grain_queues[g].push_back(p);
+      grain_queues[grain_at[probe != nullptr ? p : grid.grid_rank(p)]]
+          .push_back(p);
     }
   }
 

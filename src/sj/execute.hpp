@@ -8,7 +8,9 @@
 // per batch against a fixed-capacity result window, overflow rollback
 // with wasted-work accounting and LIFO split recovery, cooperative
 // cancellation, per-warp observability commits, and at the end the
-// stats finalization and sj.* metrics. execute_self_join hands it the
+// stats finalization and sj.* metrics. Every batch is a span of query
+// points (a strided list, or a chunk of the workload-sorted order D'),
+// and the plan is only read. execute_self_join hands it the
 // whole plan once; execute_fleet hands it one plan per work grain,
 // cut by the batching layer's own helpers (sj/batching.hpp). A
 // submitted request that the result-serving layer answers from a
@@ -52,10 +54,11 @@ struct ScratchArena {
 /// Everything the execution stage needs, resolved by the plan stage.
 struct ExecutionInputs {
   const GridIndex* grid = nullptr;
-  /// Consumed: the strided driver moves the batch point lists out. A
-  /// fleet plan carries only the whole-join estimate; execute_fleet
-  /// scales it by grain workload share to plan each grain.
-  BatchPlan* plan = nullptr;
+  /// Read, not consumed: every batch the driver launches is a span into
+  /// the plan's strided lists or into queue_order, so both must outlive
+  /// the call. A fleet plan carries only the whole-join estimate;
+  /// execute_fleet scales it by grain workload share to plan each grain.
+  const BatchPlan* plan = nullptr;
   /// R×S probe dataset (JoinMode::RxS): batch/queue point ids index it
   /// instead of the gridded dataset, and the kernels run in probing
   /// mode (sj/kernels.hpp). nullptr for the self-join.
@@ -94,7 +97,7 @@ struct ExecutionInputs {
 /// `out` (whose ResultSet is already constructed in the right storage
 /// mode; stats.host_prep_seconds / estimated_total_pairs are set by the
 /// caller). Throws OverflowError exactly as the public API documents.
-void execute_self_join(const SelfJoinConfig& cfg, ExecutionInputs& in,
+void execute_self_join(const SelfJoinConfig& cfg, const ExecutionInputs& in,
                        ScratchArena& arena, SelfJoinOutput& out);
 
 /// Fleet execution (docs/SIMULATOR.md §fleet): shards the grid into
@@ -110,7 +113,7 @@ void execute_self_join(const SelfJoinConfig& cfg, ExecutionInputs& in,
 /// tracer warp/batch events are not (device-level accounting supersedes
 /// them at this scale). Requires in.point_workloads and a plan that
 /// carries only the whole-join estimate.
-void execute_fleet(const SelfJoinConfig& cfg, ExecutionInputs& in,
+void execute_fleet(const SelfJoinConfig& cfg, const ExecutionInputs& in,
                    ScratchArena& arena, SelfJoinOutput& out);
 
 }  // namespace gsj::detail

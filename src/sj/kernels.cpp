@@ -86,9 +86,6 @@ SelfJoinKernel::SelfJoinKernel(const KernelParams& p)
   GSJ_CHECK_MSG(p.k >= 1 && p.device->warp_size % p.k == 0,
                 "k=" << p.k << " must divide warp_size="
                      << p.device->warp_size);
-  if (p.assignment == Assignment::WorkQueue) {
-    GSJ_CHECK(p.counter != nullptr && !p.queue.empty());
-  }
 
   const GridIndex& grid = *p.grid;
   cells_ = grid.cells().data();
@@ -144,23 +141,21 @@ simt::InitResult SelfJoinKernel::init_lane(LaneState& s,
   s.group_rank = static_cast<std::uint32_t>(ctx.global_thread_id % k);
 
   std::uint32_t cost = 2;  // thread-id math / guard
-  if (p_.assignment == Assignment::Static) {
-    GSJ_DCHECK(group_global < p_.points.size());
-    s.q = p_.points[group_global];
-  } else {
+  std::uint64_t idx = group_global;
+  if (p_.assignment == Assignment::WorkQueue) {
     // Cooperative group: the leader lane pops the queue head and
     // broadcasts through warp scratch (lanes initialize in order, so
     // the leader has always run first).
     const std::size_t group_in_warp = static_cast<std::size_t>(ctx.lane_id) / k;
     if (static_cast<std::uint64_t>(ctx.lane_id) % k == 0) {
-      scratch[group_in_warp] = p_.counter->fetch_add(1);
+      scratch[group_in_warp] = counter_.fetch_add(1);
       ++atomics_;
       cost += p_.device->cost_atomic;
     }
-    const std::uint64_t idx = scratch[group_in_warp];
-    GSJ_DCHECK(idx < p_.queue.size());
-    s.q = p_.queue[idx];
+    idx = scratch[group_in_warp];
   }
+  GSJ_DCHECK(idx < p_.points.size());
+  s.q = p_.points[idx];
 
   // Origin and rank are functions of q alone, and a cooperative
   // group's k lanes initialize back to back with the same q: only the

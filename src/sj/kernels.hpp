@@ -10,11 +10,11 @@
 //                                ranges are strided across the k lanes
 //                                of a cooperative group
 //  * WORKQUEUE (§III-D)        — points taken from a device-global
-//                                atomic counter over the workload-sorted
-//                                order D'; with k>1 only the group
-//                                leader increments and broadcasts the
-//                                grabbed index (cooperative groups /
-//                                __shfl_sync)
+//                                atomic counter over the launch's chunk
+//                                of the workload-sorted order D'; with
+//                                k>1 only the group leader increments
+//                                and broadcasts the grabbed index
+//                                (cooperative groups / __shfl_sync)
 //
 // A lane's program is the CUDA kernel's loop nest unrolled into lockstep
 // work units:
@@ -54,7 +54,7 @@
 // are dropped, and lane behaviour never branches on the shared count
 // (what keeps the parallel host path bit-identical). The host aborts
 // an overflowing launch at warp-block granularity via simt::launch's
-// abort hook and rolls the batch back (sj/selfjoin.cpp).
+// abort hook and rolls the batch back (sj/execute.cpp).
 #pragma once
 
 #include <array>
@@ -74,8 +74,8 @@ namespace gsj {
 
 /// How query points are bound to thread groups.
 enum class Assignment {
-  Static,     ///< group g processes points[g] (strided batch lists)
-  WorkQueue,  ///< group leader atomically pops the next index of `queue`
+  Static,     ///< group g processes points[g]
+  WorkQueue,  ///< group leader atomically pops the next index of `points`
 };
 
 [[nodiscard]] std::string to_string(Assignment a);
@@ -92,14 +92,12 @@ struct KernelParams {
   /// keeps the classic self-join semantics.
   const Dataset* probe = nullptr;
   int k = 1;  ///< lanes per query point; must divide warp_size
-  /// Static: this batch's query list. The launch must use
-  /// points.size() * k threads.
+  /// The launch's query points, one per cooperative group: a strided
+  /// batch list, or a contiguous chunk of D' (the workload-sorted
+  /// order) that WorkQueue leaders pop in execution order through the
+  /// kernel's own counter. The launch must use points.size() * k
+  /// threads.
   std::span<const PointId> points;
-  /// WorkQueue: the full workload-sorted order D' and the shared head
-  /// counter (pre-positioned at this batch's first index). The launch
-  /// must use (range size) * k threads.
-  std::span<const PointId> queue;
-  simt::DeviceCounter* counter = nullptr;
   const simt::DeviceConfig* device = nullptr;
   ResultSet* results = nullptr;
   /// scan_columns(*grid): required, 2·n long, when the grid is 2-D;
@@ -283,6 +281,9 @@ class SelfJoinKernel {
   /// Classes by descending cost under the device's cost table: the
   /// order in which the replay charges each step its slowest lane.
   std::array<std::uint8_t, kClasses> class_order_{};
+  /// WorkQueue head over points: a launch's queue is its own batch,
+  /// so every launch starts at index 0.
+  simt::DeviceCounter counter_;
   std::uint64_t atomics_ = 0;
   std::uint64_t emitted_ = 0;
   /// The previous init_lane's q and what it derived from it.

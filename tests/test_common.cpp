@@ -5,8 +5,11 @@
 #include <cmath>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
@@ -257,6 +260,25 @@ TEST(ThreadPool, PropagatesExceptions) {
   ThreadPool pool(2);
   auto fut = pool.submit([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(fut.get(), std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForWaitsForEveryChunkWhenOneThrows) {
+  // 16 indices on 4 workers are 16 one-index chunks. Chunk 0 throws at
+  // once; the rest still run `fn`, which lives in this frame, so the
+  // call may only return (by throwing) once all of them have finished.
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  int seen = -1;
+  try {
+    pool.parallel_for(16, [&](std::size_t i) {
+      if (i == 0) throw std::runtime_error("chunk 0");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ++finished;
+    });
+  } catch (const std::runtime_error&) {
+    seen = finished.load();
+  }
+  EXPECT_EQ(seen, 15);
 }
 
 TEST(ThreadPool, ChunkedCoversRangeOnce) {

@@ -31,7 +31,6 @@
 #include "data/generators.hpp"
 #include "grid/grid_index.hpp"
 #include "grid/workload.hpp"
-#include "simt/counter.hpp"
 #include "simt/launch.hpp"
 #include "sj/kernels.hpp"
 
@@ -215,7 +214,6 @@ struct Harness {
   /// the overflow abort hook armed when the capacity is finite.
   void launch(std::span<const PointId> queries,
               std::uint64_t capacity = ResultSet::kUnlimited) {
-    simt::DeviceCounter counter;
     KernelParams p;
     p.grid = &in.grid;
     p.pattern = v.pattern;
@@ -223,8 +221,6 @@ struct Harness {
     p.assignment = v.work_queue ? Assignment::WorkQueue : Assignment::Static;
     p.k = v.k;
     p.points = queries;
-    p.queue = queries;
-    p.counter = &counter;
     p.device = &dev;
     p.results = &results;
     p.columns = in.columns;

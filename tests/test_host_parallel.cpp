@@ -333,6 +333,31 @@ TEST(HostParallel, UnsetAbortHookChangesNothing) {
   EXPECT_EQ(b.aborted_launches, 0u);
 }
 
+TEST(HostParallel, AbortHookIsPolledOnlyBeforeWarpBlocks) {
+  // The launch polls its hook in one place, before every kWarpBlock-th
+  // warp: never before the first warp and never after the last, on
+  // either host path.
+  constexpr std::uint64_t kBlock = simt::detail::kWarpBlock;
+  simt::DeviceConfig dev;
+  dev.num_sms = 2;
+  for (const int threads : {0, 3}) {
+    dev.host.num_threads = threads;
+    for (const std::uint64_t warps :
+         {std::uint64_t{1}, kBlock, kBlock + 1, 2 * kBlock + 500}) {
+      EmitKernel k;
+      std::uint64_t polls = 0;
+      const auto stats = simt::launch(dev, 32 * warps, k, {}, [&polls] {
+        ++polls;
+        return false;
+      });
+      EXPECT_EQ(polls, (warps - 1) / kBlock)
+          << "threads=" << threads << " warps=" << warps;
+      EXPECT_EQ(stats.warps_launched, warps);
+      EXPECT_EQ(stats.aborted_launches, 0u);
+    }
+  }
+}
+
 TEST(HostParallel, ObserverFiresInDispatchOrderUnderThreads) {
   simt::DeviceConfig dev;
   dev.num_sms = 2;

@@ -19,7 +19,6 @@ struct Fixture {
   GridIndex grid;
   simt::DeviceConfig device;
   ResultSet results{true};
-  simt::DeviceCounter counter;
   std::vector<PointId> ids;
   std::vector<double> columns;
 
@@ -38,8 +37,6 @@ struct Fixture {
     p.assignment = assign;
     p.k = k;
     p.points = ids;
-    p.queue = ids;
-    p.counter = &counter;
     p.device = &device;
     p.results = &results;
     p.columns = columns;
@@ -53,9 +50,6 @@ TEST(Kernel, ValidatesParams) {
   p.grid = nullptr;
   EXPECT_THROW(SelfJoinKernel{p}, CheckError);
   p = fx.params(CellPattern::Full, Assignment::Static, 3);  // 3 !| 32
-  EXPECT_THROW(SelfJoinKernel{p}, CheckError);
-  p = fx.params(CellPattern::Full, Assignment::WorkQueue, 1);
-  p.counter = nullptr;
   EXPECT_THROW(SelfJoinKernel{p}, CheckError);
   // A 2-D launch reads its candidates from the run's scan columns: x
   // then y, 2·n doubles.
@@ -96,7 +90,6 @@ TEST(Kernel, StaticInitWithKSplitsGroups) {
 
 TEST(Kernel, WorkQueueLeaderGrabsAndBroadcasts) {
   Fixture fx;
-  fx.counter.reset(10);
   SelfJoinKernel k(fx.params(CellPattern::Full, Assignment::WorkQueue, 8));
   SelfJoinKernel::LaneState s;
   simt::WarpScratch scratch{};
@@ -112,12 +105,12 @@ TEST(Kernel, WorkQueueLeaderGrabsAndBroadcasts) {
       EXPECT_GT(r.cost, fx.device.cost_atomic);
     }
   }
-  // Groups of 8 lanes share one queue index: 10, 11, 12, 13.
+  // Groups of 8 lanes share one queue index from the kernel's own
+  // counter, which starts at 0 in every launch: 0, 1, 2, 3.
   for (int lane = 0; lane < 32; ++lane) {
-    EXPECT_EQ(bound[lane], fx.ids[10 + lane / 8]);
+    EXPECT_EQ(bound[lane], fx.ids[lane / 8]);
   }
   EXPECT_EQ(k.atomics_executed(), 4u);
-  EXPECT_EQ(fx.counter.value(), 14u);
 }
 
 TEST(Kernel, LaneRunsToCompletionAndCountsEmits) {
