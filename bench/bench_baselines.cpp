@@ -2,8 +2,11 @@
 // out the paper's §II-B surveys — k-d tree (tree indexing), Morton
 // curve (space-filling-curve indexing, LSS-style but exact), parallel
 // CPU grid join, SUPER-EGO, and the simulated-GPU WQ+LID+k8 — on one
-// skewed synthetic and one real-world-like dataset.
+// skewed synthetic and one real-world-like dataset. Every method must
+// find the same pairs on a dataset; the bench exits 1 when one does not.
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "baselines/kdtree.hpp"
 #include "baselines/morton.hpp"
@@ -23,51 +26,58 @@ int main(int argc, char** argv) {
   gsj::Table t({"dataset", "eps", "method", "time(s)", "dist calcs",
                 "pairs"});
   t.set_precision(4);
+  std::vector<std::string> disagreements;
   for (const char* name : {"Expo2D2M", "SW2DA"}) {
     const gsj::Dataset ds = gsj::bench::load_dataset(name, opt);
     gsj::bench::GpuRunner gpu(ds, opt);
     const double eps = gsj::bench::table_epsilon(name, ds.size());
 
-    const auto kd = gsj::kdtree_self_join(ds, eps, opt.ego_threads);
-    t.add_row({std::string(name), eps, std::string("k-d tree (CPU)"),
-               kd.stats.build_seconds + kd.stats.join_seconds,
-               static_cast<std::int64_t>(kd.stats.distance_calcs),
-               static_cast<std::int64_t>(kd.stats.result_pairs)});
+    std::string first_method;
+    std::uint64_t first_pairs = 0;
+    const auto row = [&](const std::string& method, double seconds,
+                         std::int64_t dist_calcs, std::uint64_t pairs) {
+      t.add_row({std::string(name), eps, method, seconds, dist_calcs,
+                 static_cast<std::int64_t>(pairs)});
+      if (first_method.empty()) {
+        first_method = method;
+        first_pairs = pairs;
+      } else if (pairs != first_pairs) {
+        disagreements.push_back(method + " on " + name + ": " +
+                                std::to_string(pairs) + " pairs, " +
+                                first_method + ": " +
+                                std::to_string(first_pairs));
+      }
+    };
+    const auto cpu_row = [&](const std::string& method,
+                             const gsj::CpuJoinOutput& out) {
+      row(method, out.stats.build_seconds + out.stats.join_seconds,
+          static_cast<std::int64_t>(out.stats.distance_calcs),
+          out.stats.result_pairs);
+    };
 
-    const auto rt = gsj::rtree_self_join(ds, eps, opt.ego_threads);
-    t.add_row({std::string(name), eps, std::string("R-tree (CPU)"),
-               rt.stats.build_seconds + rt.stats.join_seconds,
-               static_cast<std::int64_t>(rt.stats.distance_calcs),
-               static_cast<std::int64_t>(rt.stats.result_pairs)});
-
-    const auto mo = gsj::morton_self_join(ds, eps, opt.ego_threads);
-    t.add_row({std::string(name), eps, std::string("Morton curve (CPU)"),
-               mo.stats.sort_seconds + mo.stats.join_seconds,
-               static_cast<std::int64_t>(mo.stats.distance_calcs),
-               static_cast<std::int64_t>(mo.stats.result_pairs)});
-
+    cpu_row("k-d tree (CPU)", gsj::kdtree_self_join(ds, eps, opt.ego_threads));
+    cpu_row("R-tree (CPU)", gsj::rtree_self_join(ds, eps, opt.ego_threads));
+    cpu_row("Morton curve (CPU)",
+            gsj::morton_self_join(ds, eps, opt.ego_threads));
     {
       gsj::Timer timer;
       const gsj::GridIndex grid(ds, eps);
       const gsj::ResultSet rs =
           gsj::cpu_grid_join_parallel(grid, opt.ego_threads, false);
-      t.add_row({std::string(name), eps, std::string("grid join (CPU)"),
-                 timer.seconds(), std::int64_t{-1},
-                 static_cast<std::int64_t>(rs.count())});
+      row("grid join (CPU)", timer.seconds(), -1, rs.count());
     }
-
     const auto ego = gsj::bench::run_superego(ds, eps, opt);
-    t.add_row({std::string(name), eps, std::string("SUPER-EGO (CPU)"),
-               ego.seconds, std::int64_t{-1},
-               static_cast<std::int64_t>(ego.pairs)});
-
+    row("SUPER-EGO (CPU)", ego.seconds, -1, ego.pairs);
     const auto sim = gpu.run(gsj::SelfJoinConfig::combined(eps));
-    t.add_row({std::string(name), eps,
-               std::string("WQ+LID+k8 (GPU model)"), sim.seconds,
-               std::int64_t{-1}, static_cast<std::int64_t>(sim.pairs)});
+    row("WQ+LID+k8 (GPU model)", sim.seconds, -1, sim.pairs);
   }
   gsj::bench::finish("baselines", t, opt);
-  std::cout << "All methods must agree on `pairs` — a cross-implementation "
-               "consistency check run at benchmark time.\n";
-  return 0;
+  if (disagreements.empty()) {
+    std::cout << "All methods agree on `pairs` on every dataset.\n";
+    return 0;
+  }
+  for (const std::string& d : disagreements) {
+    std::cerr << "bench_baselines: pair counts disagree: " << d << '\n';
+  }
+  return 1;
 }

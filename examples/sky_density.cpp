@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
 
   // Density vs galactic latitude: the plane over-density the catalog
   // models, binned in 15-degree latitude bands.
-  gsj::Histogram plane(-90.0, 90.0, 12);
   std::vector<double> band_sum(12, 0.0);
   std::vector<std::uint64_t> band_cnt(12, 0);
   for (gsj::PointId p = 0; p < n; ++p) {

@@ -4,8 +4,6 @@
 #include <numeric>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
-#include "common/timer.hpp"
 
 namespace gsj {
 
@@ -103,55 +101,6 @@ std::vector<PointId> KdTree::range_query(std::span<const double> center,
   std::vector<PointId> out;
   query(0, center, epsilon, epsilon * epsilon, out);
   std::sort(out.begin(), out.end());
-  return out;
-}
-
-KdJoinOutput kdtree_self_join(const Dataset& ds, double epsilon,
-                              std::size_t nthreads, bool store_pairs,
-                              std::size_t leaf_size) {
-  GSJ_CHECK_MSG(epsilon > 0.0, "epsilon must be positive");
-  KdJoinOutput out;
-  out.results = ResultSet(store_pairs);
-
-  Timer build_timer;
-  const KdTree tree(ds, leaf_size);
-  out.stats.build_seconds = build_timer.seconds();
-
-  Timer join_timer;
-  ThreadPool pool(nthreads);
-  struct Local {
-    std::vector<ResultPair> pairs;
-    std::uint64_t count = 0;
-  };
-  const std::size_t nchunks = std::max<std::size_t>(1, pool.size() * 8);
-  std::vector<Local> locals(nchunks);
-  const std::size_t chunk = (ds.size() + nchunks - 1) / nchunks;
-  pool.parallel_for(nchunks, [&](std::size_t t) {
-    Local& loc = locals[t];
-    const std::size_t begin = t * chunk;
-    const std::size_t end = std::min(begin + chunk, ds.size());
-    for (std::size_t q = begin; q < end; ++q) {
-      const std::vector<PointId> nb =
-          tree.range_query(static_cast<PointId>(q), epsilon);
-      loc.count += nb.size();
-      if (store_pairs) {
-        for (const PointId c : nb) {
-          loc.pairs.emplace_back(static_cast<PointId>(q), c);
-        }
-      }
-    }
-  });
-  for (auto& loc : locals) {
-    if (store_pairs) {
-      for (const auto& p : loc.pairs) out.results.emit(p.first, p.second);
-    } else {
-      out.results.add_count(loc.count);
-    }
-  }
-  out.stats.join_seconds = join_timer.seconds();
-  out.stats.distance_calcs = tree.distance_calcs();
-  out.stats.result_pairs = out.results.count();
-  if (store_pairs) out.results.canonicalize();
   return out;
 }
 

@@ -10,8 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "baselines/cpu_join.hpp"
 #include "data/dataset.hpp"
-#include "sj/result_set.hpp"
 
 namespace gsj {
 
@@ -70,25 +70,11 @@ class KdTree {
   mutable std::atomic<std::uint64_t> dist_calcs_{0};
 };
 
-struct KdJoinStats {
-  double build_seconds = 0.0;
-  double join_seconds = 0.0;
-  std::uint64_t distance_calcs = 0;
-  std::uint64_t result_pairs = 0;
-};
-
-struct KdJoinOutput {
-  ResultSet results;
-  KdJoinStats stats;
-
-  KdJoinOutput() : results(false) {}
-};
-
 /// Parallel self-join via per-point range queries on the k-d tree.
 /// Same ordered-pair semantics as the other joins.
-[[nodiscard]] KdJoinOutput kdtree_self_join(const Dataset& ds, double epsilon,
-                                            std::size_t nthreads = 0,
-                                            bool store_pairs = false,
-                                            std::size_t leaf_size = 16);
+[[nodiscard]] CpuJoinOutput kdtree_self_join(const Dataset& ds, double epsilon,
+                                             std::size_t nthreads = 0,
+                                             bool store_pairs = false,
+                                             std::size_t leaf_size = 16);
 
 }  // namespace gsj

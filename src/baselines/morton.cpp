@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
+#include "sj/reference.hpp"
 
 namespace gsj {
 
@@ -48,32 +50,35 @@ struct CellEntry {
 
 }  // namespace
 
-MortonJoinOutput morton_self_join(const Dataset& ds, double epsilon,
-                                  std::size_t nthreads, bool store_pairs) {
+CpuJoinOutput morton_self_join(const Dataset& ds, double epsilon,
+                               std::size_t nthreads, bool store_pairs) {
   GSJ_CHECK_MSG(epsilon > 0.0, "epsilon must be positive");
   GSJ_CHECK_MSG(!ds.empty(), "empty dataset");
 
-  MortonJoinOutput out;
-  out.results = ResultSet(store_pairs);
+  CpuJoinOutput out;
   const int dims = ds.dims();
   const std::size_t n = ds.size();
 
-  Timer sort_timer;
-  // Epsilon cells per dimension; bits sized to the largest coordinate.
+  Timer build_timer;
+  // Epsilon cells per dimension; bits sized to the largest cell index,
+  // which the bounding box gives and which is checked in double: no
+  // point's index is larger, so each fits its uint32.
   const auto lo = ds.min_corner();
   const auto hi = ds.max_corner();
   std::uint32_t max_cell = 0;
   std::vector<std::vector<std::uint32_t>> cell_of(
       static_cast<std::size_t>(dims), std::vector<std::uint32_t>(n));
   for (int d = 0; d < dims; ++d) {
-    const double base = lo[static_cast<std::size_t>(d)];
+    const auto sd = static_cast<std::size_t>(d);
+    const double top = std::floor((hi[sd] - lo[sd]) / epsilon);
+    GSJ_CHECK_MSG(top <= std::numeric_limits<std::uint32_t>::max(),
+                  "epsilon too small: more than 2^32 Morton cells in dimension "
+                      << d);
+    max_cell = std::max(max_cell, static_cast<std::uint32_t>(top));
     for (std::size_t i = 0; i < n; ++i) {
-      const auto c = static_cast<std::uint32_t>(
-          std::floor((ds.coord(i, d) - base) / epsilon));
-      cell_of[static_cast<std::size_t>(d)][i] = c;
-      max_cell = std::max(max_cell, c);
+      cell_of[sd][i] = static_cast<std::uint32_t>(
+          std::floor((ds.coord(i, d) - lo[sd]) / epsilon));
     }
-    (void)hi;
   }
   int bits = 1;
   while ((std::uint64_t{1} << bits) <= static_cast<std::uint64_t>(max_cell) + 1) {
@@ -107,28 +112,18 @@ MortonJoinOutput morton_self_join(const Dataset& ds, double epsilon,
     }
     cells.back().end = static_cast<std::uint32_t>(pos + 1);
   }
-  out.stats.nonempty_cells = cells.size();
-  out.stats.sort_seconds = sort_timer.seconds();
+  out.stats.build_seconds = build_timer.seconds();
 
   Timer join_timer;
   const double eps2 = epsilon * epsilon;
   ThreadPool pool(nthreads);
-  struct Local {
-    std::vector<ResultPair> pairs;
-    std::uint64_t count = 0;
-    std::uint64_t dist_calcs = 0;
-  };
-  const std::size_t nchunks = std::max<std::size_t>(1, pool.size() * 8);
-  std::vector<Local> locals(nchunks);
-  const std::size_t chunk = (cells.size() + nchunks - 1) / nchunks;
-
-  pool.parallel_for(nchunks, [&](std::size_t t) {
-    Local& loc = locals[t];
+  std::atomic<std::uint64_t> dist_calcs{0};
+  const auto join_cells = [&](std::size_t begin_cell, std::size_t end_cell,
+                              ResultSet& rs) {
+    std::uint64_t calcs = 0;
     std::vector<std::uint32_t> oc(static_cast<std::size_t>(dims));
     std::vector<std::uint32_t> nc(static_cast<std::size_t>(dims));
     std::vector<std::int32_t> off(static_cast<std::size_t>(dims), -1);
-    const std::size_t begin_cell = t * chunk;
-    const std::size_t end_cell = std::min(begin_cell + chunk, cells.size());
     for (std::size_t ci = begin_cell; ci < end_cell; ++ci) {
       const auto ocv = morton_decode(cells[ci].code, dims, bits);
       std::copy(ocv.begin(), ocv.end(), oc.begin());
@@ -155,11 +150,8 @@ MortonJoinOutput morton_self_join(const Dataset& ds, double epsilon,
               const PointId q = order[i];
               for (std::uint32_t j = it->begin; j < it->end; ++j) {
                 const PointId c = order[j];
-                ++loc.dist_calcs;
-                if (ds.dist2(q, c) <= eps2) {
-                  ++loc.count;
-                  if (store_pairs) loc.pairs.emplace_back(q, c);
-                }
+                ++calcs;
+                if (ds.dist2(q, c) <= eps2) rs.emit(q, c);
               }
             }
           }
@@ -174,19 +166,12 @@ MortonJoinOutput morton_self_join(const Dataset& ds, double epsilon,
         if (d < 0) break;
       }
     }
-  });
-
-  for (auto& loc : locals) {
-    out.stats.distance_calcs += loc.dist_calcs;
-    if (store_pairs) {
-      for (const auto& p : loc.pairs) out.results.emit(p.first, p.second);
-    } else {
-      out.results.add_count(loc.count);
-    }
-  }
+    dist_calcs.fetch_add(calcs, std::memory_order_relaxed);
+  };
+  out.results = collect_pairs(pool, cells.size(), store_pairs, join_cells);
   out.stats.join_seconds = join_timer.seconds();
+  out.stats.distance_calcs = dist_calcs.load(std::memory_order_relaxed);
   out.stats.result_pairs = out.results.count();
-  if (store_pairs) out.results.canonicalize();
   return out;
 }
 

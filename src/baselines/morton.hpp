@@ -11,8 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "baselines/cpu_join.hpp"
 #include "data/dataset.hpp"
-#include "sj/result_set.hpp"
 
 namespace gsj {
 
@@ -26,26 +26,11 @@ namespace gsj {
 [[nodiscard]] std::vector<std::uint32_t> morton_decode(std::uint64_t code,
                                                        int dims, int bits);
 
-struct MortonJoinStats {
-  double sort_seconds = 0.0;
-  double join_seconds = 0.0;
-  std::uint64_t distance_calcs = 0;
-  std::uint64_t result_pairs = 0;
-  std::size_t nonempty_cells = 0;
-};
-
-struct MortonJoinOutput {
-  ResultSet results;
-  MortonJoinStats stats;
-
-  MortonJoinOutput() : results(false) {}
-};
-
 /// Exact epsilon self-join over a Morton-sorted epsilon-cell directory.
 /// Same ordered-pair semantics as the other joins in this library.
-[[nodiscard]] MortonJoinOutput morton_self_join(const Dataset& ds,
-                                                double epsilon,
-                                                std::size_t nthreads = 0,
-                                                bool store_pairs = false);
+[[nodiscard]] CpuJoinOutput morton_self_join(const Dataset& ds,
+                                             double epsilon,
+                                             std::size_t nthreads = 0,
+                                             bool store_pairs = false);
 
 }  // namespace gsj

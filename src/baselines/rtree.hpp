@@ -17,8 +17,8 @@
 #include <span>
 #include <vector>
 
+#include "baselines/cpu_join.hpp"
 #include "data/dataset.hpp"
-#include "sj/result_set.hpp"
 
 namespace gsj {
 
@@ -44,10 +44,6 @@ class RTree {
   [[nodiscard]] std::uint64_t distance_calcs() const noexcept {
     return dist_calcs_.load(std::memory_order_relaxed);
   }
-
-  /// Sum over all nodes of their bounding-box margin (diagnostic for
-  /// packing quality, cf. the R*-tree's optimization target).
-  [[nodiscard]] double total_margin() const;
 
  private:
   static constexpr int kMaxBoxDims = 8;
@@ -82,24 +78,10 @@ class RTree {
   mutable std::atomic<std::uint64_t> dist_calcs_{0};
 };
 
-struct RtJoinStats {
-  double build_seconds = 0.0;
-  double join_seconds = 0.0;
-  std::uint64_t distance_calcs = 0;
-  std::uint64_t result_pairs = 0;
-};
-
-struct RtJoinOutput {
-  ResultSet results;
-  RtJoinStats stats;
-
-  RtJoinOutput() : results(false) {}
-};
-
 /// Parallel self-join via per-point range queries on the R-tree.
-[[nodiscard]] RtJoinOutput rtree_self_join(const Dataset& ds, double epsilon,
-                                           std::size_t nthreads = 0,
-                                           bool store_pairs = false,
-                                           std::size_t node_capacity = 16);
+[[nodiscard]] CpuJoinOutput rtree_self_join(const Dataset& ds, double epsilon,
+                                            std::size_t nthreads = 0,
+                                            bool store_pairs = false,
+                                            std::size_t node_capacity = 16);
 
 }  // namespace gsj

@@ -82,9 +82,6 @@ struct JsonValue {
       nullptr;
 
   [[nodiscard]] bool is_null() const { return v.index() == 0; }
-  [[nodiscard]] bool is_bool() const { return v.index() == 1; }
-  [[nodiscard]] bool is_number() const { return v.index() == 2; }
-  [[nodiscard]] bool is_string() const { return v.index() == 3; }
   [[nodiscard]] bool is_array() const { return v.index() == 4; }
   [[nodiscard]] bool is_object() const { return v.index() == 5; }
 

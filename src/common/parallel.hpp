@@ -17,6 +17,18 @@
 
 namespace gsj {
 
+/// Runs `fn(begin, end)` over contiguous chunks of [0, n): on `pool`
+/// (parallel_for_chunks) when it has more than one worker and n > 1,
+/// else inline as fn(0, n).
+template <typename Fn>
+void for_chunks(ThreadPool* pool, std::size_t n, Fn&& fn) {
+  if (pool != nullptr && pool->size() > 1 && n > 1) {
+    pool->parallel_for_chunks(n, fn);
+  } else {
+    fn(std::size_t{0}, n);
+  }
+}
+
 /// Stable sort of `v` by `comp`, parallelized over `pool`. Falls back
 /// to a plain std::stable_sort when `pool` is null, single-worker, or
 /// the input is below `min_parallel` elements. Output is bit-identical

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -53,57 +53,6 @@ Summary summarize(std::span<const std::uint64_t> xs) {
   std::transform(xs.begin(), xs.end(), d.begin(),
                  [](std::uint64_t v) { return static_cast<double>(v); });
   return summarize(std::span<const double>(d));
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t nbuckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(nbuckets)),
-      counts_(nbuckets, 0) {
-  GSJ_CHECK(hi > lo);
-  GSJ_CHECK(nbuckets > 0);
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    auto b = static_cast<std::size_t>((x - lo_) / width_);
-    if (b >= counts_.size()) b = counts_.size() - 1;  // FP edge at hi_
-    ++counts_[b];
-  }
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  GSJ_CHECK(bucket < counts_.size());
-  return lo_ + width_ * static_cast<double>(bucket);
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[b]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    os << "[" << bucket_lo(b) << ", " << bucket_lo(b) + width_ << ") "
-       << std::string(bar, '#') << ' ' << counts_[b] << '\n';
-  }
-  return os.str();
-}
-
-double imbalance_factor(std::span<const std::uint64_t> work) {
-  if (work.empty()) return 0.0;
-  std::uint64_t mx = 0, sum = 0;
-  for (auto w : work) {
-    mx = std::max(mx, w);
-    sum += w;
-  }
-  if (sum == 0) return 0.0;
-  const double mean = static_cast<double>(sum) / static_cast<double>(work.size());
-  return static_cast<double>(mx) / mean;
 }
 
 }  // namespace gsj

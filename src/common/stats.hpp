@@ -1,13 +1,10 @@
-// Descriptive statistics over sample vectors: moments, percentiles,
-// histograms, and imbalance metrics used to characterise per-thread
-// workload distributions.
+// Descriptive statistics over sample vectors: moments and percentiles,
+// used to characterise per-thread workload distributions.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace gsj {
 
@@ -38,34 +35,5 @@ struct Summary {
 
 /// Linear interpolated percentile (q in [0,100]) of *sorted* data.
 [[nodiscard]] double percentile_sorted(std::span<const double> sorted, double q);
-
-/// Fixed-width histogram.
-class Histogram {
- public:
-  /// Buckets [lo, hi) split into `nbuckets` equal bins, plus
-  /// underflow/overflow counters.
-  Histogram(double lo, double hi, std::size_t nbuckets);
-
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t bucket_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t bucket) const { return counts_.at(bucket); }
-  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] double bucket_lo(std::size_t bucket) const;
-
-  /// Multi-line ASCII rendering (for example programs / debugging).
-  [[nodiscard]] std::string ascii(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
-
-/// Load-imbalance factor of a workload vector: max / mean (1.0 = perfectly
-/// balanced). Returns 0 for empty or all-zero input.
-[[nodiscard]] double imbalance_factor(std::span<const std::uint64_t> work);
 
 }  // namespace gsj

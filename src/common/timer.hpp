@@ -18,8 +18,6 @@ class Timer {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
-  [[nodiscard]] double millis() const noexcept { return seconds() * 1e3; }
-
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;

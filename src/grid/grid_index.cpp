@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -11,6 +12,16 @@
 #include "data/churn.hpp"
 
 namespace gsj {
+
+namespace {
+
+// Cells along one dimension, in double: a count past int32 must fail
+// its check before any conversion.
+double cells_along(double lo, double hi, double epsilon) {
+  return std::floor((hi - lo) / epsilon) + 1.0;
+}
+
+}  // namespace
 
 template <typename X>
 std::uint64_t GridIndex::clamped_id(X&& x) const {
@@ -37,14 +48,14 @@ GridIndex::GridIndex(const Dataset& ds, double epsilon, ThreadPool* pool)
   const auto hi = ds.max_corner();
   std::uint64_t total_cells = 1;
   for (int d = 0; d < n; ++d) {
-    min_[static_cast<std::size_t>(d)] = lo[static_cast<std::size_t>(d)];
-    const double extent =
-        hi[static_cast<std::size_t>(d)] - lo[static_cast<std::size_t>(d)];
-    const auto cnt =
-        static_cast<std::int32_t>(std::floor(extent / epsilon)) + 1;
-    cells_per_dim_[static_cast<std::size_t>(d)] = cnt;
-    GSJ_CHECK_MSG(total_cells <= (std::uint64_t{1} << 62) / static_cast<std::uint64_t>(cnt),
+    const auto sd = static_cast<std::size_t>(d);
+    min_[sd] = lo[sd];
+    const double cnt = cells_along(lo[sd], hi[sd], epsilon);
+    GSJ_CHECK_MSG(cnt <= std::numeric_limits<std::int32_t>::max() &&
+                      total_cells <= (std::uint64_t{1} << 62) /
+                                         static_cast<std::uint64_t>(cnt),
                   "grid too fine: linear ids would overflow (epsilon too small)");
+    cells_per_dim_[sd] = static_cast<std::int32_t>(cnt);
     total_cells *= static_cast<std::uint64_t>(cnt);
   }
   // Row-major strides: last dimension is contiguous, so linear ids are
@@ -65,11 +76,7 @@ GridIndex::GridIndex(const Dataset& ds, double epsilon, ThreadPool* pool)
       ids[i] = clamped_id([&](int d) { return ds.coord(i, d); });
     }
   };
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for_chunks(npts, compute_ids);
-  } else {
-    compute_ids(0, npts);
-  }
+  for_chunks(pool, npts, compute_ids);
 
   point_ids_.resize(npts);
   std::iota(point_ids_.begin(), point_ids_.end(), PointId{0});
@@ -183,10 +190,8 @@ GridRepairOutcome GridIndex::repair(ThreadPool* pool) {
     const auto hi = ds.max_corner();
     for (int d = 0; d < dims(); ++d) {
       const auto sd = static_cast<std::size_t>(d);
-      const auto cnt =
-          static_cast<std::int32_t>(std::floor((hi[sd] - lo[sd]) / epsilon_)) +
-          1;
-      if (lo[sd] != min_[sd] || cnt != cells_per_dim_[sd]) {
+      if (lo[sd] != min_[sd] ||
+          cells_along(lo[sd], hi[sd], epsilon_) != cells_per_dim_[sd]) {
         can_patch = false;
         break;
       }

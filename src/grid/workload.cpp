@@ -61,11 +61,7 @@ std::vector<std::uint64_t> cell_workloads(const GridIndex& grid,
       wl[ci] = cell_workload_at(grid, slots, ci);
     }
   };
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for_chunks(cells.size(), quantify);
-  } else {
-    quantify(0, cells.size());
-  }
+  for_chunks(pool, cells.size(), quantify);
   return wl;
 }
 
@@ -79,11 +75,7 @@ std::vector<std::uint64_t> point_workloads(const GridIndex& grid,
       pw[p] = cw[grid.cell_of_point(static_cast<PointId>(p))];
     }
   };
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for_chunks(pw.size(), scatter);
-  } else {
-    scatter(0, pw.size());
-  }
+  for_chunks(pool, pw.size(), scatter);
   return pw;
 }
 
@@ -107,11 +99,7 @@ std::vector<std::uint64_t> probe_point_workloads(const GridIndex& grid,
       pw[q] = w;
     }
   };
-  if (pool != nullptr && pool->size() > 1) {
-    pool->parallel_for_chunks(pw.size(), quantify);
-  } else {
-    quantify(0, pw.size());
-  }
+  for_chunks(pool, pw.size(), quantify);
   return pw;
 }
 

@@ -2,37 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
-
-#include "common/check.hpp"
+#include <vector>
 
 namespace gsj::obs {
-
-double gini_coefficient(std::span<const std::uint64_t> xs) {
-  if (xs.size() < 2) return 0.0;
-  std::vector<std::uint64_t> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const auto n = static_cast<double>(sorted.size());
-  double sum = 0.0, weighted = 0.0;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const auto x = static_cast<double>(sorted[i]);
-    sum += x;
-    weighted += static_cast<double>(i + 1) * x;
-  }
-  if (sum == 0.0) return 0.0;
-  return (2.0 * weighted) / (n * sum) - (n + 1.0) / n;
-}
-
-std::uint64_t percentile_nearest_rank(std::span<const std::uint64_t> xs,
-                                      double q) {
-  if (xs.empty()) return 0;
-  std::vector<std::uint64_t> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const auto rank = static_cast<std::size_t>(std::ceil(
-      std::clamp(q, 0.0, 100.0) / 100.0 * static_cast<double>(sorted.size())));
-  return sorted[rank == 0 ? 0 : rank - 1];
-}
 
 WarpImbalance analyze_warp_cycles(std::span<const std::uint64_t> cycles) {
   WarpImbalance w;
@@ -66,43 +39,6 @@ WarpImbalance analyze_warp_cycles(std::span<const std::uint64_t> cycles) {
   w.p95_cycles = rank(95);
   w.p99_cycles = rank(99);
   return w;
-}
-
-std::vector<SlotStats> slot_stats_from_events(
-    std::span<const WarpEvent> events, int nslots) {
-  GSJ_CHECK(nslots >= 1);
-  std::vector<SlotStats> slots(static_cast<std::size_t>(nslots));
-
-  // Group finish times by batch; a batch's makespan is its max finish.
-  struct BatchFinish {
-    std::vector<std::uint64_t> finish;  // per slot, 0 = never dispatched
-    std::uint64_t base = ~std::uint64_t{0};  // earliest warp start
-  };
-  std::map<std::uint32_t, BatchFinish> by_batch;
-  for (const WarpEvent& e : events) {
-    GSJ_CHECK_MSG(e.slot >= 0 && e.slot < nslots,
-                  "warp event slot " << e.slot << " out of range");
-    auto& s = slots[static_cast<std::size_t>(e.slot)];
-    ++s.warps;
-    s.busy_cycles += e.cycles;
-    auto& bf = by_batch[e.batch];
-    if (bf.finish.empty()) bf.finish.assign(static_cast<std::size_t>(nslots), 0);
-    auto& f = bf.finish[static_cast<std::size_t>(e.slot)];
-    f = std::max(f, e.start_cycle + e.cycles);
-    bf.base = std::min(bf.base, e.start_cycle);
-  }
-
-  for (const auto& [batch, bf] : by_batch) {
-    std::uint64_t makespan = 0;
-    for (const auto f : bf.finish) makespan = std::max(makespan, f);
-    for (std::size_t s = 0; s < bf.finish.size(); ++s) {
-      // A slot that never ran a warp this launch idled for the whole
-      // launch (from the batch's earliest start).
-      const std::uint64_t end = bf.finish[s] == 0 ? bf.base : bf.finish[s];
-      slots[s].tail_idle_cycles += makespan - std::min(makespan, end);
-    }
-  }
-  return slots;
 }
 
 std::string describe(const WarpImbalance& w) {

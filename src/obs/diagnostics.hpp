@@ -1,4 +1,4 @@
-// Imbalance diagnostics computed from traced warp events — the paper's
+// Imbalance diagnostics of a kernel's warps — the paper's
 // load-imbalance story as first-class numbers instead of figure
 // eyeballing:
 //
@@ -9,7 +9,7 @@
 //  * per-slot tail idle — how long each resident-warp slot sat idle
 //    before kernel end (the kernel-tail imbalance WORKQUEUE removes);
 //    the slot breakdown shows whether the tail is one straggler slot or
-//    systemic.
+//    systemic. The batch driver fills SlotStats as batches commit.
 //  * WEE — intra-warp lane efficiency (nvprof's
 //    warp_execution_efficiency), already tracked per batch.
 #pragma once
@@ -17,9 +17,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
-
-#include "obs/trace.hpp"
 
 namespace gsj::obs {
 
@@ -43,23 +40,9 @@ struct SlotStats {
   std::uint64_t tail_idle_cycles = 0;
 };
 
-/// Gini coefficient of a sample (0 = perfectly equal). Not an
-/// instrument: takes a copy and sorts.
-[[nodiscard]] double gini_coefficient(std::span<const std::uint64_t> xs);
-
-/// Exact order statistic (nearest-rank) of an unsorted sample.
-[[nodiscard]] std::uint64_t percentile_nearest_rank(
-    std::span<const std::uint64_t> xs, double q);
-
 /// Full dispersion summary of per-warp cycles.
 [[nodiscard]] WarpImbalance analyze_warp_cycles(
     std::span<const std::uint64_t> cycles);
-
-/// Reconstructs per-slot tail idle for the launches recorded in
-/// `events` (grouped by batch; each batch's makespan is the max slot
-/// finish within it). `nslots` is DeviceConfig::total_slots().
-[[nodiscard]] std::vector<SlotStats> slot_stats_from_events(
-    std::span<const WarpEvent> events, int nslots);
 
 /// One-line human rendering ("CoV 0.42, Gini 0.31, p99/p50 5.1x").
 [[nodiscard]] std::string describe(const WarpImbalance& w);

@@ -68,9 +68,6 @@ class FlightRecorder {
   /// executions dump byte-identical text.
   void dump(std::ostream& os, std::uint64_t request_id = 0) const;
 
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
   [[nodiscard]] std::size_t capacity_per_shard() const noexcept {
     return capacity_;
   }

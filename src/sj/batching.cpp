@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "common/check.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel.hpp"
 #include "obs/trace.hpp"
 #include "sj/reference.hpp"
 
@@ -119,19 +119,16 @@ std::vector<std::vector<PointId>> stride_batches(
     batches[i % num_batches].push_back(points[i]);
   }
   if (sort_workloads.empty()) return batches;
-  const auto sort_batch = [&](std::size_t bi) {
-    std::stable_sort(batches[bi].begin(), batches[bi].end(),
-                     [sort_workloads](PointId a, PointId c) {
-                       return sort_workloads[a] > sort_workloads[c];
-                     });
-  };
   // Batches are disjoint vectors and each gets a plain stable sort,
   // so running them on pool workers changes nothing but wall time.
-  if (pool != nullptr && pool->size() > 1 && num_batches > 1) {
-    pool->parallel_for(num_batches, sort_batch);
-  } else {
-    for (std::size_t bi = 0; bi < num_batches; ++bi) sort_batch(bi);
-  }
+  for_chunks(pool, num_batches, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t bi = lo; bi < hi; ++bi) {
+      std::stable_sort(batches[bi].begin(), batches[bi].end(),
+                       [sort_workloads](PointId a, PointId c) {
+                         return sort_workloads[a] > sort_workloads[c];
+                       });
+    }
+  });
   return batches;
 }
 

@@ -1,10 +1,13 @@
 // CPU reference self-joins used as correctness oracles and for host-side
-// result-size estimation.
+// result-size estimation, and the pair collector every parallel CPU
+// comparator join runs on.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "data/dataset.hpp"
 #include "grid/grid_index.hpp"
 #include "sj/result_set.hpp"
@@ -37,5 +40,30 @@ namespace gsj {
 [[nodiscard]] ResultSet cpu_grid_join_parallel(const GridIndex& grid,
                                                std::size_t nthreads = 0,
                                                bool store_pairs = true);
+
+/// The CPU comparators' one pair collector: runs `fn(begin, end, out)`
+/// on `pool` over contiguous chunks of [0, n), 8 per worker. Each chunk
+/// emits into its own ResultSet, and the chunks are absorbed in chunk
+/// order (then canonicalized when `store_pairs`), so the answer does
+/// not depend on the thread count.
+template <typename Fn>
+[[nodiscard]] ResultSet collect_pairs(ThreadPool& pool, std::size_t n,
+                                      bool store_pairs, Fn&& fn) {
+  const std::size_t nchunks = std::max<std::size_t>(1, pool.size() * 8);
+  const std::size_t chunk = (n + nchunks - 1) / nchunks;
+  std::vector<ResultSet> parts(nchunks, ResultSet(store_pairs));
+  pool.parallel_for(nchunks, [&](std::size_t t) {
+    // Chunk-local, then moved: emitting into parts[t] in place would
+    // share cache lines between neighbouring chunks' counters.
+    ResultSet local(store_pairs);
+    const std::size_t begin = std::min(t * chunk, n);
+    fn(begin, std::min(begin + chunk, n), local);
+    parts[t] = std::move(local);
+  });
+  ResultSet rs(store_pairs);
+  for (ResultSet& part : parts) rs.absorb(std::move(part));
+  if (store_pairs) rs.canonicalize();
+  return rs;
+}
 
 }  // namespace gsj

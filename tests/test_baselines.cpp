@@ -246,8 +246,21 @@ TEST(MortonJoin, CountOnlyMatchesStored) {
   const auto counted = morton_self_join(ds, 0.5, 1, false);
   const auto stored = morton_self_join(ds, 0.5, 1, true);
   EXPECT_EQ(counted.results.count(), stored.results.count());
-  EXPECT_GT(counted.stats.nonempty_cells, 0u);
   EXPECT_GT(counted.stats.distance_calcs, 0u);
+}
+
+TEST(MortonJoin, RejectsMoreCellsThanItsCodeHolds) {
+  // 2^32 + 1 ε-cells in one dimension: the last point's cell index does
+  // not fit the 32-bit cell coordinate. Wrapped to cell 0, it lost its
+  // pair with the middle point (0.75ε away): 3 pairs, not the 5 of
+  // brute_force_join.
+  const double eps = 1e-3;
+  Dataset ds(1);
+  ds.push_back({{0.0}});
+  ds.push_back({{(4294967296.0 - 0.5) * eps}});
+  ds.push_back({{(4294967296.0 + 0.25) * eps}});
+  ASSERT_EQ(brute_force_join(ds, eps).count(), 5u);
+  EXPECT_THROW((void)morton_self_join(ds, eps, 1, true), CheckError);
 }
 
 TEST(MortonJoin, AgreesWithKdTreeAndGrid) {

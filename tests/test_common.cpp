@@ -93,30 +93,6 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile_sorted(xs, 100.0), 10.0);
 }
 
-TEST(Stats, HistogramBucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(5.5);
-  h.add(9.999);
-  h.add(10.0);
-  h.add(42.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(5), 1u);
-  EXPECT_EQ(h.count(9), 1u);
-  EXPECT_EQ(h.total(), 6u);
-}
-
-TEST(Stats, ImbalanceFactor) {
-  const std::vector<std::uint64_t> balanced{4, 4, 4, 4};
-  EXPECT_DOUBLE_EQ(imbalance_factor(balanced), 1.0);
-  const std::vector<std::uint64_t> skewed{0, 0, 0, 8};
-  EXPECT_DOUBLE_EQ(imbalance_factor(skewed), 4.0);
-  EXPECT_DOUBLE_EQ(imbalance_factor(std::span<const std::uint64_t>{}), 0.0);
-}
-
 TEST(Table, AlignedAndCsvOutput) {
   Table t({"name", "value"});
   t.set_precision(2);

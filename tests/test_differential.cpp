@@ -170,6 +170,33 @@ TEST(Differential, HostParallelMatchesOracle) {
 // ---------------------------------------------------------------------------
 // Related-work baselines (src/baselines/) against the same oracle.
 
+// The pair collector's other paths for one CPU comparator, `join(c,
+// threads, store_pairs)`: count-only, and 5 threads, whose 40 chunks
+// outnumber a `tiny` case's points, so empty chunks run.
+template <typename Join>
+void expect_collector_paths_match(const Join& join, const ResultSet& truth,
+                                  const AdversarialCase& c,
+                                  const std::string& path) {
+  EXPECT_EQ(join(c, 2, false).count(), truth.pairs().size())
+      << path << " count-only " << c.describe();
+  expect_pairs_match(join(c, 5, true), truth, c, path + " 5 threads");
+}
+
+ResultSet kdtree_results(const AdversarialCase& c, std::size_t threads,
+                         bool store_pairs) {
+  return kdtree_self_join(c.dataset, c.epsilon, threads, store_pairs).results;
+}
+
+ResultSet rtree_results(const AdversarialCase& c, std::size_t threads,
+                        bool store_pairs) {
+  return rtree_self_join(c.dataset, c.epsilon, threads, store_pairs).results;
+}
+
+ResultSet morton_results(const AdversarialCase& c, std::size_t threads,
+                         bool store_pairs) {
+  return morton_self_join(c.dataset, c.epsilon, threads, store_pairs).results;
+}
+
 TEST(Differential, KdTreeJoinMatchesOracle) {
   for (std::uint64_t seed = 65; seed <= 76; ++seed) {
     const AdversarialCase c = make_adversarial_case(seed);
@@ -178,6 +205,7 @@ TEST(Differential, KdTreeJoinMatchesOracle) {
                                       /*store_pairs=*/true);
     expect_pairs_match(out.results, truth, c, "kdtree");
     EXPECT_EQ(out.stats.result_pairs, truth.pairs().size()) << c.describe();
+    expect_collector_paths_match(kdtree_results, truth, c, "kdtree");
   }
 }
 
@@ -189,6 +217,7 @@ TEST(Differential, RTreeJoinMatchesOracle) {
                                      /*store_pairs=*/true);
     expect_pairs_match(out.results, truth, c, "rtree");
     EXPECT_EQ(out.stats.result_pairs, truth.pairs().size()) << c.describe();
+    expect_collector_paths_match(rtree_results, truth, c, "rtree");
   }
 }
 
@@ -200,6 +229,7 @@ TEST(Differential, MortonJoinMatchesOracle) {
                                       /*store_pairs=*/true);
     expect_pairs_match(out.results, truth, c, "morton");
     EXPECT_EQ(out.stats.result_pairs, truth.pairs().size()) << c.describe();
+    expect_collector_paths_match(morton_results, truth, c, "morton");
   }
 }
 
@@ -228,6 +258,11 @@ TEST(Differential, CpuGridJoinParallelMatchesOracle) {
     const ResultSet out = cpu_grid_join_parallel(grid, /*nthreads=*/3,
                                                  /*store_pairs=*/true);
     expect_pairs_match(out, truth, c, "cpu_grid_parallel");
+    expect_collector_paths_match(
+        [&grid](const AdversarialCase&, std::size_t threads, bool store) {
+          return cpu_grid_join_parallel(grid, threads, store);
+        },
+        truth, c, "cpu_grid_parallel");
   }
 }
 

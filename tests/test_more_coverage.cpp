@@ -3,7 +3,6 @@
 // behaviours, and small utility edges not covered elsewhere.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <tuple>
@@ -163,14 +162,6 @@ TEST(UtilityEdges, CliNegativeNumbers) {
   const char* argv[] = {"prog", "--x", "-3.5"};
   Cli cli(3, argv);
   EXPECT_DOUBLE_EQ(cli.get_double("x", 0.0), -3.5);
-}
-
-TEST(UtilityEdges, HistogramAsciiRenders) {
-  Histogram h(0.0, 4.0, 4);
-  for (double x : {0.5, 1.5, 1.6, 2.5}) h.add(x);
-  const std::string art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 4);
 }
 
 TEST(UtilityEdges, SummarySinglePoint) {

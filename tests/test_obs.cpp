@@ -429,24 +429,6 @@ TEST(Diagnostics, KnownValues) {
   EXPECT_EQ(s.max_cycles, 100u);
 }
 
-TEST(Diagnostics, SlotStatsFromEvents) {
-  // Two slots, two batches. Batch 0: slot 0 busy [0,10), slot 1 busy
-  // [0,4) -> batch makespan 10, slot 1 idles 6. Batch 1 (offset 10):
-  // only slot 1 runs [10,15) -> slot 0 idles 5.
-  std::vector<obs::WarpEvent> evs(3);
-  evs[0] = {.warp_id = 0, .start_cycle = 0, .cycles = 10, .slot = 0, .batch = 0};
-  evs[1] = {.warp_id = 1, .start_cycle = 0, .cycles = 4, .slot = 1, .batch = 0};
-  evs[2] = {.warp_id = 2, .start_cycle = 10, .cycles = 5, .slot = 1, .batch = 1};
-  const auto slots = obs::slot_stats_from_events(evs, 2);
-  ASSERT_EQ(slots.size(), 2u);
-  EXPECT_EQ(slots[0].warps, 1u);
-  EXPECT_EQ(slots[0].busy_cycles, 10u);
-  EXPECT_EQ(slots[0].tail_idle_cycles, 5u);
-  EXPECT_EQ(slots[1].warps, 2u);
-  EXPECT_EQ(slots[1].busy_cycles, 9u);
-  EXPECT_EQ(slots[1].tail_idle_cycles, 6u);
-}
-
 // ----------------------------------------------------------------- trace
 
 TEST(Trace, SpanRecordsOnDestruction) {
